@@ -116,9 +116,6 @@ class EulerAngles:
             raise InvalidInputError("Euler angles must be finite")
 
 
-IDENTITY_ORIENTATION = EulerAngles(0.0, 0.0)
-
-
 def _validate_jm(j: HalfInt, m: HalfInt, name: str) -> None:
     if j.twice < 0:
         raise InvalidInputError(f"negative angular momentum {name}={j!r}")

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,21 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _reject_unknown_keys(block: dict, schema: dict, where: str) -> None:
+    """Raise on keys the run-config schema does not list for this block."""
+    unknown = sorted(set(block) - set(schema["properties"]))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}"
+        )
+
+
+def _run_config_schema() -> dict:
+    text = resources.files("trapquad").joinpath(
+        "schemas", "run_config.schema.json").read_text()
+    return json.loads(text)
+
+
 def load_run_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -66,10 +82,13 @@ def load_run_config(path: str | Path) -> dict:
         raise InvalidInputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidInputError("config file must hold a JSON object")
     if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise InvalidInputError(
             f"unsupported config schema_version {raw.get('schema_version')!r}"
         )
+    _reject_unknown_keys(raw, _run_config_schema(), "config")
     return raw
 
 
@@ -78,10 +97,13 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
 
     Exactly one of the secular-frequency description and explicit (A, eps)
     must be present.  Frequencies are Hz, fields V/m^2, angles degrees.
+    A key that schemas/run_config.schema.json does not list is an error.
     """
     block = config.get("trap")
-    if block is None:
+    if not isinstance(block, dict):
         raise InvalidInputError("config has no 'trap' block")
+    trap_schema = _run_config_schema()["properties"]["trap"]
+    _reject_unknown_keys(block, trap_schema, "trap block")
     if "omega_rf_hz" not in block:
         raise InvalidInputError("trap block needs omega_rf_hz")
     omega_rf = TWO_PI * float(block["omega_rf_hz"])
@@ -113,6 +135,10 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
 
     if "secular_hz" in block:
         sec = block["secular_hz"]
+        if not isinstance(sec, dict):
+            raise InvalidInputError("secular_hz must be an object")
+        _reject_unknown_keys(sec, trap_schema["properties"]["secular_hz"],
+                             "secular_hz block")
         for key in ("omega_x", "omega_y", "omega_z"):
             if key not in sec:
                 raise InvalidInputError(f"secular_hz block needs {key}")
@@ -265,6 +291,8 @@ def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             continue
         if len(cols) < 3:
             raise InvalidInputError(f"line {ln}: need delta_hz,excited_counts,shots")
+        if not all(_is_number(c) for c in cols[:3]):
+            raise InvalidInputError(f"line {ln}: not a number in {line!r}")
         deltas.append(float(cols[0]))
         counts.append(float(cols[1]))
         shots.append(float(cols[2]))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.signal import find_peaks
 
 from .errors import IntegrationError, InvalidInputError
 
@@ -47,9 +46,6 @@ class RwaSystem:
     omega_0: float          # clock-laser Rabi frequency
     detuning_rf: float = 0.0     # Delta = Omega_rf - 2*omega_z
     detuning_laser: float = 0.0  # delta, laser detuning from the shifted carrier
-
-    def replace_laser_detuning(self, delta: float) -> "RwaSystem":
-        return RwaSystem(self.omega_q, self.omega_0, self.detuning_rf, delta)
 
 
 def build_rwa_hamiltonian(sys: RwaSystem) -> np.ndarray:
@@ -145,6 +141,8 @@ def find_spectrum_peaks(scan: SpectrumScan, height: float = 0.15,
     The height threshold sits above the ~0.13 first sidelobe of a saturated
     pi-pulse line and below the weakest resolved dressed-state component.
     """
+    from scipy.signal import find_peaks  # scipy.signal is slow to import
+
     idx, _ = find_peaks(scan.transfer, height=height, prominence=prominence)
     return scan.detunings[idx]
 

@@ -7,8 +7,12 @@ delta -> delta - k_d*b with k_d = (g_D - g_S)*mu_B/(2*hbar).  The averaged
 signal is a Gauss-Hermite integral of the transfer probability over b.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
-a chi^2 fit with per-point binomial variance; parameter errors come from the
-covariance at the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1.
+a bounded least-squares fit of the residuals weighted by per-point binomial
+variance, seeded by a separable grid scan.  The quadrature order of the
+fitted model is doubled until it no longer moves the model at the optimum.
+Parameter errors come from (J^T J)^-1 at the optimum and are scaled by
+sqrt(chi2_nu) when chi2_nu > 1; at the sigma_B >= 0 bound the sigma_B error
+is a one-sided upper limit instead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, least_squares
 from scipy.special import roots_hermitenorm
 
 from .dynamics import RwaSystem, SpectrumScan, transfer_probabilities
@@ -120,10 +124,10 @@ class FitConfig:
     g_d: float = 6.0 / 5.0
     g_s: float = 2.0025
     include_laser_sensitivity: bool = True
-    quadrature_order: int = 40
+    quadrature_order: int = 40      # starting order, doubled until converged
     grid_omega_q: tuple[float, float, int] | None = None   # rad/s lo, hi, n
     grid_sigma_b: tuple[float, float, int] = (1e-9, 60e-9, 13)
-    max_iterations: int = 4000
+    max_nfev: int = 200             # residual evaluations per refinement
 
     def rabi_frequency(self) -> float:
         return self.omega_0 if self.omega_0 is not None else math.pi / self.tau
@@ -131,15 +135,22 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted quadrupole coupling and field noise with scaled uncertainties."""
+    """Fitted quadrupole coupling and field noise with scaled uncertainties,
+    and how the fit got there."""
 
     omega_q: float        # rad/s
     omega_q_err: float
     sigma_b: float        # tesla
-    sigma_b_err: float
+    sigma_b_err: float    # the one-sided upper limit when sigma_b_at_bound
     chi2_reduced: float
     n_points: int
     shots: int
+    nfev: int             # model evaluations, seed scan included
+    status: int           # least_squares termination status, 1..4
+    correlation: float    # omega_q-sigma_B; 0 when sigma_B is held fixed
+    quadrature_order: int
+    quadrature_change: float   # max |p(2n) - p(n)| where the results were taken
+    sigma_b_at_bound: bool
 
     def to_dict(self) -> dict:
         return {
@@ -150,6 +161,14 @@ class FitResult:
             "chi2_reduced": self.chi2_reduced,
             "n_points": self.n_points,
             "shots": self.shots,
+            "diagnostics": {
+                "nfev": self.nfev,
+                "status": self.status,
+                "correlation": self.correlation,
+                "quadrature_order": self.quadrature_order,
+                "quadrature_change": self.quadrature_change,
+                "sigma_b_at_bound": self.sigma_b_at_bound,
+            },
         }
 
 
@@ -159,14 +178,29 @@ def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
     return per_shot / shots
 
 
+_QUADRATURE_TOL = 1e-6          # largest change of the model from order n to 2n
+_MAX_QUADRATURE_ORDER = 640
+
+
 def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
                  config: FitConfig) -> FitResult:
-    """Chi^2 fit of (omega_q, sigma_B) to measured transfer counts.
+    """Bounded least-squares fit of (omega_q, sigma_B) to measured transfer counts.
 
-    Needs at least 8 points.  The optimum is located by a coarse grid scan
-    followed by Nelder-Mead refinement; errors are the square roots of the
-    diagonal of 2*H^-1 with H the chi^2 Hessian, multiplied by sqrt(chi2_nu)
-    when chi2_nu exceeds 1.
+    Needs at least 8 points.  scipy's least_squares (trust-region
+    reflective, omega_q > 0, sigma_B >= 0) minimises the binomial-weighted
+    residuals from a separable seed scan: the omega_q grid at the middle
+    sigma_B, then the sigma_B grid at the best omega_q.  At the optimum the
+    model at quadrature orders n and 2n must agree to 1e-6 at every point;
+    otherwise n doubles (from config.quadrature_order) and the fit is
+    refined, up to order 640.  Errors are the square roots of the diagonal of
+    (J^T J)^-1, multiplied by sqrt(chi2_nu) when chi2_nu exceeds 1.
+
+    When the sigma_B bound is active, or sigma_B is smaller than its own
+    error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
+    where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
+    when that exceeds 1), and the omega_q error is taken with sigma_B held
+    fixed.  Raises FitError when a refinement reaches config.max_nfev or the
+    covariance is degenerate, and QuadratureConvergenceError above order 640.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -175,30 +209,37 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("detunings and counts must have the same length")
     if len(detunings) < 8:
         raise InvalidInputError("need at least 8 data points")
+    if not (np.all(np.isfinite(detunings)) and np.all(np.isfinite(counts))
+            and np.all(np.isfinite(shots_arr))):
+        raise InvalidInputError("detunings, counts and shots must be finite")
     if np.any(shots_arr < 1):
         raise InvalidInputError("each point needs at least one shot")
     fractions = counts / shots_arr
+    ndof = len(detunings) - 2
 
     omega_0 = config.rabi_frequency()
+    nfev = 0
 
-    def model(omega_q: float, sigma_b: float) -> np.ndarray:
-        sys = RwaSystem(omega_q, omega_0, config.detuning_rf, 0.0)
+    # x = (omega_q in rad/s, sigma_B in nT): least_squares' finite-difference
+    # step is relative to max(1, |x|), which sigma_B in tesla would swamp
+    def model(x, order: int) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        sys = RwaSystem(x[0], omega_0, config.detuning_rf, 0.0)
         noise = NoiseModel(
-            sigma_b=sigma_b, g_d=config.g_d, g_s=config.g_s,
+            sigma_b=x[1] * 1e-9, g_d=config.g_d, g_s=config.g_s,
             include_laser_sensitivity=config.include_laser_sensitivity,
         )
-        return _averaged_transfer(sys, noise, detunings, config.tau,
-                                  config.quadrature_order)
+        return _averaged_transfer(sys, noise, detunings, config.tau, order)
 
-    def chi2(params: np.ndarray) -> float:
-        omega_q, sigma_b = params
-        if omega_q <= 0 or sigma_b < 0:
-            return 1e12
-        p = model(omega_q, sigma_b)
-        var = _binomial_variance(p, shots_arr)
-        return float(np.sum((fractions - p) ** 2 / var))
+    def residuals(x, order: int) -> np.ndarray:
+        p = model(x, order)
+        return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
 
-    # coarse grid seeds the simplex away from wrong peak assignments
+    def chi2(x, order: int) -> float:
+        return float(np.sum(residuals(x, order) ** 2))
+
+    # the seed scan keeps the optimiser away from wrong peak assignments
     if config.grid_omega_q is not None:
         wlo, whi, wn = config.grid_omega_q
     else:
@@ -206,81 +247,82 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         wlo, whi, wn = 0.2 * span, 1.2 * span, 13
     slo, shi, sn = config.grid_sigma_b
     grid_w = np.linspace(wlo, whi, int(wn))
-    grid_s = np.linspace(slo, shi, int(sn))
-    best = None
-    for w in grid_w:
-        for s in grid_s:
-            val = chi2(np.array([w, s]))
-            if best is None or val < best[0]:
-                best = (val, w, s)
-    assert best is not None
+    grid_s = np.linspace(slo, shi, int(sn)) * 1e9
+    order = config.quadrature_order
+    s_mid = grid_s[len(grid_s) // 2]
+    w_seed = min(grid_w, key=lambda w: chi2((w, s_mid), order))
+    s_seed = min(grid_s, key=lambda s: chi2((w_seed, s), order))
+    x = np.array([w_seed, s_seed])
 
-    scale = np.array([best[1], max(best[2], 1e-9)])
-
-    def chi2_scaled(x: np.ndarray) -> float:
-        return chi2(x * scale)
-
-    res = minimize(
-        chi2_scaled, np.array([best[1], best[2]]) / scale,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10, "fatol": 1e-12,
-            "maxiter": config.max_iterations, "maxfev": config.max_iterations,
-        },
-    )
-    if not res.success and res.status != 2:  # status 2: maxiter, still usable
-        raise FitError(f"simplex refinement failed: {res.message}")
-    omega_q, sigma_b = res.x * scale
-    sigma_b = abs(sigma_b)
-    chi2_min = chi2(np.array([omega_q, sigma_b]))
-    ndof = len(detunings) - 2
-    chi2_nu = chi2_min / ndof
-
-    cov = _chi2_covariance(chi2, np.array([omega_q, sigma_b]))
-    errs = np.sqrt(np.diag(cov))
-    if chi2_nu > 1.0:
-        errs = errs * math.sqrt(chi2_nu)
+    while True:
+        fit = least_squares(
+            residuals, x, args=(order,), method="trf",
+            bounds=([0.0, 0.0], [np.inf, np.inf]), x_scale="jac",
+            max_nfev=config.max_nfev,
+        )
+        if fit.status == 0:
+            raise FitError(f"no convergence within {config.max_nfev} "
+                           f"evaluations at quadrature order {order}")
+        x = fit.x
+        chi2_min = 2.0 * fit.cost
+        scale = math.sqrt(max(chi2_min / ndof, 1.0))
+        omega_q_err, sigma_b_err, correlation, at_bound = _fit_errors(
+            fit.jac, x[1], fit.active_mask[1] != 0, scale)
+        checked = [x]
+        if at_bound:
+            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), order),
+                                       x[1], chi2_min + scale ** 2)
+            checked.append((x[0], sigma_b_err))
+        change = max(float(np.max(np.abs(model(p, 2 * order) - model(p, order))))
+                     for p in checked)
+        if change <= _QUADRATURE_TOL:
+            break
+        order *= 2
+        if order > _MAX_QUADRATURE_ORDER:
+            raise QuadratureConvergenceError(
+                f"fit model changes by {change:.2e} (> {_QUADRATURE_TOL:g}) "
+                f"from order {order // 2} to {order}; sigma_B = {x[1]:.3g} nT"
+            )
 
     return FitResult(
-        omega_q=float(omega_q), omega_q_err=float(errs[0]),
-        sigma_b=float(sigma_b), sigma_b_err=float(errs[1]),
-        chi2_reduced=float(chi2_nu), n_points=len(detunings),
+        omega_q=float(x[0]), omega_q_err=float(omega_q_err),
+        sigma_b=float(x[1]) * 1e-9, sigma_b_err=float(sigma_b_err) * 1e-9,
+        chi2_reduced=chi2_min / ndof, n_points=len(detunings),
         shots=int(round(float(np.max(shots_arr)))),
+        nfev=nfev, status=int(fit.status), correlation=float(correlation),
+        quadrature_order=order, quadrature_change=change,
+        sigma_b_at_bound=bool(at_bound),
     )
 
 
-def _chi2_covariance(chi2, optimum: np.ndarray) -> np.ndarray:
-    """Covariance 2*H^-1 from a central-difference Hessian of chi^2."""
-    steps = np.abs(optimum) * 1e-4 + 1e-15
-    n = len(optimum)
-    hess = np.zeros((n, n))
-    f0 = chi2(optimum)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        fp = chi2(optimum + ei)
-        fm = chi2(optimum - ei)
-        hess[i, i] = (fp - 2 * f0 + fm) / steps[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            fpp = chi2(optimum + ei + ej)
-            fpm = chi2(optimum + ei - ej)
-            fmp = chi2(optimum - ei + ej)
-            fmm = chi2(optimum - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (
-                4 * steps[i] * steps[j]
-            )
-    try:
-        cov = 2.0 * np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        raise FitError("degenerate covariance at the optimum") from None
-    if np.any(np.diag(cov) <= 0):
+def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
+                scale: float) -> tuple[float, float, float, bool]:
+    """(omega_q error, sigma_B error, correlation, at bound) from J^T J.
+
+    At the bound the sigma_B error is left as NaN for the caller's upper
+    limit, and the omega_q error is taken with sigma_B held fixed.
+    """
+    jtj = jac.T @ jac
+    if jtj[0, 0] <= 0:
         raise FitError("degenerate covariance at the optimum")
-    return cov
+    if not bound_active and np.linalg.det(jtj) > 0:
+        cov = np.linalg.inv(jtj)
+        errs = np.sqrt(np.diag(cov)) * scale
+        if np.all(np.isfinite(errs)) and errs[1] < sigma_b:
+            return (errs[0], errs[1],
+                    cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]), False)
+    return scale / math.sqrt(jtj[0, 0]), math.nan, 0.0, True
+
+
+def _upper_limit(chi2_along, start: float, target: float) -> float:
+    """sigma_B (nT) above `start` where chi2_along crosses `target`: a
+    doubling bracket from start + 1 nT, then Brent's method."""
+    lo, hi = start, start + 1.0
+    while chi2_along(hi) < target:
+        lo, hi = hi, start + 2.0 * (hi - start)
+        if hi - start > 1e6:
+            raise FitError("chi^2 does not rise along sigma_B above the bound")
+    return brentq(lambda s: chi2_along(s) - target, lo, hi, xtol=1e-4)
 
 
 @dataclass(frozen=True)

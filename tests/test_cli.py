@@ -5,8 +5,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from trapquad.cli import main
+from trapquad.cli import load_run_config, main, trap_from_config
 from trapquad.dynamics import RwaSystem
+from trapquad.errors import InvalidInputError
 from trapquad.inference import NoiseModel, simulate_counts
 from trapquad.species import load_species
 
@@ -221,6 +222,8 @@ class TestFitAndExtract:
         payload = json.loads(fit_out.read_text())
         jsonschema.validate(payload, OUTPUT_SCHEMA)
         assert payload["omega_q_hz"] == pytest.approx(1700, abs=60)
+        assert payload["diagnostics"]["quadrature_change"] <= 1e-6
+        assert not payload["diagnostics"]["sigma_b_at_bound"]
 
         code, theta_out = run_to_file(tmp_path, [
             "extract-theta", "--config", ba_config,
@@ -251,6 +254,14 @@ class TestFitAndExtract:
                      "--tau", "1.2e-3"])
         assert code == 2
 
+    def test_non_numeric_field_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "repr.csv"
+        path.write_text("delta_hz,excited_counts,shots\n"
+                        "np.float64(-2538.7),3,300\n")
+        code = main(["fit", "--data", str(path), "--tau", "1.2e-3"])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_bad_header_is_config_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frequency,counts,n\n1,2,3\n")
@@ -276,3 +287,32 @@ class TestConfigHandling:
         code = main(["clock-shift", "--species", "lu176",
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
+
+    def test_misspelt_trap_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "trap": {"omega_rf_hz": 33e6, "preset": "ideal-linear",
+                     "omega_s_hz": 1e6, "alpha_degs": 30.0},
+        }))
+        code = main(["clock-shift", "--species", "lu176",
+                     "--transition", "1S0-3D2", "--config", str(path)])
+        assert code == 2
+        assert "alpha_degs" in capsys.readouterr().err
+
+    def test_unknown_keys_rejected_at_every_level(self):
+        base = {"omega_rf_hz": 1e7, "mass_u": 100.0,
+                "secular_hz": {"omega_x": 2e6, "omega_y": 1e6, "omega_z": 1e6}}
+        assert trap_from_config({"schema_version": 1, "trap": base}).omega_s > 0
+        for bad in ({**base, "omega_rf": 1e7},
+                    {**base, "secular_hz": {**base["secular_hz"], "omega_q": 1}}):
+            with pytest.raises(InvalidInputError, match="unknown key"):
+                trap_from_config({"schema_version": 1, "trap": bad})
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "trap": {"omega_rf_hz": 1e7}, "traps": {},
+        }))
+        with pytest.raises(InvalidInputError, match="traps"):
+            load_run_config(path)

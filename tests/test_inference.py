@@ -197,6 +197,80 @@ class TestFitSpectrum:
             errs.append(np.mean(per_seed))
         assert errs[0] < errs[1] < errs[2]
 
+    def test_sigma_b_at_bound_reports_upper_limit(self):
+        # true sigma_B = 0: the fit sits on the sigma_B >= 0 bound, where a
+        # covariance error is meaningless; the error is a one-sided limit
+        sys = reference_system(TWO_PI * 1.70e3)
+        rng = np.random.default_rng(2)
+        counts = simulate_counts(sys, NoiseModel(sigma_b=0.0), self.DELTAS,
+                                 TAU, 300, rng)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert res.sigma_b_at_bound
+        assert res.correlation == 0.0
+        assert res.sigma_b < res.sigma_b_err
+        assert 0.1e-9 < res.sigma_b_err < 10e-9
+        assert abs(res.omega_q - sys.omega_q) <= 2 * res.omega_q_err
+        # chi^2 along sigma_B has risen by one at the limit (chi2_nu < 1 here)
+        assert res.chi2_reduced < 1.0
+
+        def chi2(sigma_b):
+            p = _averaged_transfer(reference_system(res.omega_q),
+                                   NoiseModel(sigma_b=sigma_b), self.DELTAS,
+                                   TAU, res.quadrature_order)
+            f = counts / 300
+            var = np.maximum(p * (1 - p), 1 / 1200) / 300
+            return float(np.sum((f - p) ** 2 / var))
+
+        rise = chi2(res.sigma_b_err) - chi2(res.sigma_b)
+        assert rise == pytest.approx(1.0, abs=1e-3)
+
+    def test_diagnostics_of_a_converged_fit(self):
+        rng = np.random.default_rng(0)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                 self.DELTAS, TAU, 300, rng)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert not res.sigma_b_at_bound
+        assert res.nfev <= 60
+        assert res.status in (1, 2, 3, 4)
+        assert -1.0 < res.correlation < 1.0
+        assert res.quadrature_order == 40
+        assert 0.0 <= res.quadrature_change <= 1e-6
+        assert res.to_dict()["diagnostics"]["nfev"] == res.nfev
+
+    def test_quadrature_order_escalates_at_50nt(self):
+        # order 40 misses the 50 nT average by ~1e-2; the fit must raise the
+        # order until the model holds still, so chi2_nu matches a
+        # recomputation at a much higher order
+        sys = reference_system(TWO_PI * 1.70e3)
+        rng = np.random.default_rng(50)
+        counts = simulate_counts(sys, NoiseModel(sigma_b=50e-9), self.DELTAS,
+                                 TAU, 300, rng)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert res.quadrature_order > 40
+        assert res.quadrature_change <= 1e-6
+        p = _averaged_transfer(reference_system(res.omega_q),
+                               NoiseModel(sigma_b=res.sigma_b), self.DELTAS,
+                               TAU, 512)
+        var = np.maximum(p * (1 - p), 1 / 1200) / 300
+        chi2_nu = float(np.sum((counts / 300 - p) ** 2 / var)) / 38
+        assert res.chi2_reduced == pytest.approx(chi2_nu, rel=1e-6)
+
+    def test_unconverged_quadrature_at_the_cap_is_a_failure(self):
+        # at 150 nT even order 640 moves the model by ~1e-4 from order 1280
+        rng = np.random.default_rng(0)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
+                                 self.DELTAS, TAU, 300, rng)
+        with pytest.raises(QuadratureConvergenceError):
+            fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+
+    def test_evaluation_limit_is_a_failure(self):
+        rng = np.random.default_rng(0)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                 self.DELTAS, TAU, 300, rng)
+        with pytest.raises(FitError):
+            fit_spectrum(self.DELTAS, counts, 300,
+                         FitConfig(tau=TAU, max_nfev=1))
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             fit_spectrum(self.DELTAS[:5], np.zeros(5), 300, self.CONFIG)
@@ -204,6 +278,9 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, np.zeros(40), 0, self.CONFIG)
         with pytest.raises(InvalidInputError):
             fit_spectrum(self.DELTAS, np.zeros(39), 300, self.CONFIG)
+        with pytest.raises(InvalidInputError):
+            fit_spectrum(self.DELTAS, np.where(self.DELTAS > 0, np.nan, 0.0),
+                         300, self.CONFIG)
 
 
 class TestExtractTheta:
