@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,8 @@ from .errors import (
     InvalidInputError,
     QuadratureConvergenceError,
     ResonanceError,
+    bundled_schema,
+    reject_unknown_keys,
 )
 from .inference import (
     FitConfig,
@@ -60,19 +61,20 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _reject_unknown_keys(block: dict, schema: dict, where: str) -> None:
-    """Raise on keys the run-config schema does not list for this block."""
-    unknown = sorted(set(block) - set(schema["properties"]))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}"
-        )
-
-
-def _run_config_schema() -> dict:
-    text = resources.files("trapquad").joinpath(
-        "schemas", "run_config.schema.json").read_text()
-    return json.loads(text)
+def _number(block: dict, key: str, where: str,
+            default: float | None = None) -> float:
+    """block[key] as a float; only a missing key with a default may be absent,
+    and anything but a finite JSON number is a configuration error."""
+    if key not in block:
+        if default is None:
+            raise InvalidInputError(f"{where} needs {key}")
+        return default
+    value = block[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise InvalidInputError(f"{key} in {where} must be a finite number, "
+                                f"not {value!r}")
+    return float(value)
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -88,7 +90,7 @@ def load_run_config(path: str | Path) -> dict:
         raise InvalidInputError(
             f"unsupported config schema_version {raw.get('schema_version')!r}"
         )
-    _reject_unknown_keys(raw, _run_config_schema(), "config")
+    reject_unknown_keys(raw, bundled_schema("run_config"), "config")
     return raw
 
 
@@ -102,19 +104,16 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     block = config.get("trap")
     if not isinstance(block, dict):
         raise InvalidInputError("config has no 'trap' block")
-    trap_schema = _run_config_schema()["properties"]["trap"]
-    _reject_unknown_keys(block, trap_schema, "trap block")
-    if "omega_rf_hz" not in block:
-        raise InvalidInputError("trap block needs omega_rf_hz")
-    omega_rf = TWO_PI * float(block["omega_rf_hz"])
+    trap_schema = bundled_schema("run_config")["properties"]["trap"]
+    reject_unknown_keys(block, trap_schema, "trap block")
+    omega_rf = TWO_PI * _number(block, "omega_rf_hz", "trap block")
     if mass_kg is None:
-        if "mass_u" not in block:
-            raise InvalidInputError("trap block needs mass_u (no species given)")
-        mass_kg = float(block["mass_u"]) * CODATA2018.atomic_mass
+        mass_kg = (_number(block, "mass_u", "trap block (no species given)")
+                   * CODATA2018.atomic_mass)
 
     orientation = EulerAngles(
-        math.radians(float(block.get("alpha_deg", 0.0))),
-        math.radians(float(block.get("beta_deg", 0.0))),
+        math.radians(_number(block, "alpha_deg", "trap block", 0.0)),
+        math.radians(_number(block, "beta_deg", "trap block", 0.0)),
     )
 
     has_secular = ("secular_hz" in block) or ("omega_s_hz" in block)
@@ -128,8 +127,8 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     if has_fields:
         return TrapConfig(
             omega_rf=omega_rf, mass=mass_kg,
-            A=float(block.get("A_v_m2", 0.0)),
-            epsilon=float(block.get("epsilon_v_m2", 0.0)),
+            A=_number(block, "A_v_m2", "trap block", 0.0),
+            epsilon=_number(block, "epsilon_v_m2", "trap block", 0.0),
             orientation=orientation,
         )
 
@@ -137,19 +136,15 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
         sec = block["secular_hz"]
         if not isinstance(sec, dict):
             raise InvalidInputError("secular_hz must be an object")
-        _reject_unknown_keys(sec, trap_schema["properties"]["secular_hz"],
-                             "secular_hz block")
-        for key in ("omega_x", "omega_y", "omega_z"):
-            if key not in sec:
-                raise InvalidInputError(f"secular_hz block needs {key}")
-        est = secular_consistency(
-            TWO_PI * float(sec["omega_x"]), TWO_PI * float(sec["omega_y"]),
-            TWO_PI * float(sec["omega_z"]),
-        )
+        reject_unknown_keys(sec, trap_schema["properties"]["secular_hz"],
+                            "secular_hz block")
+        est = secular_consistency(*(
+            TWO_PI * _number(sec, key, "secular_hz block")
+            for key in ("omega_x", "omega_y", "omega_z")))
         omega_s, omega_s_unc = est.omega_s, est.uncertainty
     else:
-        omega_s = TWO_PI * float(block["omega_s_hz"])
-        omega_s_unc = TWO_PI * float(block.get("omega_s_unc_hz", 0.0))
+        omega_s = TWO_PI * _number(block, "omega_s_hz", "trap block")
+        omega_s_unc = TWO_PI * _number(block, "omega_s_unc_hz", "trap block", 0.0)
 
     kind = block.get("preset", "ideal-linear")
     if kind == "ideal-linear":
@@ -247,10 +242,12 @@ def cmd_spectrum(args) -> int:
     tau = args.tau if args.tau is not None else math.pi / omega_0
     sys_ = RwaSystem(omega_q, omega_0, args.Delta * abs(omega_q), 0.0)
     grid = default_detuning_grid(omega_q, args.points, args.span)
+    if not args.sigma_nt >= 0:
+        raise InvalidInputError("--sigma-nt must be non-negative")
     if args.sigma_nt > 0:
         noise = NoiseModel(sigma_b=args.sigma_nt * 1e-9, g_d=args.g_d,
                            g_s=args.g_s)
-        scan = noise_averaged_signal(sys_, noise, grid, tau, order=args.order)
+        scan = noise_averaged_signal(sys_, noise, grid, tau)
     else:
         scan = scan_spectrum(sys_, grid, tau)
 
@@ -265,6 +262,9 @@ def cmd_spectrum(args) -> int:
             for d, p in rows
         ],
     }
+    if args.sigma_nt > 0:
+        payload["diagnostics"] = {"quadrature_order": scan.quadrature_order,
+                                  "quadrature_change": scan.quadrature_change}
     lines = ["delta_over_omegaQ,transfer_probability"]
     lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in rows]
     _emit(args, payload, lines)
@@ -314,7 +314,6 @@ def cmd_fit(args) -> int:
     config = FitConfig(
         tau=args.tau, g_d=args.g_d, g_s=args.g_s,
         include_laser_sensitivity=not args.no_laser_sensitivity,
-        quadrature_order=args.order,
     )
     result = fit_spectrum(deltas, counts, shots, config)
     payload = {"kind": "fit_result", "schema_version": 1, **result.to_dict()}
@@ -338,8 +337,12 @@ def cmd_extract_theta(args) -> int:
             raise InvalidInputError(
                 f"fit result not found: {args.fit_json}"
             ) from None
-        values = [TWO_PI * float(fitted["omega_q_hz"])]
-        errors = [TWO_PI * float(fitted["omega_q_err_hz"])]
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"fit result is not valid JSON: {exc}") from None
+        if not isinstance(fitted, dict):
+            raise InvalidInputError("fit result must hold a JSON object")
+        values = [TWO_PI * _number(fitted, "omega_q_hz", "fit result")]
+        errors = [TWO_PI * _number(fitted, "omega_q_err_hz", "fit result")]
     else:
         if args.omega_q_hz is None:
             raise InvalidInputError("need --fit-json or --omega-q-hz")
@@ -407,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detuning span in units of omega_q")
     p.add_argument("--sigma-nt", type=float, default=0.0,
                    help="rms field noise in nT (0 disables averaging)")
-    p.add_argument("--g-d", type=float, default=1.2)
-    p.add_argument("--g-s", type=float, default=2.0025)
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--g-d", type=float, default=NoiseModel.g_d)
+    p.add_argument("--g-s", type=float, default=NoiseModel.g_s)
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -417,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="CSV of delta_hz,excited_counts,shots")
     p.add_argument("--tau", type=float, required=True, help="probe time in s")
-    p.add_argument("--g-d", type=float, default=1.2)
-    p.add_argument("--g-s", type=float, default=2.0025)
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--g-d", type=float, default=NoiseModel.g_d)
+    p.add_argument("--g-s", type=float, default=NoiseModel.g_s)
     p.add_argument("--no-laser-sensitivity", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_fit)

@@ -4,21 +4,22 @@ Magnetic field noise is modelled as Gaussian across experiments and constant
 within one experiment.  A field excursion b shifts both rotating-frame
 detunings: Delta -> Delta - k_D*b with k_D = 2*g_D*mu_B/hbar, and
 delta -> delta - k_d*b with k_d = (g_D - g_S)*mu_B/(2*hbar).  The averaged
-signal is a Gauss-Hermite integral of the transfer probability over b.
+signal is a Gauss-Hermite integral of the transfer probability over b.  Its
+order is worked out, never set: simulated, scanned and fitted averages all
+double it from 40 until orders n and 2n agree to 1e-6, up to order 640.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
-variance, seeded by a separable grid scan.  The quadrature order of the
-fitted model is doubled until it no longer moves the model at the optimum.
-Parameter errors come from (J^T J)^-1 at the optimum and are scaled by
-sqrt(chi2_nu) when chi2_nu > 1; at the sigma_B >= 0 bound the sigma_B error
-is a one-sided upper limit instead.
+variance, seeded by a separable grid scan.  Parameter errors come from
+(J^T J)^-1 at the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1;
+at the sigma_B >= 0 bound the sigma_B error is a one-sided upper limit
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
@@ -29,21 +30,24 @@ from .errors import FitError, InvalidInputError, QuadratureConvergenceError
 from .trap import CODATA2018, TrapConfig
 
 TWO_PI = 2.0 * math.pi
+_FIRST_ORDER = 40
+_MAX_QUADRATURE_ORDER = 640
+_QUADRATURE_TOL = 1e-6          # largest change of the average from order n to 2n
+_SEED_SIGMA_B_NT = np.linspace(1e-9, 60e-9, 13) * 1e9   # fit seed scan, 1..60 nT
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gaussian quasi-static magnetic field noise and its detuning sensitivities."""
+    """Zero-mean Gaussian quasi-static field noise and its detuning sensitivities."""
 
-    sigma_b: float                 # tesla, rms deviation about the mean
-    mean_b: float = 0.0            # tesla, offset of the mean field
+    sigma_b: float                 # tesla, rms deviation
     g_d: float = 6.0 / 5.0
     g_s: float = 2.0025
     include_laser_sensitivity: bool = True
 
     def __post_init__(self):
-        if self.sigma_b < 0:
-            raise InvalidInputError("sigma_b must be non-negative")
+        if not 0.0 <= self.sigma_b < math.inf:
+            raise InvalidInputError("sigma_b must be finite and non-negative")
 
     @property
     def sensitivity_rf(self) -> float:
@@ -64,13 +68,13 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
                        order: int) -> np.ndarray:
     """Gauss-Hermite average of the transfer probability over field noise."""
     detunings = np.asarray(detunings, dtype=float)
-    if noise.sigma_b == 0.0 and noise.mean_b == 0.0:
+    if noise.sigma_b == 0.0:
         return transfer_probabilities(
             sys.omega_q, sys.omega_0,
             np.full_like(detunings, sys.detuning_rf), detunings, tau,
         )
     nodes, weights = roots_hermitenorm(order)
-    b = noise.mean_b + noise.sigma_b * nodes           # field samples, tesla
+    b = noise.sigma_b * nodes                          # field samples, tesla
     w = weights / math.sqrt(2.0 * math.pi)             # sum(w) == 1
     d_rf = sys.detuning_rf - noise.sensitivity_rf * b
     d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
@@ -81,36 +85,52 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
     return probs @ w
 
 
-def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
-                          detunings: np.ndarray, tau: float,
-                          order: int = 128,
-                          check_convergence: bool = True) -> SpectrumScan:
-    """Noise-averaged transfer spectrum with an order-doubling convergence check.
-
-    The default order covers sigma_b up to ~50 nT at kHz-scale couplings;
-    stronger smearing needs a higher order (the check reports when it does).
-    """
-    if order < 8:
-        raise InvalidInputError("quadrature order must be at least 8")
-    detunings = np.asarray(detunings, dtype=float)
-    fine = _averaged_transfer(sys, noise, detunings, tau, 2 * order)
-    if check_convergence:
-        coarse = _averaged_transfer(sys, noise, detunings, tau, order)
-        worst = float(np.max(np.abs(fine - coarse)))
-        if worst > 1e-4:
+def _converged_order(average, order: int = _FIRST_ORDER
+                     ) -> tuple[int, np.ndarray, float]:
+    """(n, average(2n), max |average(2n) - average(n)|) for the first n,
+    doubling from `order`, where the two agree to 1e-6 at every point.
+    Raises QuadratureConvergenceError when n would pass order 640."""
+    coarse = average(order)
+    while True:
+        fine = average(2 * order)
+        change = float(np.max(np.abs(fine - coarse)))
+        if change <= _QUADRATURE_TOL:
+            return order, fine, change
+        if 2 * order > _MAX_QUADRATURE_ORDER:
             raise QuadratureConvergenceError(
-                f"order {order} -> {2 * order} changes the signal by "
-                f"{worst:.2e} (> 1e-4); raise the order"
+                f"the noise average changes by {change:.2e} "
+                f"(> {_QUADRATURE_TOL:g}) from order {order} to {2 * order}"
             )
-    return SpectrumScan(detunings=detunings, transfer=fine, tau=tau)
+        order, coarse = 2 * order, fine
+
+
+@dataclass(frozen=True)
+class NoiseAveragedScan(SpectrumScan):
+    """A noise-averaged spectrum, taken at order 2n, and how it converged."""
+
+    quadrature_order: int           # n: the averages at n and 2n agree
+    quadrature_change: float        # max |p(2n) - p(n)|, at most 1e-6
+
+
+def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
+                          detunings: np.ndarray,
+                          tau: float) -> NoiseAveragedScan:
+    """Noise-averaged transfer spectrum, at order 2n for the first n from 40
+    (doubling) where orders n and 2n agree to 1e-6 at every point.  Raises
+    QuadratureConvergenceError past order 640, which a 1.2 ms probe reaches
+    above ~100 nT."""
+    detunings = np.asarray(detunings, dtype=float)
+    order, transfer, change = _converged_order(
+        lambda n: _averaged_transfer(sys, noise, detunings, tau, n))
+    return NoiseAveragedScan(detunings=detunings, transfer=transfer, tau=tau,
+                             quadrature_order=order, quadrature_change=change)
 
 
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     tau: float, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Binomial counts drawn from the noise-averaged transfer probability."""
-    scan = noise_averaged_signal(sys, noise, detunings, tau,
-                                 check_convergence=False)
+    scan = noise_averaged_signal(sys, noise, detunings, tau)
     return rng.binomial(shots, np.clip(scan.transfer, 0.0, 1.0))
 
 
@@ -121,12 +141,9 @@ class FitConfig:
     tau: float                      # probe time, s
     omega_0: float | None = None    # defaults to the pi-pulse value pi/tau
     detuning_rf: float = 0.0        # mean Delta during the scan
-    g_d: float = 6.0 / 5.0
-    g_s: float = 2.0025
+    g_d: float = NoiseModel.g_d
+    g_s: float = NoiseModel.g_s
     include_laser_sensitivity: bool = True
-    quadrature_order: int = 40      # starting order, doubled until converged
-    grid_omega_q: tuple[float, float, int] | None = None   # rad/s lo, hi, n
-    grid_sigma_b: tuple[float, float, int] = (1e-9, 60e-9, 13)
     max_nfev: int = 200             # residual evaluations per refinement
 
     def rabi_frequency(self) -> float:
@@ -161,14 +178,9 @@ class FitResult:
             "chi2_reduced": self.chi2_reduced,
             "n_points": self.n_points,
             "shots": self.shots,
-            "diagnostics": {
-                "nfev": self.nfev,
-                "status": self.status,
-                "correlation": self.correlation,
-                "quadrature_order": self.quadrature_order,
-                "quadrature_change": self.quadrature_change,
-                "sigma_b_at_bound": self.sigma_b_at_bound,
-            },
+            "diagnostics": {key: getattr(self, key) for key in (
+                "nfev", "status", "correlation", "quadrature_order",
+                "quadrature_change", "sigma_b_at_bound")},
         }
 
 
@@ -178,29 +190,25 @@ def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
     return per_shot / shots
 
 
-_QUADRATURE_TOL = 1e-6          # largest change of the model from order n to 2n
-_MAX_QUADRATURE_ORDER = 640
-
-
 def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
                  config: FitConfig) -> FitResult:
     """Bounded least-squares fit of (omega_q, sigma_B) to measured transfer counts.
 
     Needs at least 8 points.  scipy's least_squares (trust-region
     reflective, omega_q > 0, sigma_B >= 0) minimises the binomial-weighted
-    residuals from a separable seed scan: the omega_q grid at the middle
-    sigma_B, then the sigma_B grid at the best omega_q.  At the optimum the
-    model at quadrature orders n and 2n must agree to 1e-6 at every point;
-    otherwise n doubles (from config.quadrature_order) and the fit is
-    refined, up to order 640.  Errors are the square roots of the diagonal of
-    (J^T J)^-1, multiplied by sqrt(chi2_nu) when chi2_nu exceeds 1.
+    residuals from a separable seed scan at order 40: the omega_q grid at
+    the middle sigma_B, then the sigma_B grid at the best omega_q.  At the
+    optimum the quadrature order is worked out as for noise_averaged_signal;
+    when it is higher than the fit's, the fit is refined at it.  Errors are
+    the square roots of the diagonal of (J^T J)^-1, multiplied by
+    sqrt(chi2_nu) when chi2_nu exceeds 1.
 
     When the sigma_B bound is active, or sigma_B is smaller than its own
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
     fixed.  Raises FitError when a refinement reaches config.max_nfev or the
-    covariance is degenerate, and QuadratureConvergenceError above order 640.
+    covariance is degenerate, and QuadratureConvergenceError past order 640.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -240,18 +248,12 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         return float(np.sum(residuals(x, order) ** 2))
 
     # the seed scan keeps the optimiser away from wrong peak assignments
-    if config.grid_omega_q is not None:
-        wlo, whi, wn = config.grid_omega_q
-    else:
-        span = float(detunings.max() - detunings.min())
-        wlo, whi, wn = 0.2 * span, 1.2 * span, 13
-    slo, shi, sn = config.grid_sigma_b
-    grid_w = np.linspace(wlo, whi, int(wn))
-    grid_s = np.linspace(slo, shi, int(sn)) * 1e9
-    order = config.quadrature_order
-    s_mid = grid_s[len(grid_s) // 2]
+    span = float(detunings.max() - detunings.min())
+    grid_w = np.linspace(0.2 * span, 1.2 * span, 13)
+    order = _FIRST_ORDER
+    s_mid = _SEED_SIGMA_B_NT[len(_SEED_SIGMA_B_NT) // 2]
     w_seed = min(grid_w, key=lambda w: chi2((w, s_mid), order))
-    s_seed = min(grid_s, key=lambda s: chi2((w_seed, s), order))
+    s_seed = min(_SEED_SIGMA_B_NT, key=lambda s: chi2((w_seed, s), order))
     x = np.array([w_seed, s_seed])
 
     while True:
@@ -273,16 +275,11 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
             sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), order),
                                        x[1], chi2_min + scale ** 2)
             checked.append((x[0], sigma_b_err))
-        change = max(float(np.max(np.abs(model(p, 2 * order) - model(p, order))))
-                     for p in checked)
-        if change <= _QUADRATURE_TOL:
+        needed, _, change = _converged_order(
+            lambda n: np.concatenate([model(p, n) for p in checked]), order)
+        if needed == order:
             break
-        order *= 2
-        if order > _MAX_QUADRATURE_ORDER:
-            raise QuadratureConvergenceError(
-                f"fit model changes by {change:.2e} (> {_QUADRATURE_TOL:g}) "
-                f"from order {order // 2} to {order}; sigma_B = {x[1]:.3g} nT"
-            )
+        order = needed
 
     return FitResult(
         omega_q=float(x[0]), omega_q_err=float(omega_q_err),

@@ -1,6 +1,7 @@
 """Bundled species data: level structure, quadrupole moments, hyperfine energies.
 
-Species files are versioned JSON documents (see schemas/species.schema.json).
+Species files are versioned JSON documents (see schemas/species.schema.json);
+a key that schema does not list is an error.
 Angular momenta appear as strings like "7/2" or "3"; energies are in Hz.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 from .angular import HalfInt
 from .coupling import LevelSpec
 from .effects import ClockTransition
-from .errors import InvalidInputError
+from .errors import InvalidInputError, bundled_schema, reject_unknown_keys
 from .trap import CODATA2018
 
 SCHEMA_VERSION = 1
@@ -72,7 +73,10 @@ def load_species(name_or_path: str | Path) -> Species:
     """Load a bundled species by short name or any species JSON by path."""
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"species file is not valid JSON: {exc}") from None
     else:
         key = str(name_or_path).lower()
         if key not in BUNDLED:
@@ -84,12 +88,18 @@ def load_species(name_or_path: str | Path) -> Species:
 
 
 def parse_species(raw: dict) -> Species:
+    if not isinstance(raw, dict):
+        raise InvalidInputError("species file must hold a JSON object")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise InvalidInputError(
             f"unsupported species schema_version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
+    schema = bundled_schema("species")
+    reject_unknown_keys(raw, schema, "species file")
+    entry_schema = {key: schema["properties"][key]["items"]
+                    for key in ("levels", "transitions")}
     for key in ("name", "mass_u", "nuclear_spin", "levels"):
         if key not in raw:
             raise InvalidInputError(f"species file missing field {key!r}")
@@ -97,6 +107,7 @@ def parse_species(raw: dict) -> Species:
 
     levels: dict[str, LevelSpec] = {}
     for entry in raw["levels"]:
+        reject_unknown_keys(entry, entry_schema["levels"], "level entry")
         for key in ("term", "j", "theta_e_a02"):
             if key not in entry:
                 raise InvalidInputError(f"level entry missing field {key!r}")
@@ -120,6 +131,8 @@ def parse_species(raw: dict) -> Species:
 
     transitions: dict[str, ClockTransition] = {}
     for entry in raw.get("transitions", []):
+        reject_unknown_keys(entry, entry_schema["transitions"],
+                            "transition entry")
         for key in ("label", "upper", "frequency_hz"):
             if key not in entry:
                 raise InvalidInputError(f"transition entry missing field {key!r}")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,8 +14,8 @@ from trapquad.species import load_species
 
 TWO_PI = 2 * math.pi
 
-with open("src/trapquad/schemas/cli_output.schema.json") as fh:
-    OUTPUT_SCHEMA = json.load(fh)
+SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "trapquad" / "schemas"
+OUTPUT_SCHEMA = json.loads((SCHEMAS / "cli_output.schema.json").read_text())
 
 
 @pytest.fixture
@@ -188,6 +189,29 @@ class TestSpectrum:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, OUTPUT_SCHEMA)
 
+    def test_noise_averaged_at_100nt(self, tmp_path):
+        # tau = pi/Omega0 ~ 1.2 ms, as in the fits; a fixed order 128 failed
+        # its convergence check here (exit 3)
+        code, out = run_to_file(tmp_path, [
+            "spectrum", "--sigma-nt", "100", "--Omega0-ratio", "0.25",
+            "--points", "101", "--format", "json",
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, OUTPUT_SCHEMA)
+        assert payload["diagnostics"]["quadrature_order"] > 40
+        assert payload["diagnostics"]["quadrature_change"] <= 1e-6
+
+    def test_noiseless_has_no_diagnostics(self, tmp_path):
+        code, out = run_to_file(tmp_path, [
+            "spectrum", "--points", "11", "--format", "json",
+        ])
+        assert code == 0
+        assert "diagnostics" not in json.loads(out.read_text())
+
+    def test_negative_sigma_is_config_error(self, tmp_path):
+        assert main(["spectrum", "--sigma-nt", "-5", "--points", "11"]) == 2
+
     def test_byte_stable(self, tmp_path):
         argv = ["spectrum", "--Delta", "0.25", "--points", "99",
                 "--sigma-nt", "10"]
@@ -249,6 +273,18 @@ class TestFitAndExtract:
         assert payload["theta_e_a02"] == pytest.approx(3.229, rel=5e-3)
         assert payload["theta_err_e_a02"] == pytest.approx(0.089, rel=0.12)
 
+    @pytest.mark.parametrize("text", [
+        '{"omega_q_hz": 1700.0}',            # no omega_q_err_hz
+        "omega_q_hz,omega_q_err_hz\n1700,35\n",   # not JSON
+    ])
+    def test_malformed_fit_json_is_config_error(self, tmp_path, ba_config,
+                                                text):
+        path = tmp_path / "fit.json"
+        path.write_text(text)
+        code = main(["extract-theta", "--config", ba_config,
+                     "--fit-json", str(path)])
+        assert code == 2
+
     def test_missing_data_file_is_config_error(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--tau", "1.2e-3"])
@@ -299,6 +335,22 @@ class TestConfigHandling:
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
         assert "alpha_degs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("omega_rf_hz", "fast"), ("alpha_deg", None),
+    ])
+    def test_non_numeric_trap_value_is_config_error(self, tmp_path, capsys,
+                                                    key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "trap": {"omega_rf_hz": 33e6, "preset": "ideal-linear",
+                     "omega_s_hz": 1e6, key: value},
+        }))
+        code = main(["clock-shift", "--species", "lu176",
+                     "--transition", "1S0-3D2", "--config", str(path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_keys_rejected_at_every_level(self):
         base = {"omega_rf_hz": 1e7, "mass_u": 100.0,

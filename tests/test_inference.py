@@ -9,6 +9,7 @@ from trapquad.dynamics import (
     default_detuning_grid,
     find_spectrum_peaks,
     scan_spectrum,
+    transfer_probabilities,
 )
 from trapquad.errors import (
     FitError,
@@ -53,6 +54,20 @@ class TestNoiseModel:
     def test_rejects_negative_sigma(self):
         with pytest.raises(InvalidInputError):
             NoiseModel(sigma_b=-1e-9)
+
+
+def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
+                        detunings: np.ndarray, tau: float) -> np.ndarray:
+    """Trapezoid sum over b in +-8 sigma_B on 4001 points: an average that
+    shares no nodes or weights with the Gauss-Hermite quadrature."""
+    b = np.linspace(-8.0, 8.0, 4001) * noise.sigma_b
+    w = np.exp(-0.5 * (b / noise.sigma_b) ** 2)
+    w /= w.sum()
+    d_rf = sys.detuning_rf - noise.sensitivity_rf * b
+    d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
+    probs = transfer_probabilities(sys.omega_q, sys.omega_0,
+                                   np.broadcast_to(d_rf, d_l.shape), d_l, tau)
+    return probs @ w
 
 
 class TestNoiseAveragedSignal:
@@ -103,8 +118,27 @@ class TestNoiseAveragedSignal:
         grid = default_detuning_grid(WQ, 51)
         with pytest.raises(QuadratureConvergenceError):
             noise_averaged_signal(
-                reference_system(), NoiseModel(sigma_b=200e-9), grid, TAU, order=16
+                reference_system(), NoiseModel(sigma_b=200e-9), grid, TAU
             )
+
+    def test_order_is_worked_out_at_100nt(self):
+        # a fixed order 128 (checked against 256) failed here; the average
+        # now raises its own order until it holds
+        grid = default_detuning_grid(WQ, 51)
+        noise = NoiseModel(sigma_b=100e-9)
+        scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
+        assert scan.quadrature_order > 40
+        assert scan.quadrature_change <= 1e-6
+        want = dense_noise_average(reference_system(), noise, grid, TAU)
+        assert np.max(np.abs(scan.transfer - want)) < 1e-9
+
+    def test_simulated_counts_need_a_converged_average(self):
+        # at 150 nT no order up to 640 holds to 1e-6; counts must not be
+        # drawn from an unconverged average
+        with pytest.raises(QuadratureConvergenceError):
+            simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
+                            TestFitSpectrum.DELTAS, TAU, 300,
+                            np.random.default_rng(0))
 
     def test_order_doubling_stable_up_to_50nt(self):
         grid = default_detuning_grid(WQ, 101)
@@ -116,13 +150,6 @@ class TestNoiseAveragedSignal:
                 reference_system(), NoiseModel(sigma_b=sigma), grid, TAU, 256
             )
             assert np.max(np.abs(a - b)) < 1e-4
-
-    def test_rejects_low_order(self):
-        with pytest.raises(InvalidInputError):
-            noise_averaged_signal(
-                reference_system(), NoiseModel(sigma_b=1e-9),
-                default_detuning_grid(WQ, 11), TAU, order=4,
-            )
 
 
 class TestFitSpectrum:
@@ -255,11 +282,23 @@ class TestFitSpectrum:
         chi2_nu = float(np.sum((counts / 300 - p) ** 2 / var)) / 38
         assert res.chi2_reduced == pytest.approx(chi2_nu, rel=1e-6)
 
-    def test_unconverged_quadrature_at_the_cap_is_a_failure(self):
-        # at 150 nT even order 640 moves the model by ~1e-4 from order 1280
-        rng = np.random.default_rng(0)
-        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
+    def test_fit_is_refined_once_at_the_needed_order(self):
+        # order 40 -> 160 at 50 nT: refitting after each doubling took 86
+        # model evaluations; one refit at the order found takes fewer
+        rng = np.random.default_rng(50)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=50e-9),
                                  self.DELTAS, TAU, 300, rng)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert res.quadrature_order == 160
+        assert res.nfev < 86
+
+    def test_unconverged_quadrature_at_the_cap_is_a_failure(self):
+        # at 150 nT even order 640 moves the model by ~1e-4 from order 1280;
+        # simulate_counts refuses this average, so the counts come from 2560
+        rng = np.random.default_rng(0)
+        counts = rng.binomial(300, _averaged_transfer(
+            reference_system(), NoiseModel(sigma_b=150e-9), self.DELTAS, TAU,
+            2560))
         with pytest.raises(QuadratureConvergenceError):
             fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
 

@@ -7,15 +7,14 @@ import pytest
 from trapquad.errors import InvalidInputError
 from trapquad.species import load_species, parse_half_int, parse_species
 
-SCHEMA = json.loads(Path("src/trapquad/schemas/species.schema.json").read_text())
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trapquad"
+SCHEMA = json.loads((PACKAGE / "schemas" / "species.schema.json").read_text())
 
 
 class TestBundledFiles:
     @pytest.mark.parametrize("name", ["ba138", "lu176"])
     def test_validates_against_published_schema(self, name):
-        raw = json.loads(
-            Path(f"src/trapquad/species/{name}.json").read_text()
-        )
+        raw = json.loads((PACKAGE / "species" / f"{name}.json").read_text())
         jsonschema.validate(raw, SCHEMA)
 
     def test_lu_levels_complete(self):
@@ -44,6 +43,14 @@ class TestParsing:
         with pytest.raises(InvalidInputError):
             load_species("unobtainium")
 
+    def test_malformed_file_is_invalid_input(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("not json")
+        with pytest.raises(InvalidInputError, match="JSON"):
+            load_species(path)
+        with pytest.raises(InvalidInputError, match="object"):
+            parse_species([1, 2])
+
     def test_wrong_schema_version(self):
         with pytest.raises(InvalidInputError, match="schema_version"):
             parse_species({"schema_version": 0})
@@ -59,3 +66,23 @@ class TestParsing:
         }
         with pytest.raises(InvalidInputError, match="unknown level"):
             parse_species(raw)
+
+    def test_unknown_keys_rejected_at_every_level(self):
+        raw = {
+            "schema_version": 1, "name": "X", "mass_u": 1.0,
+            "nuclear_spin": "0",
+            "levels": [{"term": "D", "j": "2", "theta_e_a02": 1.0}],
+            "transitions": [
+                {"label": "t", "upper": "D", "frequency_hz": 1e14}
+            ],
+        }
+        assert parse_species(raw).transition("t").hyperfine_averaged
+        typos = (
+            {**raw, "nuclear_spn": "0"},
+            {**raw, "levels": [{**raw["levels"][0], "theta_ea02": 1.0}]},
+            {**raw, "transitions": [{**raw["transitions"][0],
+                                     "hyperfine_averged": False}]},
+        )
+        for bad in typos:
+            with pytest.raises(InvalidInputError, match="unknown key"):
+                parse_species(bad)
