@@ -207,6 +207,8 @@ def cmd_clock_shift(args) -> int:
     species = load_species(args.species)
     transition = species.transition(args.transition)
     trap = trap_from_config(load_run_config(args.config), species.mass_kg)
+    if args.grid < 0:
+        raise InvalidInputError("--grid must be non-negative")
     dec = shift_decomposition(transition, trap)
 
     grid_rows = []

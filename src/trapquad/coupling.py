@@ -11,15 +11,19 @@ Theta(J):
       * {F F' 2; J J I} * (F 2 F'; mu dmu -mu') / (J 2 J; -J 0 J)
       * Theta(J) * D2_{dmu,q}(alpha, beta)
 
-with dmu = mu' - mu.  All coupling amplitudes are exposed in angular
-frequency units (rad/s) as the coefficient of cos(Omega_rf t); no
-rotating-wave factor is applied here.
+with dmu = mu' - mu.  All but Theta(J) and D2 depends on (I, J) alone and
+is computed once per (I, J) into a cached ReducedTable.  A trap adds five
+channel factors c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, and
+H_Q/hbar = Theta * reduced * c[dmu] elementwise; every coupling in the
+package is read this way.  Amplitudes are in rad/s, the coefficient of
+cos(Omega_rf t); no rotating-wave factor is applied here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -143,36 +147,84 @@ def gradient_components(A: float, epsilon: float) -> dict[int, float]:
     return {0: -2.0 * A, 1: 0.0, -1: 0.0, 2: g2, -2: g2}
 
 
-def _wigner_eckart_prefactor(level: LevelSpec, bra: HyperfineState,
-                   ket: HyperfineState) -> float:
-    """Orientation-independent part of the matrix element, in units of Theta."""
-    i, j = level.nuclear_spin, level.electronic_j
-    if j.twice < 2:
-        return 0.0  # no rank-2 support below J = 1
-    fp, mup = bra.F, bra.m
-    f, mu = ket.F, ket.m
-    level.validate_f(fp)
-    level.validate_f(f)
+@dataclass(frozen=True)
+class ReducedTable:
+    """The orientation-free part of H_Q over every |F,m> of a level, in units
+    of Theta(J), states ordered by (F ascending, m ascending).  reduced[i, k]
+    couples states[k] to states[i] through dmu = m_i - m_k, held in
+    channel[i, k] as dmu + 2 (as 0 where |dmu| > 2 and reduced is 0).  All
+    arrays are read-only."""
 
-    dmu2 = mup.twice - mu.twice
-    if abs(dmu2) > 4 or abs(fp.twice - f.twice) > 4:
-        return 0.0
+    states: tuple[HyperfineState, ...]
+    f_twice: np.ndarray
+    m_twice: np.ndarray
+    reduced: np.ndarray
+    channel: np.ndarray
 
-    three = wigner_3j(f, 2, fp, mu, HalfInt.from_twice(dmu2), -mup)
-    if three == 0.0:
-        return 0.0
-    six = wigner_6j(f, fp, 2, j, j, i)
-    if six == 0.0:
-        return 0.0
-    norm = wigner_3j(j, 2, j, -j, 0, j)
 
-    exponent2 = fp.twice + f.twice + i.twice + j.twice + mup.twice
-    if exponent2 % 2:
-        raise InvalidInputError("non-integer phase exponent; inconsistent state")
-    sign = -1.0 if (exponent2 // 2) % 2 else 1.0
+def reduced_table(level: LevelSpec) -> ReducedTable:
+    """The level's ReducedTable, built once per (I, J)."""
+    return _build_table(level.nuclear_spin.twice, level.electronic_j.twice)
 
-    scale = math.sqrt((fp.twice + 1.0) * (f.twice + 1.0))
-    return sign * scale * six * three / norm
+
+def table_index(level: LevelSpec, state: HyperfineState) -> int:
+    """Position of a state of `level` in reduced_table(level)."""
+    f_twice = level.validate_f(state.F).twice
+    start = int(np.searchsorted(reduced_table(level).f_twice, f_twice))
+    return start + (f_twice + state.m.twice) // 2
+
+
+@lru_cache(maxsize=None)
+def _build_table(two_i: int, two_j: int) -> ReducedTable:
+    i, j = HalfInt.from_twice(two_i), HalfInt.from_twice(two_j)
+    fs = LevelSpec._f_range(i, j)
+    states = [HyperfineState(f, HalfInt.from_twice(tm))
+              for f in fs for tm in range(-f.twice, f.twice + 1, 2)]
+    f2 = np.array([s.F.twice for s in states])
+    m2 = np.array([s.m.twice for s in states])
+    dmu2 = m2[:, None] - m2[None, :]
+    channel = np.where(np.abs(dmu2) <= 4, dmu2 // 2 + 2, 0)
+    reduced = np.zeros(channel.shape)
+    if two_j >= 2:  # no rank-2 support below J = 1
+        norm = wigner_3j(j, 2, j, -j, 0, j)
+        six = {(fp.twice, f.twice): wigner_6j(f, fp, 2, j, j, i) / norm
+               for fp in fs for f in fs}
+        for row, k in zip(*np.nonzero(np.tril(np.abs(dmu2) <= 4))):
+            bra, ket = states[row], states[k]
+            scale = six[bra.F.twice, ket.F.twice]
+            if scale == 0.0:
+                continue
+            three = wigner_3j(ket.F, 2, bra.F, ket.m,
+                              HalfInt.from_twice(dmu2[row, k]), -bra.m)
+            # F'+F+I+J+mu' is an integer for every state of the level
+            phase = (bra.F.twice + ket.F.twice + two_i + two_j + bra.m.twice) // 2
+            reduced[row, k] = ((-1.0) ** phase * three * scale
+                               * math.sqrt((bra.F.twice + 1.0) * (ket.F.twice + 1.0)))
+        # the upper triangle follows from <k|T|i> = (-1)^dmu <i|T|k>
+        reduced += np.tril(reduced, -1).T * (-1.0) ** (dmu2 // 2)
+    for array in (f2, m2, reduced, channel):
+        array.flags.writeable = False
+    return ReducedTable(tuple(states), f2, m2, reduced, channel)
+
+
+@lru_cache(maxsize=64)
+def _channel_factors(A: float, epsilon: float,
+                     orientation: EulerAngles) -> np.ndarray:
+    """c[dmu + 2] = sum_q grad_q D2_{dmu,q}(alpha, beta) e*a0^2/hbar, read-only."""
+    grads = gradient_components(A, epsilon)
+    c = np.array([sum(grads[q] * wigner_D2(dmu, q, orientation)
+                      for q in (-2, 0, 2) if grads[q] != 0.0)
+                  for dmu in range(-2, 3)], dtype=complex)
+    c *= CODATA2018.e_a0_squared / CODATA2018.hbar
+    c.flags.writeable = False
+    return c
+
+
+def amplitudes(level: LevelSpec, trap: TrapConfig, key) -> np.ndarray:
+    """New array of H_Q/hbar (rad/s) at the `key` entries of the level's table."""
+    table = reduced_table(level)
+    c = _channel_factors(trap.A, trap.epsilon, trap.orientation)
+    return level.theta_e_a02 * table.reduced[key] * c[table.channel[key]]
 
 
 def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
@@ -181,23 +233,19 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
     """<bra|Tq|ket> of the principal-frame rank-2 component, in units of e*a0^2."""
     if q not in (-2, -1, 0, 1, 2):
         raise InvalidInputError(f"rank-2 component q={q} out of range")
-    pref = _wigner_eckart_prefactor(level, bra, ket)
-    if pref == 0.0:
+    i, k = table_index(level, bra), table_index(level, ket)
+    pref = reduced_table(level).reduced[i, k]
+    if pref == 0.0:  # also every |dmu| > 2, where D2 is undefined
         return 0.0j
-    dmu = HalfInt.from_twice(bra.m.twice - ket.m.twice)
-    return pref * level.theta_e_a02 * wigner_D2(dmu, q, angles)
+    dmu = (bra.m.twice - ket.m.twice) // 2
+    return complex(level.theta_e_a02 * pref * wigner_D2(dmu, q, angles))
 
 
 def coupling_amplitude(level: LevelSpec, bra: HyperfineState,
                        ket: HyperfineState, trap: TrapConfig) -> complex:
     """<bra|H_Q|ket>/hbar in rad/s, the coefficient of cos(Omega_rf t)."""
-    grads = gradient_components(trap.A, trap.epsilon)
-    el = 0.0j
-    for q in (-2, 0, 2):
-        if grads[q] == 0.0:
-            continue
-        el += grads[q] * theta_matrix_element(level, bra, ket, q, trap.orientation)
-    return el * CODATA2018.e_a0_squared / CODATA2018.hbar
+    key = (table_index(level, bra), table_index(level, ket))
+    return complex(amplitudes(level, trap, key))
 
 
 @dataclass(frozen=True)
@@ -221,21 +269,18 @@ def hq_matrix(level: LevelSpec, trap: TrapConfig,
               manifold: Iterable[Momentum] | Sequence[Momentum]) -> QuadCouplingMatrix:
     """Assemble H_Q/hbar (rad/s) over the given hyperfine levels F.
 
-    Basis states are ordered by (F ascending, m ascending).
+    Basis states are ordered by (F ascending, m ascending); each F may be
+    listed once.
     """
     fs = sorted((level.validate_f(F) for F in manifold), key=lambda f: f.twice)
     if not fs:
         raise InvalidInputError("manifold must contain at least one F level")
-    states: list[HyperfineState] = []
-    for f in fs:
-        states.extend(level.manifold(f))
-
-    n = len(states)
-    out = np.zeros((n, n), dtype=complex)
-    for i, bra in enumerate(states):
-        for k, ket in enumerate(states):
-            out[i, k] = coupling_amplitude(level, bra, ket, trap)
-    return QuadCouplingMatrix(basis=tuple(states), amplitude=out)
+    if len({f.twice for f in fs}) != len(fs):
+        raise InvalidInputError(f"manifold lists an F level more than once: {fs}")
+    table = reduced_table(level)
+    idx = np.flatnonzero(np.isin(table.f_twice, [f.twice for f in fs]))
+    return QuadCouplingMatrix(basis=tuple(table.states[i] for i in idx),
+                              amplitude=amplitudes(level, trap, np.ix_(idx, idx)))
 
 
 def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
@@ -244,7 +289,5 @@ def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
     C2_{F,m} = (-1)^(2F+I+J+m) (2F+1) {F F 2; J J I} (F 2 F; m 0 -m)
                / (J 2 J; -J 0 J).
     """
-    F = level.validate_f(F)
-    m = HalfInt(m)
-    state = HyperfineState(F, m)
-    return _wigner_eckart_prefactor(level, state, state)
+    k = table_index(level, HyperfineState(level.validate_f(F), HalfInt(m)))
+    return float(reduced_table(level).reduced[k, k])

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, InvalidInputError
 
@@ -91,7 +90,9 @@ def transfer_probabilities(omega_q: float, omega_0: float,
                            detuning_rf: np.ndarray,
                            detuning_laser: np.ndarray,
                            tau: float) -> np.ndarray:
-    """Vectorised 1 - P_S for paired arrays of (Delta, delta)."""
+    """Vectorised 1 - P_S for paired arrays of (Delta, delta); tau > 0."""
+    if not 0.0 < tau < math.inf:
+        raise InvalidInputError(f"probe time must be positive and finite, not {tau!r}")
     d_rf = np.broadcast_to(np.asarray(detuning_rf, dtype=float),
                            np.broadcast_shapes(np.shape(detuning_rf),
                                                np.shape(detuning_laser)))
@@ -145,6 +146,13 @@ def find_spectrum_peaks(scan: SpectrumScan, height: float = 0.15,
 
     idx, _ = find_peaks(scan.transfer, height=height, prominence=prominence)
     return scan.detunings[idx]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: the import alone
+    takes most of a second, and nothing else in the package needs it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def floquet_oracle(omega_rf: float, omega_z: float,

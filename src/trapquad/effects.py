@@ -5,7 +5,9 @@ Zeeman couplings at Omega_rf (|dm|=1) and Omega_rf/2 (|dm|=2), off-resonant
 Zeeman-ladder shifts, static-limit m=0 clock shifts, and the fractional-shift
 decomposition  dnu/nu = a*(f2(alpha,beta) + eta*f1(alpha,beta))  after
 hyperfine averaging, where f1 and f2 are the squared moduli of the |dm|=1 and
-|dm|=2 orientation factors of a linear (A=0) trap.
+|dm|=2 orientation factors of a linear (A=0) trap.  Every coupling is read
+from the level's cached table in the coupling module; the decomposition
+takes its orientation-free weights from that table directly.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .angular import EulerAngles, HalfInt, Momentum
-from .coupling import HyperfineState, LevelSpec, coupling_amplitude
+from .coupling import (HyperfineState, LevelSpec, amplitudes, coupling_amplitude,
+                       gradient_components, reduced_table, table_index)
 from .errors import InvalidInputError, ResonanceError
 from .trap import CODATA2018, TrapConfig
 
@@ -62,8 +67,7 @@ def sideband_index(level: LevelSpec, F: Momentum, m: Momentum,
     sets the strength of rf sidebands on transitions involving the state.
     """
     state = HyperfineState(level.validate_f(F), HalfInt(m))
-    diag = coupling_amplitude(level, state, state, trap)
-    return diag.real / trap.omega_rf
+    return coupling_amplitude(level, state, state, trap).real / trap.omega_rf
 
 
 def resonant_coupling(level: LevelSpec, bra: HyperfineState,
@@ -125,34 +129,24 @@ def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
     1/2 is the time average of the squared cos drive.  Couplings within F
     cancel for m=0 and are excluded.
     """
-    f_clock = level.validate_f(f_clock)
-    if level.hyperfine_energies_hz is None:
-        raise InvalidInputError(
-            f"clock_shift needs hyperfine energies on level {level.label or '?'}"
-        )
-    e_clock = level.hyperfine_energy(f_clock)
-    ket = HyperfineState(f_clock, 0)
+    k, weight = _clock_weights(level, level.validate_f(f_clock))
+    # max |weight| = 1/(2 * smallest splitting in Hz)
+    if trap.omega_rf * np.max(np.abs(weight)) > 0.1 * math.pi:
+        warnings.warn("Omega_rf exceeds 10% of the smallest hyperfine splitting; "
+                      "the static-limit clock-shift formula degrades", stacklevel=2)
+    amp_hz = amplitudes(level, trap, (slice(None), k)) / TWO_PI
+    return -float(np.sum(np.abs(amp_hz) ** 2 * weight))
 
-    others = [f for f in level.f_values() if f != f_clock]
-    if others:
-        min_split_hz = min(abs(level.hyperfine_energy(f) - e_clock) for f in others)
-        if trap.omega_rf > 0.1 * TWO_PI * min_split_hz:
-            warnings.warn(
-                "Omega_rf exceeds 10% of the smallest hyperfine splitting; "
-                "the static-limit clock-shift formula degrades",
-                stacklevel=2,
-            )
 
-    shift_hz = 0.0
-    for fp in others:
-        dnu = level.hyperfine_energy(fp) - e_clock  # Hz
-        for tdm in range(-4, 5, 2):
-            if abs(tdm) > fp.twice:
-                continue
-            bra = HyperfineState(fp, HalfInt.from_twice(tdm))
-            amp_hz = coupling_amplitude(level, bra, ket, trap) / TWO_PI
-            shift_hz -= abs(amp_hz) ** 2 / (2.0 * dnu)
-    return shift_hz
+def _clock_weights(level: LevelSpec, f_clock: HalfInt) -> tuple[int, np.ndarray]:
+    """The table index k of |F,0>, and 1/(2*(E_F' - E_F)) in 1/Hz for every
+    state of the level's coupling table (0 within F itself)."""
+    table = reduced_table(level)
+    energy = {f.twice: level.hyperfine_energy(f) for f in level.f_values()}
+    e_hz = np.array([energy[f2] for f2 in table.f_twice])
+    k = table_index(level, HyperfineState(f_clock, 0))
+    split = np.where(table.f_twice == table.f_twice[k], np.inf, e_hz - e_hz[k])
+    return k, 0.5 / split
 
 
 def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
@@ -223,57 +217,19 @@ def shift_decomposition(transition: ClockTransition,
             "shift decomposition into (f1, f2) applies to A = 0 traps only"
         )
     level = transition.level
-    if level.hyperfine_energies_hz is None:
-        raise InvalidInputError(
-            f"level {level.label or '?'} has no hyperfine energies"
-        )
     fs = level.f_values()
-    n_levels = level.electronic_j.twice + 1
-    if transition.hyperfine_averaged and len(fs) != n_levels:
+    if transition.hyperfine_averaged and len(fs) != level.electronic_j.twice + 1:
         raise InvalidInputError("hyperfine averaging assumes I >= J")
 
-    # strip the orientation factor: evaluate couplings at beta=0, alpha=0,
-    # where the |dm|=2 factor is exactly 1, and reuse the prefactors for dm=1
-    base = trap.with_orientation(EulerAngles(0.0, 0.0))
-
-    w1 = 0.0
-    w2 = 0.0
+    # |coupling|^2 in Hz^2 with the orientation factor, whose squared modulus
+    # is f1 or f2, divided out: (reduced * Theta*eps*sqrt(2/3)*e*a0^2/hbar)^2
+    bare = (level.theta_e_a02 * gradient_components(0.0, trap.epsilon)[2]
+            * CODATA2018.e_a0_squared / CODATA2018.hbar / TWO_PI)
+    table = reduced_table(level)
+    terms = np.zeros(len(table.states))
     for f in fs:
-        e_f = level.hyperfine_energy(f)
-        ket = HyperfineState(f, 0)
-        for fp in fs:
-            if fp == f:
-                continue
-            dnu = level.hyperfine_energy(fp) - e_f
-            for tdm in (-4, -2, 2, 4):
-                if abs(tdm) > fp.twice:
-                    continue
-                bra = HyperfineState(fp, HalfInt.from_twice(tdm))
-                # orientation-free squared amplitude in Hz^2
-                pref = _orientation_free_weight(level, bra, ket, base)
-                term = -pref / (2.0 * dnu) / len(fs)
-                if abs(tdm) == 2:
-                    w1 += term
-                else:
-                    w2 += term
-
-    a = w2 / transition.frequency_hz
-    eta = w1 / w2
-    return ShiftDecomposition(a=a, eta=eta, frequency_hz=transition.frequency_hz)
-
-
-def _orientation_free_weight(level: LevelSpec, bra: HyperfineState,
-                             ket: HyperfineState, base: TrapConfig) -> float:
-    """|coupling|^2 in Hz^2 with the orientation factor divided out.
-
-    Each channel is probed at an orientation where its factor has modulus
-    exactly 1: beta = 0 for |dm| = 2, and (alpha = pi/4, beta = pi/2) for
-    |dm| = 1, so the squared amplitude there equals the bare weight.
-    """
-    dm2 = bra.m.twice - ket.m.twice
-    if abs(dm2) == 4:
-        amp = coupling_amplitude(level, bra, ket, base) / TWO_PI
-        return abs(amp) ** 2
-    probe = base.with_orientation(EulerAngles(math.pi / 4.0, math.pi / 2.0))
-    amp = coupling_amplitude(level, bra, ket, probe) / TWO_PI
-    return abs(amp) ** 2
+        k, weight = _clock_weights(level, f)
+        terms -= (bare * table.reduced[:, k]) ** 2 * weight / len(fs)
+    w1, w2 = (float(np.sum(terms[np.abs(table.m_twice) == tdm])) for tdm in (2, 4))
+    return ShiftDecomposition(a=w2 / transition.frequency_hz, eta=w1 / w2,
+                              frequency_hz=transition.frequency_hz)

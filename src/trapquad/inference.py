@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.special import roots_hermitenorm
 
 from .dynamics import RwaSystem, SpectrumScan, transfer_probabilities
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
@@ -73,9 +72,8 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
             sys.omega_q, sys.omega_0,
             np.full_like(detunings, sys.detuning_rf), detunings, tau,
         )
-    nodes, weights = roots_hermitenorm(order)
+    nodes, w = _hermite_rule(order)
     b = noise.sigma_b * nodes                          # field samples, tesla
-    w = weights / math.sqrt(2.0 * math.pi)             # sum(w) == 1
     d_rf = sys.detuning_rf - noise.sensitivity_rf * b
     d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
     probs = transfer_probabilities(
@@ -83,6 +81,19 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
         np.broadcast_to(d_rf[None, :], d_l.shape), d_l, tau,
     )
     return probs @ w
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights for the unit normal
+    density (weights sum to 1), computed once per order."""
+    from scipy.special import roots_hermitenorm  # scipy is imported on first use
+
+    nodes, weights = roots_hermitenorm(order)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    for array in (nodes, weights):
+        array.flags.writeable = False
+    return nodes, weights
 
 
 def _converged_order(average, order: int = _FIRST_ORDER
@@ -145,6 +156,11 @@ class FitConfig:
     g_s: float = NoiseModel.g_s
     include_laser_sensitivity: bool = True
     max_nfev: int = 200             # residual evaluations per refinement
+
+    def __post_init__(self):
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidInputError(
+                f"probe time must be positive and finite, not {self.tau!r}")
 
     def rabi_frequency(self) -> float:
         return self.omega_0 if self.omega_0 is not None else math.pi / self.tau
@@ -222,6 +238,8 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("detunings, counts and shots must be finite")
     if np.any(shots_arr < 1):
         raise InvalidInputError("each point needs at least one shot")
+    from scipy.optimize import least_squares  # scipy is imported on first use
+
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 
@@ -314,6 +332,8 @@ def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
 def _upper_limit(chi2_along, start: float, target: float) -> float:
     """sigma_B (nT) above `start` where chi2_along crosses `target`: a
     doubling bracket from start + 1 nT, then Brent's method."""
+    from scipy.optimize import brentq  # scipy is imported on first use
+
     lo, hi = start, start + 1.0
     while chi2_along(hi) < target:
         lo, hi = hi, start + 2.0 * (hi - start)
@@ -355,6 +375,8 @@ def combine_runs(omega_qs: list[float], errors: list[float],
     with the slow-drift bound."""
     if not omega_qs or len(omega_qs) != len(errors):
         raise InvalidInputError("need one error per fitted value")
+    if min(errors) < 0 or drift_error < 0:
+        raise InvalidInputError("errors must be non-negative")
     mean = float(np.mean(omega_qs))
     err = math.hypot(max(errors), drift_error)
     return mean, err

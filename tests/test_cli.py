@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +17,8 @@ from trapquad.species import load_species
 
 TWO_PI = 2 * math.pi
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "trapquad" / "schemas"
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEMAS = SRC / "trapquad" / "schemas"
 OUTPUT_SCHEMA = json.loads((SCHEMAS / "cli_output.schema.json").read_text())
 
 
@@ -127,6 +131,15 @@ class TestMatrixElements:
         ])
         assert code == 2
 
+    def test_repeated_f_is_config_error(self, tmp_path, ba_config, capsys):
+        # exited 0 with a 12-state basis listing every state twice
+        code = main([
+            "matrix-elements", "--species", "ba138", "--level", "D5/2",
+            "--manifold", "5/2,5/2", "--config", ba_config,
+        ])
+        assert code == 2
+        assert "more than once" in capsys.readouterr().err
+
 
 class TestClockShift:
     def test_lu_transitions_match_reference_parameters(self, tmp_path, lu_config):
@@ -157,6 +170,12 @@ class TestClockShift:
                   for row in payload["grid"]]
         assert max(values) == pytest.approx(1.0, abs=1e-9)
         assert min(values) == pytest.approx(payload["eta"], abs=1e-3)
+
+    def test_negative_grid_is_config_error(self, tmp_path, lu_config):
+        # ended in a numpy ValueError traceback, exit 1
+        code = main(["clock-shift", "--species", "lu176", "--transition",
+                     "1S0-3D2", "--config", lu_config, "--grid", "-3"])
+        assert code == 2
 
     def test_missing_hyperfine_energies_named(self, tmp_path, ba_config):
         code = main([
@@ -211,6 +230,12 @@ class TestSpectrum:
 
     def test_negative_sigma_is_config_error(self, tmp_path):
         assert main(["spectrum", "--sigma-nt", "-5", "--points", "11"]) == 2
+
+    @pytest.mark.parametrize("sigma", ["0", "18"])
+    def test_negative_tau_is_config_error(self, tmp_path, sigma):
+        # exited 0 with a spectrum at a negative probe time
+        assert main(["spectrum", "--tau=-0.001", "--sigma-nt", sigma,
+                     "--points", "11"]) == 2
 
     def test_byte_stable(self, tmp_path):
         argv = ["spectrum", "--Delta", "0.25", "--points", "99",
@@ -283,6 +308,21 @@ class TestFitAndExtract:
         path.write_text(text)
         code = main(["extract-theta", "--config", ba_config,
                      "--fit-json", str(path)])
+        assert code == 2
+
+    @pytest.mark.parametrize("tau", [
+        "0",          # ended in a ZeroDivisionError traceback, exit 1
+        "-1.2e-3",    # exited 0 with a fit (chi2_nu 82, status 2)
+        "nan",
+    ])
+    def test_non_positive_tau_is_config_error(self, tmp_path, synthetic_csv,
+                                              tau):
+        assert main(["fit", "--data", synthetic_csv, f"--tau={tau}"]) == 2
+
+    def test_negative_error_is_config_error(self, tmp_path, ba_config):
+        # exited 0, the error taken as +35 Hz
+        code = main(["extract-theta", "--config", ba_config,
+                     "--omega-q-hz", "1694", "--omega-q-err-hz", "-35"])
         assert code == 2
 
     def test_missing_data_file_is_config_error(self, tmp_path):
@@ -368,3 +408,37 @@ class TestConfigHandling:
         }))
         with pytest.raises(InvalidInputError, match="traps"):
             load_run_config(path)
+
+
+class TestImports:
+    """The package and the CLI's light subcommands need numpy only."""
+
+    @staticmethod
+    def scipy_modules_after(script: str) -> list[str]:
+        code = script + (
+            "\nimport json, sys\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self.scipy_modules_after("import trapquad.cli") == []
+
+    def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config):
+        steps = [
+            ["matrix-elements", "--species", "ba138", "--level", "D5/2",
+             "--manifold", "5/2", "--config", ba_config],
+            ["clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+             "--config", lu_config, "--grid", "5"],
+            ["extract-theta", "--config", ba_config, "--omega-q-hz", "1694",
+             "--omega-q-err-hz", "35"],
+        ]
+        script = "from trapquad.cli import main\n" + "".join(
+            f"assert main({argv + ['-o', str(tmp_path / f'out{k}')]!r}) == 0\n"
+            for k, argv in enumerate(steps))
+        assert self.scipy_modules_after(script) == []
+        assert all((tmp_path / f"out{k}").read_text() for k in range(len(steps)))

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from trapquad.angular import EulerAngles, HalfInt
+from exact_wigner import exact_3j, exact_6j
+from trapquad.angular import EulerAngles, HalfInt, wigner_D2
 from trapquad.coupling import (
     HyperfineState,
     LevelSpec,
@@ -12,9 +13,11 @@ from trapquad.coupling import (
     coupling_amplitude,
     gradient_components,
     hq_matrix,
+    reduced_table,
     theta_matrix_element,
 )
 from trapquad.errors import InvalidInputError
+from trapquad.species import load_species
 from trapquad.trap import CODATA2018, TrapConfig
 
 IDENTITY = EulerAngles(0.0, 0.0)
@@ -229,6 +232,126 @@ class TestHqMatrix:
         trap = TrapConfig(omega_rf=1e8, mass=2.3e-25, epsilon=1e9)
         with pytest.raises(InvalidInputError):
             hq_matrix(ba_d52, trap, [])
+
+
+def exact_element(level: LevelSpec, bra: HyperfineState,
+                  ket: HyperfineState) -> float:
+    """<bra|T|ket> in units of Theta without the rotation factor, element by
+    element from the exact-rational 3j and 6j symbols:
+
+      (-1)^(F'+F+I+J+mu') sqrt((2F'+1)(2F+1)) {F F' 2; J J I}
+          * (F 2 F'; mu dmu -mu') / (J 2 J; -J 0 J)
+    """
+    ti, tj = level.nuclear_spin.twice, level.electronic_j.twice
+    fp, mup, f, mu = bra.F.twice, bra.m.twice, ket.F.twice, ket.m.twice
+    if tj < 2 or abs(mup - mu) > 4:
+        return 0.0
+    phase = -1.0 if ((fp + f + ti + tj + mup) // 2) % 2 else 1.0
+    return (phase * math.sqrt((fp + 1.0) * (f + 1.0))
+            * exact_6j(f, fp, 4, tj, tj, ti)
+            * exact_3j(f, 4, fp, mu, mup - mu, -mup)
+            / exact_3j(tj, 4, tj, -tj, 0, tj))
+
+
+def exact_hq(level: LevelSpec, trap: TrapConfig, basis) -> np.ndarray:
+    """H_Q/hbar (rad/s) summed over q element by element from exact_element."""
+    grads = gradient_components(trap.A, trap.epsilon)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, bra in enumerate(basis):
+        for k, ket in enumerate(basis):
+            pref = exact_element(level, bra, ket)
+            if pref == 0.0:
+                continue
+            dmu = (bra.m.twice - ket.m.twice) // 2
+            out[i, k] = sum(grads[q] * pref * level.theta_e_a02
+                            * wigner_D2(dmu, q, trap.orientation) for q in (-2, 0, 2))
+    return out * CODATA2018.e_a0_squared / CODATA2018.hbar
+
+
+def rotation(level: LevelSpec, angles: EulerAngles) -> np.ndarray:
+    """Block-diagonal U = exp(i beta F_y) exp(i alpha F_z) over the F blocks
+    of the level, in the (F, m ascending) basis order of hq_matrix."""
+    blocks = []
+    for f in level.f_values():
+        m = np.arange(-f.twice, f.twice + 1, 2) / 2.0
+        F = f.twice / 2.0
+        raise_ = np.diag(np.sqrt(F * (F + 1) - m[:-1] * (m[:-1] + 1)), -1)
+        f_y = (raise_ - raise_.T) / 2j
+        w, v = np.linalg.eigh(f_y)
+        blocks.append((v * np.exp(1j * angles.beta * w)) @ v.conj().T
+                      @ np.diag(np.exp(1j * angles.alpha * m)))
+    n = sum(len(b) for b in blocks)
+    u = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        u[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return u
+
+
+def paper_levels():
+    lu = load_species("lu176")
+    ba = load_species("ba138")
+    return {"Lu+ 3D2": lu.level("3D2"), "Ba+ D5/2": ba.level("D5/2")}
+
+
+class TestReducedTable:
+    @pytest.mark.parametrize("name", ["Lu+ 3D2", "Ba+ D5/2"])
+    def test_rotation_covariance(self, name):
+        # H_Q(alpha, beta) = U H_Q(0, 0) U^dagger with U generated by F_z and
+        # F_y in the sign convention the d2 closed-form tests lock
+        level = paper_levels()[name]
+        rng = random.Random(17)
+        base = TrapConfig(omega_rf=2 * math.pi * 20e6, mass=2.9e-25,
+                          A=rng.uniform(-1e9, 1e9), epsilon=rng.uniform(-1e9, 1e9))
+        h0 = hq_matrix(level, base, level.f_values()).amplitude
+        for _ in range(4):
+            angles = EulerAngles(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi))
+            got = hq_matrix(level, base.with_orientation(angles), level.f_values())
+            u = rotation(level, angles)
+            want = u @ h0 @ u.conj().T
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got.amplitude - want)) <= 1e-12 * scale
+
+    def test_matches_exact_element_formula(self, ba_d52, lu_3d2_bare):
+        rng = random.Random(23)
+        for level in (ba_d52, lu_3d2_bare, LevelSpec(7, 1, 0.64),
+                      LevelSpec(1.5, 2.5, 2.1), LevelSpec(2, 0.5, 1.0)):
+            table = reduced_table(level)
+            want = np.array([[exact_element(level, bra, ket) for ket in table.states]
+                             for bra in table.states])
+            assert np.max(np.abs(table.reduced - want)) <= 1e-13
+            trap = random_trap(rng)
+            mat = hq_matrix(level, trap, level.f_values())
+            ref = exact_hq(level, trap, mat.basis)
+            assert mat.basis == table.states
+            assert np.max(np.abs(mat.amplitude - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+    def test_sub_manifold_is_a_block_of_the_level(self, lu_3d2_bare):
+        trap = random_trap(random.Random(5))
+        whole = hq_matrix(lu_3d2_bare, trap, lu_3d2_bare.f_values())
+        part = hq_matrix(lu_3d2_bare, trap, [8, 6])
+        assert [s.F.twice for s in part.basis] == [12] * 13 + [16] * 17
+        rows = [whole.index(s) for s in part.basis]
+        assert np.array_equal(part.amplitude, whole.amplitude[np.ix_(rows, rows)])
+
+    def test_returned_amplitude_is_a_copy(self, lu_3d2_bare):
+        trap = random_trap(random.Random(9))
+        first = hq_matrix(lu_3d2_bare, trap, lu_3d2_bare.f_values())
+        kept = first.amplitude.copy()
+        first.amplitude[:] = 7.0
+        again = hq_matrix(lu_3d2_bare, trap, lu_3d2_bare.f_values())
+        assert np.array_equal(again.amplitude, kept)
+        table = reduced_table(lu_3d2_bare)
+        with pytest.raises(ValueError):
+            table.reduced[0, 0] = 1.0
+
+    def test_repeated_f_rejected(self, ba_d52, lu_3d2_bare):
+        trap = random_trap(random.Random(1))
+        with pytest.raises(InvalidInputError, match="more than once"):
+            hq_matrix(ba_d52, trap, [2.5, 2.5])
+        with pytest.raises(InvalidInputError, match="more than once"):
+            hq_matrix(lu_3d2_bare, trap, [5, 6, 5.0])
 
 
 class TestLevelSpec:

@@ -21,6 +21,7 @@ from trapquad.inference import (
     NoiseModel,
     ThetaEstimate,
     _averaged_transfer,
+    _hermite_rule,
     combine_runs,
     extract_theta,
     fit_spectrum,
@@ -139,6 +140,22 @@ class TestNoiseAveragedSignal:
             simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
                             TestFitSpectrum.DELTAS, TAU, 300,
                             np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
+    def test_probe_time_must_be_positive(self, tau):
+        sys = reference_system()
+        with pytest.raises(InvalidInputError, match="probe time"):
+            transfer_probabilities(sys.omega_q, sys.omega_0, 0.0, 0.0, tau)
+        with pytest.raises(InvalidInputError, match="probe time"):
+            noise_averaged_signal(sys, NoiseModel(sigma_b=18e-9),
+                                  np.linspace(-WQ, WQ, 11), tau)
+
+    def test_hermite_rule_is_computed_once_and_read_only(self):
+        nodes, weights = _hermite_rule(40)
+        assert _hermite_rule(40)[0] is nodes
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
     def test_order_doubling_stable_up_to_50nt(self):
         grid = default_detuning_grid(WQ, 101)
@@ -310,6 +327,11 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, counts, 300,
                          FitConfig(tau=TAU, max_nfev=1))
 
+    @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
+    def test_probe_time_must_be_positive(self, tau):
+        with pytest.raises(InvalidInputError, match="probe time"):
+            FitConfig(tau=tau)
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             fit_spectrum(self.DELTAS[:5], np.zeros(5), 300, self.CONFIG)
@@ -382,3 +404,9 @@ class TestCombineRuns:
             combine_runs([], [])
         with pytest.raises(InvalidInputError):
             combine_runs([1.0, 2.0], [0.1])
+
+    def test_rejects_negative_errors(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            combine_runs([1700.0, 1690.0], [20.0, -35.0])
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            combine_runs([1700.0], [20.0], drift_error=-5.0)
