@@ -243,6 +243,8 @@ def cmd_spectrum(args) -> int:
         raise InvalidInputError("Omega0 ratio must be positive")
     tau = args.tau if args.tau is not None else math.pi / omega_0
     sys_ = RwaSystem(omega_q, omega_0, args.Delta * abs(omega_q), 0.0)
+    if args.points < 1 or not 0.0 < args.span < math.inf:
+        raise InvalidInputError("--points and --span must be positive")
     grid = default_detuning_grid(omega_q, args.points, args.span)
     if not args.sigma_nt >= 0:
         raise InvalidInputError("--sigma-nt must be non-negative")
@@ -265,7 +267,7 @@ def cmd_spectrum(args) -> int:
         ],
     }
     if args.sigma_nt > 0:
-        payload["diagnostics"] = {"quadrature_order": scan.quadrature_order,
+        payload["diagnostics"] = {"quadrature_nodes": scan.quadrature_nodes,
                                   "quadrature_change": scan.quadrature_change}
     lines = ["delta_over_omegaQ,transfer_probability"]
     lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in rows]

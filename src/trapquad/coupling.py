@@ -22,7 +22,7 @@ cos(Omega_rf t); no rotating-wave factor is applied here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -59,20 +59,18 @@ class LevelSpec:
 
     theta_e_a02 is Theta(J) in units of e*a0^2.  hyperfine_energies maps F to
     the level energy in Hz (times h); it is required only for I > 0 levels
-    used in clock-shift sums.  g_factors may hold a level g_J under the key
-    "J" and per-F values under HalfInt keys.
+    used in clock-shift sums.
     """
 
     nuclear_spin: HalfInt
     electronic_j: HalfInt
     theta_e_a02: float
     hyperfine_energies_hz: Mapping[HalfInt, float] | None = None
-    g_factors: Mapping = field(default_factory=dict)
     label: str = ""
 
     def __init__(self, nuclear_spin: Momentum, electronic_j: Momentum,
                  theta_e_a02: float, hyperfine_energies_hz=None,
-                 g_factors=None, label: str = ""):
+                 label: str = ""):
         nuclear_spin = HalfInt(nuclear_spin)
         electronic_j = HalfInt(electronic_j)
         if nuclear_spin.twice < 0 or electronic_j.twice < 0:
@@ -96,7 +94,6 @@ class LevelSpec:
             object.__setattr__(self, "hyperfine_energies_hz", energies)
         else:
             object.__setattr__(self, "hyperfine_energies_hz", None)
-        object.__setattr__(self, "g_factors", dict(g_factors or {}))
         object.__setattr__(self, "label", label)
 
     @staticmethod

@@ -35,6 +35,7 @@ IDX_D52, IDX_D12, IDX_DM32, IDX_S = 0, 1, 2, 3
 
 _A_COEFF = 1.0 / math.sqrt(10.0)       # |D,1/2> <-> |D,5/2>, per unit wq
 _B_COEFF = 3.0 / (5.0 * math.sqrt(2.0))  # |D,1/2> <-> |D,-3/2>, per unit wq
+_BATCH = 2 ** 16                         # (Delta, delta) pairs per eigh call
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class RwaSystem:
     omega_0: float          # clock-laser Rabi frequency
     detuning_rf: float = 0.0     # Delta = Omega_rf - 2*omega_z
     detuning_laser: float = 0.0  # delta, laser detuning from the shifted carrier
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega_q, self.omega_0,
+                                       self.detuning_rf, self.detuning_laser))):
+            raise InvalidInputError("couplings and detunings must be finite")
 
 
 def build_rwa_hamiltonian(sys: RwaSystem) -> np.ndarray:
@@ -86,31 +92,40 @@ class SpectrumScan:
             raise InvalidInputError("detuning grid must be strictly increasing")
 
 
+def check_probe_time(tau: float) -> None:
+    """Raise InvalidInputError unless the probe time is positive and finite."""
+    if not 0.0 < tau < math.inf:
+        raise InvalidInputError(f"probe time must be positive and finite, not {tau!r}")
+
+
 def transfer_probabilities(omega_q: float, omega_0: float,
                            detuning_rf: np.ndarray,
                            detuning_laser: np.ndarray,
                            tau: float) -> np.ndarray:
-    """Vectorised 1 - P_S for paired arrays of (Delta, delta); tau > 0."""
-    if not 0.0 < tau < math.inf:
-        raise InvalidInputError(f"probe time must be positive and finite, not {tau!r}")
+    """Vectorised 1 - P_S for paired arrays of (Delta, delta); tau > 0.
+    The pairs are diagonalised in batches of at most 65536, which bounds the
+    working memory of a large noise average at about 40 MB."""
+    check_probe_time(tau)
     d_rf = np.broadcast_to(np.asarray(detuning_rf, dtype=float),
                            np.broadcast_shapes(np.shape(detuning_rf),
                                                np.shape(detuning_laser)))
     d_l = np.broadcast_to(np.asarray(detuning_laser, dtype=float), d_rf.shape)
-    n = d_rf.size
-    h = np.zeros((n, 4, 4))
-    a = omega_q * _A_COEFF
-    b = omega_q * _B_COEFF
-    h[:, 0, 0] = -d_rf.ravel()
-    h[:, 2, 2] = d_rf.ravel()
-    h[:, 3, 3] = d_l.ravel()
-    h[:, 0, 1] = h[:, 1, 0] = a
-    h[:, 1, 2] = h[:, 2, 1] = b
-    h[:, 1, 3] = h[:, 3, 1] = 0.5 * omega_0
-    evals, evecs = np.linalg.eigh(h)
-    weights = evecs[:, IDX_S, :] ** 2
-    amps = np.sum(weights * np.exp(-1j * evals * tau), axis=1)
-    return (1.0 - np.abs(amps) ** 2).reshape(d_rf.shape)
+    out = np.empty(d_rf.shape)
+    flat_rf, flat_l, flat_out = d_rf.ravel(), d_l.ravel(), out.reshape(-1)
+    for lo in range(0, d_rf.size, _BATCH):
+        rf, dl = flat_rf[lo:lo + _BATCH], flat_l[lo:lo + _BATCH]
+        h = np.zeros((len(rf), 4, 4))
+        h[:, 0, 0] = -rf
+        h[:, 2, 2] = rf
+        h[:, 3, 3] = dl
+        h[:, 0, 1] = h[:, 1, 0] = omega_q * _A_COEFF
+        h[:, 1, 2] = h[:, 2, 1] = omega_q * _B_COEFF
+        h[:, 1, 3] = h[:, 3, 1] = 0.5 * omega_0
+        evals, evecs = np.linalg.eigh(h)
+        weights = evecs[:, IDX_S, :] ** 2
+        amps = np.sum(weights * np.exp(-1j * evals * tau), axis=1)
+        flat_out[lo:lo + _BATCH] = 1.0 - np.abs(amps) ** 2
+    return out
 
 
 def scan_spectrum(sys: RwaSystem, detunings: np.ndarray, tau: float) -> SpectrumScan:

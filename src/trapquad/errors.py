@@ -14,7 +14,7 @@ class ResonanceError(ArithmeticError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when the noise-averaging quadrature fails its order-doubling check."""
+    """Raised when the noise average does not converge within 4097 nodes."""
 
 
 class IntegrationError(RuntimeError):

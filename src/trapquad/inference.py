@@ -4,9 +4,11 @@ Magnetic field noise is modelled as Gaussian across experiments and constant
 within one experiment.  A field excursion b shifts both rotating-frame
 detunings: Delta -> Delta - k_D*b with k_D = 2*g_D*mu_B/hbar, and
 delta -> delta - k_d*b with k_d = (g_D - g_S)*mu_B/(2*hbar).  The averaged
-signal is a Gauss-Hermite integral of the transfer probability over b.  Its
-order is worked out, never set: simulated, scanned and fitted averages all
-double it from 40 until orders n and 2n agree to 1e-6, up to order 640.
+signal is a trapezoid sum over x = b/sigma_B in [-8, 8] with weights
+h*phi(x), exponentially convergent once h resolves the transfer's features,
+pi/(k_D*sigma_B*tau) wide (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+h is worked out, never set: from the coarsest 0.5/2**k that resolves them, it
+halves until two sums agree to 1e-6 at every point, up to 4097 nodes.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
@@ -19,19 +21,20 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import RwaSystem, SpectrumScan, transfer_probabilities
+from .dynamics import (RwaSystem, SpectrumScan, check_probe_time,
+                       transfer_probabilities)
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
 from .trap import CODATA2018, TrapConfig
 
 TWO_PI = 2.0 * math.pi
-_FIRST_ORDER = 40
-_MAX_QUADRATURE_ORDER = 640
-_QUADRATURE_TOL = 1e-6          # largest change of the average from order n to 2n
+_FIRST_NODES = 33              # the coarsest rule, step 0.5
+_MAX_NODES = 4097
+_QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
 _SEED_SIGMA_B_NT = np.linspace(1e-9, 60e-9, 13) * 1e9   # fit seed scan, 1..60 nT
 
 
@@ -47,6 +50,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.sigma_b < math.inf:
             raise InvalidInputError("sigma_b must be finite and non-negative")
+        if not (math.isfinite(self.g_d) and math.isfinite(self.g_s)):
+            raise InvalidInputError("g-factors must be finite")
 
     @property
     def sensitivity_rf(self) -> float:
@@ -62,79 +67,85 @@ class NoiseModel:
                 / (2.0 * CODATA2018.hbar))
 
 
+@lru_cache(maxsize=None)
+def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes x and weights h*phi(x) of the n-node rule, computed
+    once; with new_only, just the nodes it adds to the (n + 1)/2-node rule."""
+    x = np.linspace(-8.0, 8.0, n)
+    if new_only:
+        x = x[1::2]
+    w = 16.0 / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
+    for array in (x, w):
+        array.flags.writeable = False
+    return x, w
+
+
+def _start_order(noise: NoiseModel, tau: float) -> int:
+    """Nodes of the coarsest rule with h <= min(0.5, pi/(k_D*sigma_B*tau));
+    raises QuadratureConvergenceError when its check would pass 4097 nodes."""
+    check_probe_time(tau)
+    spread = abs(noise.sensitivity_rf) * noise.sigma_b * tau
+    n = _FIRST_NODES
+    while 16.0 / (n - 1) * spread > math.pi:
+        n = 2 * n - 1
+        if 2 * n - 1 > _MAX_NODES:
+            raise QuadratureConvergenceError(
+                f"sigma_B*tau = {noise.sigma_b * tau:.3g} T*s needs more than "
+                f"{_MAX_NODES} nodes")
+    return n
+
+
 def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
-                       detunings: np.ndarray, tau: float,
-                       order: int) -> np.ndarray:
-    """Gauss-Hermite average of the transfer probability over field noise."""
-    detunings = np.asarray(detunings, dtype=float)
-    if noise.sigma_b == 0.0:
-        return transfer_probabilities(
-            sys.omega_q, sys.omega_0,
-            np.full_like(detunings, sys.detuning_rf), detunings, tau,
-        )
-    nodes, w = _hermite_rule(order)
-    b = noise.sigma_b * nodes                          # field samples, tesla
+                       detunings: np.ndarray, tau: float, n: int,
+                       new_only: bool = False) -> np.ndarray:
+    """The average of the transfer probability over field noise on the
+    n-node rule; with new_only, the share of the nodes it adds."""
+    x, w = _uniform_rule(n, new_only)
+    b = noise.sigma_b * x                        # field samples, tesla
     d_rf = sys.detuning_rf - noise.sensitivity_rf * b
     d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
-    probs = transfer_probabilities(
-        sys.omega_q, sys.omega_0,
-        np.broadcast_to(d_rf[None, :], d_l.shape), d_l, tau,
-    )
-    return probs @ w
+    return transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau) @ w
 
 
-@lru_cache(maxsize=None)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights for the unit normal
-    density (weights sum to 1), computed once per order."""
-    from scipy.special import roots_hermitenorm  # scipy is imported on first use
-
-    nodes, weights = roots_hermitenorm(order)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    for array in (nodes, weights):
-        array.flags.writeable = False
-    return nodes, weights
-
-
-def _converged_order(average, order: int = _FIRST_ORDER
-                     ) -> tuple[int, np.ndarray, float]:
-    """(n, average(2n), max |average(2n) - average(n)|) for the first n,
-    doubling from `order`, where the two agree to 1e-6 at every point.
-    Raises QuadratureConvergenceError when n would pass order 640."""
-    coarse = average(order)
+def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
+    """(n, average(2n - 1), max |average(2n - 1) - average(n)|) for the first
+    n from the given one where the two agree to 1e-6 at every point, raising
+    past 4097 nodes.  average(n, new_only) is as _averaged_transfer, so each
+    halving of h evaluates only the new nodes."""
+    coarse = average(n, False)
     while True:
-        fine = average(2 * order)
+        fine = 0.5 * coarse + average(2 * n - 1, True)
         change = float(np.max(np.abs(fine - coarse)))
         if change <= _QUADRATURE_TOL:
-            return order, fine, change
-        if 2 * order > _MAX_QUADRATURE_ORDER:
+            return n, fine, change
+        if 4 * n - 3 > _MAX_NODES:
             raise QuadratureConvergenceError(
-                f"the noise average changes by {change:.2e} "
-                f"(> {_QUADRATURE_TOL:g}) from order {order} to {2 * order}"
-            )
-        order, coarse = 2 * order, fine
+                f"the noise average changes by {change:.2e} (> {_QUADRATURE_TOL:g}) "
+                f"from {n} to {2 * n - 1} nodes, the most it may use")
+        n, coarse = 2 * n - 1, fine
 
 
 @dataclass(frozen=True)
 class NoiseAveragedScan(SpectrumScan):
-    """A noise-averaged spectrum, taken at order 2n, and how it converged."""
+    """A noise-averaged spectrum, taken on 2n - 1 nodes, and how it converged."""
 
-    quadrature_order: int           # n: the averages at n and 2n agree
-    quadrature_change: float        # max |p(2n) - p(n)|, at most 1e-6
+    quadrature_nodes: int           # n: the averages on n and 2n - 1 nodes agree
+    quadrature_change: float        # max |p(2n - 1) - p(n)|, at most 1e-6
 
 
 def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                           detunings: np.ndarray,
                           tau: float) -> NoiseAveragedScan:
-    """Noise-averaged transfer spectrum, at order 2n for the first n from 40
-    (doubling) where orders n and 2n agree to 1e-6 at every point.  Raises
-    QuadratureConvergenceError past order 640, which a 1.2 ms probe reaches
-    above ~100 nT."""
+    """Noise-averaged transfer spectrum on 2n - 1 nodes, for the first n from
+    the coarsest rule that resolves sigma_B*tau where the averages on n and
+    2n - 1 nodes agree to 1e-6 at every point.  Raises
+    QuadratureConvergenceError past 4097 nodes (sigma_B*tau near 1.9 nT*s)."""
     detunings = np.asarray(detunings, dtype=float)
-    order, transfer, change = _converged_order(
-        lambda n: _averaged_transfer(sys, noise, detunings, tau, n))
+    n, transfer, change = _converged_order(
+        lambda m, new: _averaged_transfer(sys, noise, detunings, tau, m, new),
+        _start_order(noise, tau))
     return NoiseAveragedScan(detunings=detunings, transfer=transfer, tau=tau,
-                             quadrature_order=order, quadrature_change=change)
+                             quadrature_nodes=n, quadrature_change=change)
 
 
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
@@ -158,9 +169,7 @@ class FitConfig:
     max_nfev: int = 200             # residual evaluations per refinement
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise InvalidInputError(
-                f"probe time must be positive and finite, not {self.tau!r}")
+        check_probe_time(self.tau)
 
     def rabi_frequency(self) -> float:
         return self.omega_0 if self.omega_0 is not None else math.pi / self.tau
@@ -181,8 +190,8 @@ class FitResult:
     nfev: int             # model evaluations, seed scan included
     status: int           # least_squares termination status, 1..4
     correlation: float    # omega_q-sigma_B; 0 when sigma_B is held fixed
-    quadrature_order: int
-    quadrature_change: float   # max |p(2n) - p(n)| where the results were taken
+    quadrature_nodes: int
+    quadrature_change: float   # max |p(2n - 1) - p(n)| where the results were taken
     sigma_b_at_bound: bool
 
     def to_dict(self) -> dict:
@@ -195,7 +204,7 @@ class FitResult:
             "n_points": self.n_points,
             "shots": self.shots,
             "diagnostics": {key: getattr(self, key) for key in (
-                "nfev", "status", "correlation", "quadrature_order",
+                "nfev", "status", "correlation", "quadrature_nodes",
                 "quadrature_change", "sigma_b_at_bound")},
         }
 
@@ -212,19 +221,20 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
 
     Needs at least 8 points.  scipy's least_squares (trust-region
     reflective, omega_q > 0, sigma_B >= 0) minimises the binomial-weighted
-    residuals from a separable seed scan at order 40: the omega_q grid at
-    the middle sigma_B, then the sigma_B grid at the best omega_q.  At the
-    optimum the quadrature order is worked out as for noise_averaged_signal;
-    when it is higher than the fit's, the fit is refined at it.  Errors are
-    the square roots of the diagonal of (J^T J)^-1, multiplied by
-    sqrt(chi2_nu) when chi2_nu exceeds 1.
+    residuals from a separable seed scan on the 33-node rule: the omega_q
+    grid at the middle sigma_B, then the sigma_B grid at the best omega_q.
+    It runs on the coarsest rule that resolves the seed's sigma_B*tau; at
+    the optimum the rule is checked as in noise_averaged_signal, and the fit
+    is refined once on a finer rule when the check needs one.  Errors are the
+    square roots of the diagonal of (J^T J)^-1, multiplied by sqrt(chi2_nu)
+    when chi2_nu exceeds 1.
 
     When the sigma_B bound is active, or sigma_B is smaller than its own
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
     fixed.  Raises FitError when a refinement reaches config.max_nfev or the
-    covariance is degenerate, and QuadratureConvergenceError past order 640.
+    covariance is degenerate, and QuadratureConvergenceError past 4097 nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -238,6 +248,8 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("detunings, counts and shots must be finite")
     if np.any(shots_arr < 1):
         raise InvalidInputError("each point needs at least one shot")
+    noise = NoiseModel(0.0, config.g_d, config.g_s,
+                       config.include_laser_sensitivity)
     from scipy.optimize import least_squares  # scipy is imported on first use
 
     fractions = counts / shots_arr
@@ -248,41 +260,38 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
 
     # x = (omega_q in rad/s, sigma_B in nT): least_squares' finite-difference
     # step is relative to max(1, |x|), which sigma_B in tesla would swamp
-    def model(x, order: int) -> np.ndarray:
+    def model(x, n: int, new_only: bool = False) -> np.ndarray:
         nonlocal nfev
         nfev += 1
         sys = RwaSystem(x[0], omega_0, config.detuning_rf, 0.0)
-        noise = NoiseModel(
-            sigma_b=x[1] * 1e-9, g_d=config.g_d, g_s=config.g_s,
-            include_laser_sensitivity=config.include_laser_sensitivity,
-        )
-        return _averaged_transfer(sys, noise, detunings, config.tau, order)
+        return _averaged_transfer(sys, replace(noise, sigma_b=x[1] * 1e-9),
+                                  detunings, config.tau, n, new_only)
 
-    def residuals(x, order: int) -> np.ndarray:
-        p = model(x, order)
+    def residuals(x, n: int) -> np.ndarray:
+        p = model(x, n)
         return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
 
-    def chi2(x, order: int) -> float:
-        return float(np.sum(residuals(x, order) ** 2))
+    def chi2(x, n: int) -> float:
+        return float(np.sum(residuals(x, n) ** 2))
 
     # the seed scan keeps the optimiser away from wrong peak assignments
     span = float(detunings.max() - detunings.min())
     grid_w = np.linspace(0.2 * span, 1.2 * span, 13)
-    order = _FIRST_ORDER
     s_mid = _SEED_SIGMA_B_NT[len(_SEED_SIGMA_B_NT) // 2]
-    w_seed = min(grid_w, key=lambda w: chi2((w, s_mid), order))
-    s_seed = min(_SEED_SIGMA_B_NT, key=lambda s: chi2((w_seed, s), order))
+    w_seed = min(grid_w, key=lambda w: chi2((w, s_mid), _FIRST_NODES))
+    s_seed = min(_SEED_SIGMA_B_NT, key=lambda s: chi2((w_seed, s), _FIRST_NODES))
     x = np.array([w_seed, s_seed])
+    n = _start_order(replace(noise, sigma_b=s_seed * 1e-9), config.tau)
 
     while True:
         fit = least_squares(
-            residuals, x, args=(order,), method="trf",
+            residuals, x, args=(n,), method="trf",
             bounds=([0.0, 0.0], [np.inf, np.inf]), x_scale="jac",
             max_nfev=config.max_nfev,
         )
         if fit.status == 0:
             raise FitError(f"no convergence within {config.max_nfev} "
-                           f"evaluations at quadrature order {order}")
+                           f"evaluations on {n} quadrature nodes")
         x = fit.x
         chi2_min = 2.0 * fit.cost
         scale = math.sqrt(max(chi2_min / ndof, 1.0))
@@ -290,14 +299,14 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
             fit.jac, x[1], fit.active_mask[1] != 0, scale)
         checked = [x]
         if at_bound:
-            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), order),
+            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), n),
                                        x[1], chi2_min + scale ** 2)
             checked.append((x[0], sigma_b_err))
         needed, _, change = _converged_order(
-            lambda n: np.concatenate([model(p, n) for p in checked]), order)
-        if needed == order:
+            lambda m, new: np.concatenate([model(p, m, new) for p in checked]), n)
+        if needed == n:
             break
-        order = needed
+        n = needed
 
     return FitResult(
         omega_q=float(x[0]), omega_q_err=float(omega_q_err),
@@ -305,7 +314,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         chi2_reduced=chi2_min / ndof, n_points=len(detunings),
         shots=int(round(float(np.max(shots_arr)))),
         nfev=nfev, status=int(fit.status), correlation=float(correlation),
-        quadrature_order=order, quadrature_change=change,
+        quadrature_nodes=n, quadrature_change=change,
         sigma_b_at_bound=bool(at_bound),
     )
 

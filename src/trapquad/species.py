@@ -44,7 +44,6 @@ class Species:
     nuclear_spin: HalfInt
     levels: dict[str, LevelSpec]
     transitions: dict[str, ClockTransition]
-    defaults: dict
 
     def level(self, term: str) -> LevelSpec:
         try:
@@ -114,18 +113,12 @@ def parse_species(raw: dict) -> Species:
         energies = entry.get("hyperfine_f_energies_hz")
         if energies is not None:
             energies = {parse_half_int(f): float(e) for f, e in energies.items()}
-        g_factors: dict = {}
-        if "g_j" in entry:
-            g_factors["J"] = float(entry["g_j"])
-        for f, g in entry.get("g_f", {}).items():
-            g_factors[parse_half_int(f)] = float(g)
         term = entry["term"]
         levels[term] = LevelSpec(
             nuclear_spin=nuclear_spin,
             electronic_j=parse_half_int(entry["j"]),
             theta_e_a02=float(entry["theta_e_a02"]),
             hyperfine_energies_hz=energies,
-            g_factors=g_factors,
             label=f"{raw['name']} {term}",
         )
 
@@ -153,5 +146,4 @@ def parse_species(raw: dict) -> Species:
         nuclear_spin=nuclear_spin,
         levels=levels,
         transitions=transitions,
-        defaults=dict(raw.get("defaults", {})),
     )

@@ -13,7 +13,7 @@ def ba_d52() -> LevelSpec:
     """138Ba+ D_5/2: I = 0, J = 5/2, measured Theta."""
     return LevelSpec(
         nuclear_spin=0, electronic_j=2.5, theta_e_a02=3.229,
-        g_factors={"J": 1.2}, label="Ba+ D5/2",
+        label="Ba+ D5/2",
     )
 
 

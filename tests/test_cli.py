@@ -209,8 +209,8 @@ class TestSpectrum:
         jsonschema.validate(payload, OUTPUT_SCHEMA)
 
     def test_noise_averaged_at_100nt(self, tmp_path):
-        # tau = pi/Omega0 ~ 1.2 ms, as in the fits; a fixed order 128 failed
-        # its convergence check here (exit 3)
+        # tau = pi/Omega0 ~ 1.2 ms, as in the fits; a fixed Gauss-Hermite
+        # order 128 failed its convergence check here (exit 3)
         code, out = run_to_file(tmp_path, [
             "spectrum", "--sigma-nt", "100", "--Omega0-ratio", "0.25",
             "--points", "101", "--format", "json",
@@ -218,8 +218,35 @@ class TestSpectrum:
         assert code == 0
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, OUTPUT_SCHEMA)
-        assert payload["diagnostics"]["quadrature_order"] > 40
+        assert payload["diagnostics"]["quadrature_nodes"] > 33
         assert payload["diagnostics"]["quadrature_change"] <= 1e-6
+
+    def test_noise_averaged_at_100nt_default_probe(self, tmp_path):
+        # tau ~ 5.9 ms: Gauss-Hermite failed at its order-640 cap (exit 3);
+        # the rule that resolves sigma_B*tau starts at 1025 nodes
+        code, out = run_to_file(tmp_path, [
+            "spectrum", "--sigma-nt", "100", "--points", "101",
+            "--format", "json",
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, OUTPUT_SCHEMA)
+        assert payload["diagnostics"]["quadrature_nodes"] == 1025
+
+    def test_unresolvable_noise_average_is_numerical_failure(self, capsys):
+        assert main(["spectrum", "--sigma-nt", "400", "--Omega0-ratio", "0.01",
+                     "--points", "11"]) == 3
+        assert "4097 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--points", "-5"],             # a numpy traceback, exit 1
+        ["--g-d", "nan", "--sigma-nt", "10"],   # reached eigh, exit 3
+        ["--g-s", "nan", "--sigma-nt", "10"],
+        ["--Delta", "nan"],
+        ["--span", "nan"],
+    ], ids=["points", "g-d", "g-s", "Delta", "span"])
+    def test_bad_number_is_config_error(self, argv):
+        assert main(["spectrum", "--points", "11", *argv]) == 2
 
     def test_noiseless_has_no_diagnostics(self, tmp_path):
         code, out = run_to_file(tmp_path, [
@@ -319,6 +346,11 @@ class TestFitAndExtract:
                                               tau):
         assert main(["fit", "--data", synthetic_csv, f"--tau={tau}"]) == 2
 
+    def test_non_finite_g_factor_is_config_error(self, synthetic_csv):
+        # reached eigh and exited 3
+        assert main(["fit", "--data", synthetic_csv, "--tau", "1.2e-3",
+                     "--g-d", "nan"]) == 2
+
     def test_negative_error_is_config_error(self, tmp_path, ba_config):
         # exited 0, the error taken as +35 Hz
         code = main(["extract-theta", "--config", ba_config,
@@ -411,7 +443,7 @@ class TestConfigHandling:
 
 
 class TestImports:
-    """The package and the CLI's light subcommands need numpy only."""
+    """The package and every CLI subcommand but fit need numpy only."""
 
     @staticmethod
     def scipy_modules_after(script: str) -> list[str]:
@@ -436,6 +468,7 @@ class TestImports:
              "--config", lu_config, "--grid", "5"],
             ["extract-theta", "--config", ba_config, "--omega-q-hz", "1694",
              "--omega-q-err-hz", "35"],
+            ["spectrum", "--sigma-nt", "18", "--points", "101"],
         ]
         script = "from trapquad.cli import main\n" + "".join(
             f"assert main({argv + ['-o', str(tmp_path / f'out{k}')]!r}) == 0\n"

@@ -18,6 +18,7 @@ from trapquad.dynamics import (
     integrate_floquet_state,
     propagate,
     scan_spectrum,
+    transfer_probabilities,
 )
 from trapquad.errors import InvalidInputError
 
@@ -53,6 +54,13 @@ class TestBuildRwaHamiltonian:
             sys = RwaSystem(*rng.uniform(-1e4, 1e4, size=4))
             h = build_rwa_hamiltonian(sys)
             assert np.allclose(h, h.T)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_non_finite_parameters(self, field):
+        values = [WQ, 0.1 * WQ, 0.0, 0.0]
+        values[field] = math.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            RwaSystem(*values)
 
     def test_d_block_trace_identity(self):
         for delta_rf in (0.0, 0.3 * WQ, -0.8 * WQ):
@@ -129,6 +137,18 @@ class TestScanSpectrum:
             scan_spectrum(sys, np.array([]), 1e-3)
         with pytest.raises(InvalidInputError):
             scan_spectrum(sys, np.array([0.0, 0.0, 1.0]), 1e-3)
+
+
+class TestTransferProbabilities:
+    def test_large_input_is_diagonalised_in_batches(self):
+        # 3 x 23000 pairs: two batches of at most 65536, stitched in order
+        rng = np.random.default_rng(1)
+        d_rf, d_l = rng.uniform(-2.0, 2.0, (2, 3, 23000)) * WQ
+        whole = transfer_probabilities(WQ, 0.2 * WQ, d_rf, d_l, 1.2e-3)
+        rows = [transfer_probabilities(WQ, 0.2 * WQ, r, l, 1.2e-3)
+                for r, l in zip(d_rf, d_l)]
+        assert whole.shape == (3, 23000)
+        assert np.array_equal(whole, np.array(rows))
 
 
 class TestFloquetOracle:

@@ -21,7 +21,9 @@ from trapquad.inference import (
     NoiseModel,
     ThetaEstimate,
     _averaged_transfer,
-    _hermite_rule,
+    _converged_order,
+    _start_order,
+    _uniform_rule,
     combine_runs,
     extract_theta,
     fit_spectrum,
@@ -33,10 +35,13 @@ from trapquad.trap import CODATA2018, TrapConfig
 TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
 TAU = 1.2e-3
+# pi-pulse at Omega0 = 0.01 omega_q (spectrum --Omega0-ratio 0.01): at 400 nT
+# the rule that resolves sigma_B*tau needs more than 4097 nodes
+TAU_LONG = math.pi / (0.01 * WQ)
 
 
-def reference_system(omega_q: float = WQ) -> RwaSystem:
-    return RwaSystem(omega_q, math.pi / TAU, 0.0, 0.0)
+def reference_system(omega_q: float = WQ, tau: float = TAU) -> RwaSystem:
+    return RwaSystem(omega_q, math.pi / tau, 0.0, 0.0)
 
 
 class TestNoiseModel:
@@ -56,11 +61,17 @@ class TestNoiseModel:
         with pytest.raises(InvalidInputError):
             NoiseModel(sigma_b=-1e-9)
 
+    @pytest.mark.parametrize("g", [{"g_d": math.nan}, {"g_s": math.inf}])
+    def test_rejects_non_finite_g_factors(self, g):
+        with pytest.raises(InvalidInputError, match="g-factors"):
+            NoiseModel(sigma_b=18e-9, **g)
+
 
 def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
                         detunings: np.ndarray, tau: float) -> np.ndarray:
-    """Trapezoid sum over b in +-8 sigma_B on 4001 points: an average that
-    shares no nodes or weights with the Gauss-Hermite quadrature."""
+    """Trapezoid sum over b in +-8 sigma_B on 4001 points, normalised by the
+    weight sum: its step 0.004 sigma_B is no dyadic fraction of the rule's
+    0.5 sigma_B, so the two share only the nodes at 0 and +-8 sigma_B."""
     b = np.linspace(-8.0, 8.0, 4001) * noise.sigma_b
     w = np.exp(-0.5 * (b / noise.sigma_b) ** 2)
     w /= w.sum()
@@ -109,37 +120,80 @@ class TestNoiseAveragedSignal:
 
     def test_large_sigma_collapses_splitting(self):
         grid = default_detuning_grid(WQ)
-        strong = _averaged_transfer(
-            reference_system(), NoiseModel(sigma_b=120e-9), grid, TAU, 512
+        strong = noise_averaged_signal(
+            reference_system(), NoiseModel(sigma_b=120e-9), grid, TAU
         )
-        peaks = find_spectrum_peaks(SpectrumScan(grid, strong, TAU))
-        assert len(peaks) == 1
+        assert len(find_spectrum_peaks(strong)) == 1
 
     def test_convergence_check_raises_when_underresolved(self):
+        # 400 nT at a 29 ms probe: the step that resolves the features,
+        # pi/(k_D sigma_B tau) = 1.3e-3, needs 16385 nodes
         grid = default_detuning_grid(WQ, 51)
-        with pytest.raises(QuadratureConvergenceError):
-            noise_averaged_signal(
-                reference_system(), NoiseModel(sigma_b=200e-9), grid, TAU
-            )
+        with pytest.raises(QuadratureConvergenceError, match="4097 nodes"):
+            noise_averaged_signal(reference_system(tau=TAU_LONG),
+                                  NoiseModel(sigma_b=400e-9), grid, TAU_LONG)
+
+    def test_cap_is_a_failure_when_the_average_keeps_moving(self):
+        calls = []
+
+        def average(n, new_only):
+            calls.append((n, new_only))
+            return np.full(3, 1.0 if new_only else 0.0)   # 0, 1, 1.5, 1.75
+
+        with pytest.raises(QuadratureConvergenceError,
+                           match="2.50e-01 .* from 2049 to 4097 nodes"):
+            _converged_order(average, 513)
+        assert calls == [(513, False), (1025, True), (2049, True), (4097, True)]
 
     def test_order_is_worked_out_at_100nt(self):
-        # a fixed order 128 (checked against 256) failed here; the average
-        # now raises its own order until it holds
+        # Gauss-Hermite needed order 640 here; the uniform rule starts at
+        # the step that resolves sigma_B*tau and holds on the first halving
         grid = default_detuning_grid(WQ, 51)
         noise = NoiseModel(sigma_b=100e-9)
         scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
-        assert scan.quadrature_order > 40
+        assert scan.quadrature_nodes > 33
         assert scan.quadrature_change <= 1e-6
         want = dense_noise_average(reference_system(), noise, grid, TAU)
         assert np.max(np.abs(scan.transfer - want)) < 1e-9
 
+    @pytest.mark.parametrize("sigma_b, tau", [
+        (150e-9, TAU), (200e-9, TAU), (40e-9, 5.9e-3), (100e-9, 5.9e-3),
+    ])
+    def test_converges_where_gauss_hermite_failed(self, sigma_b, tau):
+        # each of these raised at the old order-640 cap
+        grid = default_detuning_grid(WQ, 51)
+        sys = reference_system(tau=tau)
+        noise = NoiseModel(sigma_b=sigma_b)
+        scan = noise_averaged_signal(sys, noise, grid, tau)
+        assert scan.quadrature_nodes > 33
+        assert scan.quadrature_change <= 1e-6
+        want = dense_noise_average(sys, noise, grid, tau)
+        assert np.max(np.abs(scan.transfer - want)) < 1e-9
+
+    def test_refinement_passes_only_the_new_nodes(self, monkeypatch):
+        points = []
+
+        def counted(omega_q, omega_0, detuning_rf, detuning_laser, tau):
+            points.append(np.size(detuning_laser))
+            return transfer_probabilities(omega_q, omega_0, detuning_rf,
+                                          detuning_laser, tau)
+
+        monkeypatch.setattr("trapquad.inference.transfer_probabilities",
+                            counted)
+        grid = default_detuning_grid(WQ, 51)
+        noise = NoiseModel(sigma_b=100e-9)
+        scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
+        assert scan.quadrature_nodes == _start_order(noise, TAU) == 257
+        # the start rule's 257 nodes, then the 256 the halving adds
+        assert points == [51 * 257, 51 * 256]
+
     def test_simulated_counts_need_a_converged_average(self):
-        # at 150 nT no order up to 640 holds to 1e-6; counts must not be
-        # drawn from an unconverged average
+        # 400 nT at a 29 ms probe needs more than 4097 nodes; counts must
+        # not be drawn from an unconverged average
         with pytest.raises(QuadratureConvergenceError):
-            simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
-                            TestFitSpectrum.DELTAS, TAU, 300,
-                            np.random.default_rng(0))
+            simulate_counts(reference_system(tau=TAU_LONG),
+                            NoiseModel(sigma_b=400e-9), TestFitSpectrum.DELTAS,
+                            TAU_LONG, 300, np.random.default_rng(0))
 
     @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
     def test_probe_time_must_be_positive(self, tau):
@@ -150,23 +204,41 @@ class TestNoiseAveragedSignal:
             noise_averaged_signal(sys, NoiseModel(sigma_b=18e-9),
                                   np.linspace(-WQ, WQ, 11), tau)
 
-    def test_hermite_rule_is_computed_once_and_read_only(self):
-        nodes, weights = _hermite_rule(40)
-        assert _hermite_rule(40)[0] is nodes
+    def test_uniform_rule_is_computed_once_and_read_only(self):
+        nodes, weights = _uniform_rule(129, False)
+        assert _uniform_rule(129, False)[0] is nodes
+        assert nodes[0] == -8.0 and nodes[-1] == 8.0
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+        new, new_weights = _uniform_rule(257, True)
+        assert np.allclose(new, nodes[:-1] + 0.0625, rtol=0, atol=1e-15)
+        assert math.fsum(weights) / 2 + math.fsum(new_weights) == pytest.approx(
+            math.fsum(_uniform_rule(257, False)[1]), abs=1e-15)
+        for array in (nodes, weights, new, new_weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("tau, sigma_b, nodes", [
+        (1.18e-3, 18e-9, 33), (5.9e-3, 18e-9, 129), (5.9e-3, 40e-9, 257),
+        (5.9e-3, 100e-9, 1025), (1.18e-3, 150e-9, 257), (1.18e-3, 400e-9, 513),
+    ])
+    def test_start_rule_is_the_coarsest_that_resolves(self, tau, sigma_b,
+                                                      nodes):
+        noise = NoiseModel(sigma_b=sigma_b)
+        assert _start_order(noise, tau) == nodes
+        width = math.pi / (noise.sensitivity_rf * sigma_b * tau)
+        step = 16.0 / (nodes - 1)
+        assert step <= min(0.5, width) and (nodes == 33 or 2 * step > width)
 
     def test_order_doubling_stable_up_to_50nt(self):
+        # up to 50 nT the start rule already holds to 1e-6 against the next
         grid = default_detuning_grid(WQ, 101)
         for sigma in (10e-9, 30e-9, 50e-9):
-            a = _averaged_transfer(
-                reference_system(), NoiseModel(sigma_b=sigma), grid, TAU, 128
-            )
-            b = _averaged_transfer(
-                reference_system(), NoiseModel(sigma_b=sigma), grid, TAU, 256
-            )
-            assert np.max(np.abs(a - b)) < 1e-4
+            noise = NoiseModel(sigma_b=sigma)
+            n = _start_order(noise, TAU)
+            a = _averaged_transfer(reference_system(), noise, grid, TAU, n)
+            b = _averaged_transfer(reference_system(), noise, grid, TAU,
+                                   2 * n - 1)
+            assert np.max(np.abs(a - b)) < 1e-6
 
 
 class TestFitSpectrum:
@@ -174,9 +246,9 @@ class TestFitSpectrum:
     CONFIG = FitConfig(tau=TAU)
 
     def test_noiseless_recovery_to_1e6(self):
-        exact = _averaged_transfer(
-            reference_system(), NoiseModel(sigma_b=18e-9), self.DELTAS, TAU, 40
-        )
+        exact = noise_averaged_signal(
+            reference_system(), NoiseModel(sigma_b=18e-9), self.DELTAS, TAU
+        ).transfer
         res = fit_spectrum(self.DELTAS, exact * 300, 300, self.CONFIG)
         assert abs(res.omega_q - WQ) / WQ < 1e-6
         assert abs(res.sigma_b - 18e-9) / 18e-9 < 1e-6
@@ -184,9 +256,9 @@ class TestFitSpectrum:
     def test_variance_scaling_doubles_errors(self):
         # quartering the shot count quadruples the binomial variance; with
         # exact model data the best fit is unchanged and errors double
-        exact = _averaged_transfer(
-            reference_system(), NoiseModel(sigma_b=18e-9), self.DELTAS, TAU, 40
-        )
+        exact = noise_averaged_signal(
+            reference_system(), NoiseModel(sigma_b=18e-9), self.DELTAS, TAU
+        ).transfer
         res_full = fit_spectrum(self.DELTAS, exact * 400, 400, self.CONFIG)
         res_quarter = fit_spectrum(self.DELTAS, exact * 100, 100, self.CONFIG)
         assert res_quarter.omega_q == pytest.approx(res_full.omega_q, rel=1e-6)
@@ -258,9 +330,9 @@ class TestFitSpectrum:
         assert res.chi2_reduced < 1.0
 
         def chi2(sigma_b):
-            p = _averaged_transfer(reference_system(res.omega_q),
-                                   NoiseModel(sigma_b=sigma_b), self.DELTAS,
-                                   TAU, res.quadrature_order)
+            p = noise_averaged_signal(reference_system(res.omega_q),
+                                      NoiseModel(sigma_b=sigma_b),
+                                      self.DELTAS, TAU).transfer
             f = counts / 300
             var = np.maximum(p * (1 - p), 1 / 1200) / 300
             return float(np.sum((f - p) ** 2 / var))
@@ -277,47 +349,83 @@ class TestFitSpectrum:
         assert res.nfev <= 60
         assert res.status in (1, 2, 3, 4)
         assert -1.0 < res.correlation < 1.0
-        assert res.quadrature_order == 40
+        assert res.quadrature_nodes == 33
         assert 0.0 <= res.quadrature_change <= 1e-6
         assert res.to_dict()["diagnostics"]["nfev"] == res.nfev
 
+    @staticmethod
+    def dense_chi2_reduced(res, counts) -> float:
+        p = dense_noise_average(reference_system(res.omega_q),
+                                NoiseModel(sigma_b=res.sigma_b),
+                                TestFitSpectrum.DELTAS, TAU)
+        var = np.maximum(p * (1 - p), 1 / 1200) / 300
+        return float(np.sum((counts / 300 - p) ** 2 / var)) / 38
+
+    @staticmethod
+    def least_squares_runs(monkeypatch) -> list:
+        import scipy.optimize
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["args"])
+            return least_squares(*args, **kwargs)
+
+        least_squares = scipy.optimize.least_squares
+        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        return runs
+
     def test_quadrature_order_escalates_at_50nt(self):
-        # order 40 misses the 50 nT average by ~1e-2; the fit must raise the
-        # order until the model holds still, so chi2_nu matches a
-        # recomputation at a much higher order
+        # the coarsest rule misses the 50 nT average; the fit must run on a
+        # finer one, so chi2_nu matches a recomputation on a dense grid
         sys = reference_system(TWO_PI * 1.70e3)
         rng = np.random.default_rng(50)
         counts = simulate_counts(sys, NoiseModel(sigma_b=50e-9), self.DELTAS,
                                  TAU, 300, rng)
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
-        assert res.quadrature_order > 40
+        assert res.quadrature_nodes > 33
         assert res.quadrature_change <= 1e-6
-        p = _averaged_transfer(reference_system(res.omega_q),
-                               NoiseModel(sigma_b=res.sigma_b), self.DELTAS,
-                               TAU, 512)
-        var = np.maximum(p * (1 - p), 1 / 1200) / 300
-        chi2_nu = float(np.sum((counts / 300 - p) ** 2 / var)) / 38
-        assert res.chi2_reduced == pytest.approx(chi2_nu, rel=1e-6)
+        assert res.chi2_reduced == pytest.approx(
+            self.dense_chi2_reduced(res, counts), rel=1e-6)
 
-    def test_fit_is_refined_once_at_the_needed_order(self):
-        # order 40 -> 160 at 50 nT: refitting after each doubling took 86
-        # model evaluations; one refit at the order found takes fewer
+    def test_50nt_fit_runs_least_squares_once(self, monkeypatch):
+        # Gauss-Hermite fitted at order 40, then refitted at 160: 74 model
+        # evaluations.  The seed's sigma_B sets the rule the fit runs on
+        runs = self.least_squares_runs(monkeypatch)
         rng = np.random.default_rng(50)
         counts = simulate_counts(reference_system(), NoiseModel(sigma_b=50e-9),
                                  self.DELTAS, TAU, 300, rng)
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
-        assert res.quadrature_order == 160
-        assert res.nfev < 86
+        assert len(runs) == 1
+        assert res.nfev < 74
 
-    def test_unconverged_quadrature_at_the_cap_is_a_failure(self):
-        # at 150 nT even order 640 moves the model by ~1e-4 from order 1280;
-        # simulate_counts refuses this average, so the counts come from 2560
+    def test_fit_is_refined_once_at_the_needed_order(self, monkeypatch):
+        # the seed scan stops at 60 nT, whose rule (129 nodes) misses the
+        # 150 nT optimum; the fit is refined once on the rule the check found
+        runs = self.least_squares_runs(monkeypatch)
         rng = np.random.default_rng(0)
-        counts = rng.binomial(300, _averaged_transfer(
-            reference_system(), NoiseModel(sigma_b=150e-9), self.DELTAS, TAU,
-            2560))
-        with pytest.raises(QuadratureConvergenceError):
-            fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
+                                 self.DELTAS, TAU, 300, rng)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert len(runs) == 2
+        assert res.quadrature_nodes == 257
+        assert res.quadrature_change <= 1e-6
+        assert res.chi2_reduced == pytest.approx(
+            self.dense_chi2_reduced(res, counts), rel=1e-6)
+
+    def test_unconverged_quadrature_at_the_cap_is_a_failure(self, monkeypatch):
+        # a 59 ms probe (Omega0 = 0.005 omega_q): the seed scan's sigma_B
+        # needs more than 4097 nodes, so the fit stops before least squares.
+        # simulate_counts refuses that average; the counts come from the
+        # 4001-point sum
+        runs = self.least_squares_runs(monkeypatch)
+        tau = math.pi / (0.005 * WQ)
+        rng = np.random.default_rng(2)
+        counts = rng.binomial(300, dense_noise_average(
+            reference_system(tau=tau), NoiseModel(sigma_b=40e-9), self.DELTAS,
+            tau))
+        with pytest.raises(QuadratureConvergenceError, match="4097 nodes"):
+            fit_spectrum(self.DELTAS, counts, 300, FitConfig(tau=tau))
+        assert runs == []
 
     def test_evaluation_limit_is_a_failure(self):
         rng = np.random.default_rng(0)

@@ -28,7 +28,6 @@ class TestBundledFiles:
         ba = load_species("ba138")
         assert ba.nuclear_spin == 0
         assert ba.level("D5/2").hyperfine_energies_hz is None
-        assert ba.defaults["g_d"] == pytest.approx(1.2)
 
 
 class TestParsing:
