@@ -49,7 +49,7 @@ config = FitConfig(tau=tau)
 
 fits = []
 print(f"\n{'run':>4} {'N':>4} {'omega_q/2pi (Hz)':>18} {'sigma (nT)':>12} "
-      f"{'chi2_nu':>8}")
+      f"{'chi2_nu':>8} {'nfev':>5} {'nodes':>6}")
 for run, (shots, seed) in enumerate([(200, 11), (300, 12), (500, 13)], 1):
     rng = np.random.default_rng(seed)
     counts = simulate_counts(sys_true, noise, deltas, tau, shots, rng)
@@ -58,7 +58,7 @@ for run, (shots, seed) in enumerate([(200, 11), (300, 12), (500, 13)], 1):
     print(f"{run:>4} {shots:>4} "
           f"{res.omega_q / TWO_PI:12.0f} ({res.omega_q_err / TWO_PI:.0f}) "
           f"{res.sigma_b * 1e9:8.1f} ({res.sigma_b_err * 1e9:.1f}) "
-          f"{res.chi2_reduced:8.2f}")
+          f"{res.chi2_reduced:8.2f} {res.nfev:5d} {res.quadrature_nodes:6d}")
 
 # slow drift of the mean field over a scan: bound 20 nT -> ~1.4% on omega_q
 drift_nt = 20.0

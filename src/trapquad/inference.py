@@ -12,10 +12,13 @@ halves until two sums agree to 1e-6 at every point, up to 4097 nodes.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
-variance, seeded by a separable grid scan.  Parameter errors come from
-(J^T J)^-1 at the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1;
-at the sigma_B >= 0 bound the sigma_B error is a one-sided upper limit
-instead.
+variance.  Its Jacobian is exact: the transfer's derivatives come from the
+eigh that gives the transfer (dynamics.transfer_probabilities), and the
+average's sigma_B derivative is a second weighted sum over the same nodes.
+The seed is the noiseless model on an omega_q grid, in one batched call,
+then a four-value sigma_B scan.  Parameter errors come from (J^T J)^-1 at
+the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1; at the
+sigma_B >= 0 bound the sigma_B error is a one-sided upper limit instead.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ TWO_PI = 2.0 * math.pi
 _FIRST_NODES = 33              # the coarsest rule, step 0.5
 _MAX_NODES = 4097
 _QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
-_SEED_SIGMA_B_NT = np.linspace(1e-9, 60e-9, 13) * 1e9   # fit seed scan, 1..60 nT
 
 
 @dataclass(frozen=True)
@@ -97,14 +99,22 @@ def _start_order(noise: NoiseModel, tau: float) -> int:
 
 def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
                        detunings: np.ndarray, tau: float, n: int,
-                       new_only: bool = False) -> np.ndarray:
+                       new_only: bool = False, derivatives: bool = False):
     """The average of the transfer probability over field noise on the
-    n-node rule; with new_only, the share of the nodes it adds."""
+    n-node rule; with new_only, the share of the nodes it adds.  With
+    derivatives, also the average's d/d omega_q and d/d sigma_B (per tesla)
+    as two columns: a node at b = sigma_B*x moves with sigma_B as
+    x*(-k_D d/dDelta - k_d d/ddelta)."""
     x, w = _uniform_rule(n, new_only)
     b = noise.sigma_b * x                        # field samples, tesla
     d_rf = sys.detuning_rf - noise.sensitivity_rf * b
     d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
-    return transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau) @ w
+    if not derivatives:
+        return transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau) @ w
+    p, (dp_wq, dp_rf, dp_l) = transfer_probabilities(
+        sys.omega_q, sys.omega_0, d_rf, d_l, tau, derivatives=True)
+    dp_sigma = -(noise.sensitivity_rf * dp_rf + noise.sensitivity_laser * dp_l)
+    return p @ w, np.stack([dp_wq @ w, dp_sigma @ (w * x)], axis=-1)
 
 
 def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
@@ -187,7 +197,8 @@ class FitResult:
     chi2_reduced: float
     n_points: int
     shots: int
-    nfev: int             # model evaluations, seed scan included
+    nfev: int             # transfer_probabilities calls, seed included; a
+                          # pass with derivatives counts once
     status: int           # least_squares termination status, 1..4
     correlation: float    # omega_q-sigma_B; 0 when sigma_B is held fixed
     quadrature_nodes: int
@@ -221,11 +232,14 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
 
     Needs at least 8 points.  scipy's least_squares (trust-region
     reflective, omega_q > 0, sigma_B >= 0) minimises the binomial-weighted
-    residuals from a separable seed scan on the 33-node rule: the omega_q
-    grid at the middle sigma_B, then the sigma_B grid at the best omega_q.
-    It runs on the coarsest rule that resolves the seed's sigma_B*tau; at
-    the optimum the rule is checked as in noise_averaged_signal, and the fit
-    is refined once on a finer rule when the check needs one.  Errors are the
+    residuals with their exact Jacobian; residuals and Jacobian at one x
+    come from one pass of transfer_probabilities with derivatives.  The
+    seed is the best of 61 omega_q values over 0.2..1.2 times the scan's
+    span for the noiseless model (one batched call), then the best sigma_B
+    of 5, 15, 30 and 60 nT at that omega_q on the 33-node rule.  The fit
+    runs on the coarsest rule that resolves the seed's sigma_B*tau; at the
+    optimum the rule is checked as in noise_averaged_signal, and the fit is
+    refined once on a finer rule when the check needs one.  Errors are the
     square roots of the diagonal of (J^T J)^-1, multiplied by sqrt(chi2_nu)
     when chi2_nu exceeds 1.
 
@@ -258,34 +272,53 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     omega_0 = config.rabi_frequency()
     nfev = 0
 
-    # x = (omega_q in rad/s, sigma_B in nT): least_squares' finite-difference
-    # step is relative to max(1, |x|), which sigma_B in tesla would swamp
-    def model(x, n: int, new_only: bool = False) -> np.ndarray:
+    # x = (omega_q in rad/s, sigma_B in nT): nT are the units of the seed
+    # values and of the upper limit's 1 nT bracket
+    def model(x, n: int, new_only: bool = False, derivatives: bool = False):
         nonlocal nfev
         nfev += 1
         sys = RwaSystem(x[0], omega_0, config.detuning_rf, 0.0)
         return _averaged_transfer(sys, replace(noise, sigma_b=x[1] * 1e-9),
-                                  detunings, config.tau, n, new_only)
+                                  detunings, config.tau, n, new_only, derivatives)
 
-    def residuals(x, n: int) -> np.ndarray:
-        p = model(x, n)
+    def weighted(p: np.ndarray) -> np.ndarray:
         return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
 
     def chi2(x, n: int) -> float:
-        return float(np.sum(residuals(x, n) ** 2))
+        return float(np.sum(weighted(model(x, n)) ** 2))
 
-    # the seed scan keeps the optimiser away from wrong peak assignments
+    # least_squares asks for the residuals, then the Jacobian, at one x:
+    # both come from one pass
+    @lru_cache(maxsize=1)
+    def residuals_and_jacobian(omega_q, sigma_b, n: int):
+        p, dp = model((omega_q, sigma_b), n, derivatives=True)
+        var = _binomial_variance(p, shots_arr)
+        # d var/dp is (1 - 2p)/N above the floor and 0 on it
+        slope = np.where(p * (1.0 - p) > 1.0 / (4.0 * shots_arr),
+                         (1.0 - 2.0 * p) / shots_arr, 0.0)
+        dr_dp = -(1.0 + 0.5 * (fractions - p) * slope / var) / np.sqrt(var)
+        return weighted(p), dr_dp[:, None] * dp * [1.0, 1e-9]
+
+    # the seed keeps the optimiser away from wrong peak assignments: the
+    # noiseless model on an omega_q grid, in one batched call, then sigma_B
+    # on the coarsest rule
     span = float(detunings.max() - detunings.min())
-    grid_w = np.linspace(0.2 * span, 1.2 * span, 13)
-    s_mid = _SEED_SIGMA_B_NT[len(_SEED_SIGMA_B_NT) // 2]
-    w_seed = min(grid_w, key=lambda w: chi2((w, s_mid), _FIRST_NODES))
-    s_seed = min(_SEED_SIGMA_B_NT, key=lambda s: chi2((w_seed, s), _FIRST_NODES))
+    omegas = np.linspace(0.2 * span, 1.2 * span, 61)[:, None]
+    nfev += 1
+    p_seed = transfer_probabilities(
+        omegas, omega_0, config.detuning_rf,
+        np.broadcast_to(detunings, (len(omegas), len(detunings))), config.tau)
+    w_seed = float(omegas[np.argmin(np.sum(weighted(p_seed) ** 2, axis=1)), 0])
+    s_seed = min((5.0, 15.0, 30.0, 60.0),
+                 key=lambda s: chi2((w_seed, s), _FIRST_NODES))
     x = np.array([w_seed, s_seed])
     n = _start_order(replace(noise, sigma_b=s_seed * 1e-9), config.tau)
 
     while True:
         fit = least_squares(
-            residuals, x, args=(n,), method="trf",
+            lambda x, n: residuals_and_jacobian(*x, n)[0], x,
+            jac=lambda x, n: residuals_and_jacobian(*x, n)[1],
+            args=(n,), method="trf",
             bounds=([0.0, 0.0], [np.inf, np.inf]), x_scale="jac",
             max_nfev=config.max_nfev,
         )

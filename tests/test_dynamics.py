@@ -9,6 +9,7 @@ from trapquad.dynamics import (
     IDX_DM32,
     IDX_S,
     RwaSystem,
+    SpectrumScan,
     build_rwa_hamiltonian,
     default_detuning_grid,
     dressed_splitting,
@@ -141,7 +142,7 @@ class TestScanSpectrum:
 
 class TestTransferProbabilities:
     def test_large_input_is_diagonalised_in_batches(self):
-        # 3 x 23000 pairs: two batches of at most 65536, stitched in order
+        # 3 x 23000 pairs: 135 batches of at most 512, stitched in order
         rng = np.random.default_rng(1)
         d_rf, d_l = rng.uniform(-2.0, 2.0, (2, 3, 23000)) * WQ
         whole = transfer_probabilities(WQ, 0.2 * WQ, d_rf, d_l, 1.2e-3)
@@ -149,6 +150,90 @@ class TestTransferProbabilities:
                 for r, l in zip(d_rf, d_l)]
         assert whole.shape == (3, 23000)
         assert np.array_equal(whole, np.array(rows))
+        # the same p with derivatives
+        p, dp = transfer_probabilities(WQ, 0.2 * WQ, d_rf, d_l, 1.2e-3,
+                                       derivatives=True)
+        assert np.array_equal(p, whole)
+        assert dp.shape == (3, 3, 23000)
+        _, row_dp = transfer_probabilities(WQ, 0.2 * WQ, d_rf[2], d_l[2],
+                                           1.2e-3, derivatives=True)
+        assert np.array_equal(dp[:, 2], row_dp)
+
+    def test_omega_q_broadcasts_with_the_detunings(self):
+        omegas = np.array([0.5, 1.0, 1.5])[:, None] * WQ
+        grid = np.linspace(-2.0, 2.0, 7) * WQ
+        batched = transfer_probabilities(omegas, 0.2 * WQ, 0.1 * WQ, grid, 1.2e-3)
+        assert batched.shape == (3, 7)
+        for row, wq in zip(batched, omegas[:, 0]):
+            assert np.array_equal(row, transfer_probabilities(
+                wq, 0.2 * WQ, 0.1 * WQ, grid, 1.2e-3))
+
+    @staticmethod
+    def central_differences(omega_q, d_rf, d_l, tau, step):
+        """Central differences of the transfer in omega_q, Delta and delta."""
+        def p(*shift):
+            return transfer_probabilities(omega_q + shift[0], 0.3 * WQ,
+                                          d_rf + shift[1], d_l + shift[2], tau)
+        return np.array([(p(*e) - p(*-e)) / (2 * step)
+                         for e in np.eye(3) * step])
+
+    def test_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(4)
+        d_rf, d_l = rng.uniform(-2.0, 2.0, (2, 200)) * WQ
+        tau = 1.2e-3
+        p, dp = transfer_probabilities(WQ, 0.3 * WQ, d_rf, d_l, tau,
+                                       derivatives=True)
+        assert np.array_equal(
+            p, transfer_probabilities(WQ, 0.3 * WQ, d_rf, d_l, tau))
+        fd = self.central_differences(WQ, d_rf, d_l, tau, 1e-5 * WQ)
+        for exact, central in zip(dp, fd):
+            assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(exact))
+
+    def test_derivatives_at_a_degenerate_point(self):
+        # omega_q = 0 and Delta = 0: |D,5/2> and |D,-3/2> share the
+        # eigenvalue 0 exactly, where the divided difference takes its limit
+        d_l = np.array([0.0, 0.2, -0.7, 1.3]) * WQ
+        d_rf = np.zeros_like(d_l)
+        tau = math.pi / (0.3 * WQ)
+        _, dp = transfer_probabilities(0.0, 0.3 * WQ, d_rf, d_l, tau,
+                                       derivatives=True)
+        assert np.all(np.isfinite(dp))
+        fd = self.central_differences(0.0, d_rf, d_l, tau, 1e-5 * WQ)
+        scale = np.max(np.abs(dp[2]))
+        assert scale > 0.0
+        assert np.max(np.abs(dp - fd)) <= 1e-6 * scale
+
+
+class TestFindSpectrumPeaks:
+    """The numpy search reproduces scipy.signal.find_peaks."""
+
+    @staticmethod
+    def scans():
+        grid = default_detuning_grid(WQ)
+        for omega_q, frac in ((WQ, 0.0), (WQ, 0.25), (WQ, 0.5), (0.0, 0.0)):
+            sys = RwaSystem(omega_q, 0.05 * WQ, frac * WQ, 0.0)
+            yield scan_spectrum(sys, grid, math.pi / sys.omega_0)
+
+    def test_agrees_with_scipy_on_the_test_spectra(self):
+        from scipy.signal import find_peaks
+
+        for scan in self.scans():
+            idx, _ = find_peaks(scan.transfer, height=0.15, prominence=0.05)
+            assert np.array_equal(find_spectrum_peaks(scan), scan.detunings[idx])
+
+    def test_agrees_with_scipy_on_plateaus_and_noise(self):
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            n = int(rng.integers(3, 40))
+            y = (rng.integers(0, 5, n) / 4.0 if trial % 2
+                 else rng.uniform(0.0, 1.0, n))
+            scan = SpectrumScan(np.arange(n, dtype=float), y, 1.0)
+            for height, prominence in ((0.15, 0.05), (0.0, 0.0), (0.5, 0.3)):
+                idx, _ = find_peaks(y, height=height, prominence=prominence)
+                assert np.array_equal(
+                    find_spectrum_peaks(scan, height, prominence), idx)
 
 
 class TestFloquetOracle:

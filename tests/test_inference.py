@@ -346,7 +346,7 @@ class TestFitSpectrum:
                                  self.DELTAS, TAU, 300, rng)
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
         assert not res.sigma_b_at_bound
-        assert res.nfev <= 60
+        assert res.nfev <= 15
         assert res.status in (1, 2, 3, 4)
         assert -1.0 < res.correlation < 1.0
         assert res.quadrature_nodes == 33
@@ -388,19 +388,88 @@ class TestFitSpectrum:
             self.dense_chi2_reduced(res, counts), rel=1e-6)
 
     def test_50nt_fit_runs_least_squares_once(self, monkeypatch):
-        # Gauss-Hermite fitted at order 40, then refitted at 160: 74 model
-        # evaluations.  The seed's sigma_B sets the rule the fit runs on
+        # the seed's sigma_B sets the rule the fit runs on; with the exact
+        # Jacobian and the batched seed the fit takes 15 model evaluations
         runs = self.least_squares_runs(monkeypatch)
         rng = np.random.default_rng(50)
         counts = simulate_counts(reference_system(), NoiseModel(sigma_b=50e-9),
                                  self.DELTAS, TAU, 300, rng)
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
         assert len(runs) == 1
-        assert res.nfev < 74
+        assert res.nfev <= 17
+
+    def test_18nt_fit_passes_at_most_20000_pairs(self, monkeypatch):
+        # the seed's 61 x 40 noiseless pairs and 4 x 33 x 40 on the coarsest
+        # rule, then a few residual-and-Jacobian passes and the check
+        points = []
+
+        def counted(*args, **kwargs):
+            points.append(np.size(args[3]))
+            return transfer_probabilities(*args, **kwargs)
+
+        monkeypatch.setattr("trapquad.inference.transfer_probabilities",
+                            counted)
+        rng = np.random.default_rng(0)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                 self.DELTAS, TAU, 300, rng)
+        points.clear()
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert len(points) == res.nfev
+        assert points[0] == 61 * 40
+        assert sum(points) <= 20000
+
+    class Captured(Exception):
+        pass
+
+    @classmethod
+    def residual_functions(cls, monkeypatch, sigma_b):
+        """The residual and Jacobian functions that fit_spectrum hands to
+        least_squares, for counts drawn at sigma_b, and their args."""
+        import scipy.optimize
+        got = {}
+
+        def capture(fun, x0, jac, args, **kwargs):
+            got.update(fun=fun, jac=jac, args=args)
+            raise cls.Captured
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+        rng = np.random.default_rng(0)
+        counts = simulate_counts(reference_system(),
+                                 NoiseModel(sigma_b=sigma_b), cls.DELTAS, TAU,
+                                 300, rng)
+        with pytest.raises(cls.Captured):
+            fit_spectrum(cls.DELTAS, counts, 300, cls.CONFIG)
+        return got["fun"], got["jac"], got["args"]
+
+    @pytest.mark.parametrize("sigma_b", [18e-9, 50e-9, 150e-9])
+    def test_jacobian_matches_central_differences(self, monkeypatch, sigma_b):
+        fun, jac, args = self.residual_functions(monkeypatch, sigma_b)
+        x = np.array([WQ, sigma_b * 1e9])        # (rad/s, nT)
+        exact = jac(x, *args)
+        for col in (0, 1):
+            step = np.zeros(2)
+            step[col] = 1e-5 * x[col]
+            central = (fun(x + step, *args) - fun(x - step, *args)) / (2 * step[col])
+            assert np.max(np.abs(central - exact[:, col])) <= (
+                1e-6 * np.max(np.abs(exact[:, col])))
+        # residuals and Jacobian at one x come from one pass
+        assert np.array_equal(jac(x, *args), exact)
+
+    def test_jacobian_at_zero_sigma_b(self, monkeypatch):
+        fun, jac, args = self.residual_functions(monkeypatch, 0.0)
+        x = np.array([WQ, 0.0])
+        exact = jac(x, *args)
+        step = np.array([1e-5 * WQ, 0.0])
+        central = (fun(x + step, *args) - fun(x - step, *args)) / (2 * step[0])
+        assert np.max(np.abs(central - exact[:, 0])) <= (
+            1e-6 * np.max(np.abs(exact[:, 0])))
+        # the average is even in sigma_B, so its central difference is zero
+        assert np.max(np.abs(exact[:, 1])) <= 1e-12
 
     def test_fit_is_refined_once_at_the_needed_order(self, monkeypatch):
-        # the seed scan stops at 60 nT, whose rule (129 nodes) misses the
-        # 150 nT optimum; the fit is refined once on the rule the check found
+        # the seed's sigma_B scan stops at 60 nT, whose rule (129 nodes)
+        # misses the 150 nT optimum; the fit is refined once on the rule the
+        # check found
         runs = self.least_squares_runs(monkeypatch)
         rng = np.random.default_rng(0)
         counts = simulate_counts(reference_system(), NoiseModel(sigma_b=150e-9),
@@ -413,12 +482,13 @@ class TestFitSpectrum:
             self.dense_chi2_reduced(res, counts), rel=1e-6)
 
     def test_unconverged_quadrature_at_the_cap_is_a_failure(self, monkeypatch):
-        # a 59 ms probe (Omega0 = 0.005 omega_q): the seed scan's sigma_B
-        # needs more than 4097 nodes, so the fit stops before least squares.
+        # a 0.59 s probe (Omega0 = 0.0005 omega_q): even the seed scan's
+        # smallest sigma_B, 5 nT, needs more than 4097 nodes, so the fit
+        # stops before least squares whichever sigma_B the scan picks.
         # simulate_counts refuses that average; the counts come from the
         # 4001-point sum
         runs = self.least_squares_runs(monkeypatch)
-        tau = math.pi / (0.005 * WQ)
+        tau = math.pi / (0.0005 * WQ)
         rng = np.random.default_rng(2)
         counts = rng.binomial(300, dense_noise_average(
             reference_system(tau=tau), NoiseModel(sigma_b=40e-9), self.DELTAS,
