@@ -21,7 +21,7 @@ from .dynamics import (
     RwaSystem,
     SpectrumScan,
     build_rwa_hamiltonian,
-    floquet_oracle,
+    floquet_oracle_from_rwa,
     propagate,
     scan_spectrum,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "HyperfineState", "LevelSpec", "QuadCouplingMatrix", "c2_coefficient",
     "gradient_components", "hq_matrix", "theta_matrix_element",
     "RWA_BASIS", "RwaSystem", "SpectrumScan", "build_rwa_hamiltonian",
-    "floquet_oracle", "propagate", "scan_spectrum",
+    "floquet_oracle_from_rwa", "propagate", "scan_spectrum",
     "ClockTransition", "ShiftDecomposition", "ZeemanConfig", "clock_shift",
     "hyperfine_average", "offresonant_zeeman_shift", "orientation_f1",
     "orientation_f2", "resonant_coupling", "shift_decomposition", "sideband_index",

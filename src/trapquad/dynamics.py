@@ -13,8 +13,9 @@ Hamiltonian (rad/s, basis |D,5/2>, |D,1/2>, |D,-3/2>, |S,1/2>):
 with wq = eps*Theta/hbar, Delta = Omega_rf - 2*omega_z the rf detuning from
 twice the Zeeman splitting, and delta the laser detuning from the
 Zeeman-shifted carrier.  The rotating-wave off-diagonals are HALF the
-cos(Omega_rf t) amplitudes of the coupling module; `floquet_oracle` validates
-that bookkeeping by integrating the explicitly time-dependent problem.
+cos(Omega_rf t) amplitudes of the coupling module; `floquet_oracle_from_rwa`
+checks that bookkeeping against the explicitly time-dependent problem, one
+rf period at a time.
 
 Note the |D,5/2> state carries the weaker coupling wq/sqrt(10): from m=1/2
 the downward rank-2 ladder element to m=-3/2 is the stronger one, as direct
@@ -53,24 +54,33 @@ class RwaSystem:
             raise InvalidInputError("couplings and detunings must be finite")
 
 
+def _rwa_hamiltonians(omega_q: np.ndarray, omega_0: float,
+                      detuning_rf: np.ndarray,
+                      detuning_laser: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) rotating-frame Hamiltonians (rad/s) of n parameter sets."""
+    h = np.zeros((len(detuning_rf), 4, 4))
+    h[:, 0, 0] = -detuning_rf
+    h[:, 2, 2] = detuning_rf
+    h[:, 3, 3] = detuning_laser
+    h[:, 0, 1] = h[:, 1, 0] = omega_q * _A_COEFF
+    h[:, 1, 2] = h[:, 2, 1] = omega_q * _B_COEFF
+    h[:, 1, 3] = h[:, 3, 1] = 0.5 * omega_0
+    return h
+
+
 def build_rwa_hamiltonian(sys: RwaSystem) -> np.ndarray:
     """4x4 rotating-frame Hamiltonian (rad/s) in the RWA_BASIS order."""
-    a = sys.omega_q * _A_COEFF
-    b = sys.omega_q * _B_COEFF
-    half_rabi = 0.5 * sys.omega_0
-    return np.array([
-        [-sys.detuning_rf, a, 0.0, 0.0],
-        [a, 0.0, b, half_rabi],
-        [0.0, b, sys.detuning_rf, 0.0],
-        [0.0, half_rabi, 0.0, sys.detuning_laser],
-    ])
+    return _rwa_hamiltonians(np.array([sys.omega_q]), sys.omega_0,
+                             np.array([sys.detuning_rf]),
+                             np.array([sys.detuning_laser]))[0]
 
 
 def propagate(hamiltonian: np.ndarray, tau: float,
               initial: int = IDX_S) -> np.ndarray:
     """Populations |<k|exp(-iH tau)|initial>|^2 via eigendecomposition."""
-    if tau < 0:
-        raise InvalidInputError("propagation time must be non-negative")
+    if not 0.0 <= tau < math.inf:
+        raise InvalidInputError(
+            f"propagation time must be non-negative and finite, not {tau!r}")
     evals, evecs = np.linalg.eigh(hamiltonian)
     phases = np.exp(-1j * evals * tau)
     amps = evecs @ (phases * evecs[initial, :].conj())
@@ -118,14 +128,8 @@ def transfer_probabilities(omega_q: float | np.ndarray, omega_0: float,
     grad = np.empty((3, flat_rf.size)) if derivatives else None
     for lo in range(0, flat_rf.size, _BATCH):
         part = slice(lo, lo + _BATCH)
-        rf, wq = flat_rf[part], flat_wq[part]
-        h = np.zeros((len(rf), 4, 4))
-        h[:, 0, 0] = -rf
-        h[:, 2, 2] = rf
-        h[:, 3, 3] = flat_l[part]
-        h[:, 0, 1] = h[:, 1, 0] = wq * _A_COEFF
-        h[:, 1, 2] = h[:, 2, 1] = wq * _B_COEFF
-        h[:, 1, 3] = h[:, 3, 1] = 0.5 * omega_0
+        h = _rwa_hamiltonians(flat_wq[part], omega_0, flat_rf[part],
+                              flat_l[part])
         evals, evecs = np.linalg.eigh(h)
         # y_k = v_Sk exp(-i lambda_k tau/2), so that a = sum_k y_k^2
         y = evecs[:, IDX_S, :] * np.exp(-0.5j * tau * evals)
@@ -226,98 +230,59 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def floquet_oracle(omega_rf: float, omega_z: float,
-                   coupling_d52: float, coupling_dm32: float,
-                   omega_0: float, detuning_laser: float, tau: float,
-                   initial: int = IDX_S, rtol: float = 1e-10,
-                   atol: float = 1e-12) -> np.ndarray:
-    """Populations from the explicitly time-dependent Schroedinger equation.
+def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float,
+                            tau: float) -> np.ndarray:
+    """Populations after tau from |S,1/2> under the explicit cos(Omega_rf t)
+    quadrupole drive, only the laser in the rotating-wave approximation.
 
-    The quadrupole drive enters as its full cos(Omega_rf t) amplitude
-    (`coupling_d52` and `coupling_dm32` are the rad/s cos-amplitudes of the
-    |D,1/2>:|D,5/2> and |D,1/2>:|D,-3/2> elements); only the laser is treated
-    in the rotating wave approximation.  Zeeman phases are removed exactly, so
-    the integration step is set by Omega_rf, not by optical frequencies.
-    Coupling phases are immaterial to populations and magnitudes are used.
+    In the frame that rotates with Delta on the D states and delta on S, the
+    couplings are written from the full cos amplitudes q = 2*wq*(A, B), not
+    from build_rwa_hamiltonian: (q/2)(1 + exp(2i Omega_rf t)) above the
+    diagonal, so the check catches a wrong factor 1/2 in the rotating-wave
+    couplings.  H is then periodic in T = pi/Omega_rf, and with tau = N T + r,
+    U(tau) = U(r) U(T)^N (Shirley, Phys. Rev. 138, B979 (1965)): the 4x4
+    propagator is integrated over one period and over the remainder.
     """
-    if omega_rf <= 0:
-        raise InvalidInputError("omega_rf must be positive")
-    strongest = max(abs(coupling_d52), abs(coupling_dm32), abs(omega_0))
+    check_probe_time(tau)
+    if not 0.0 < omega_rf < math.inf:
+        raise InvalidInputError("omega_rf must be positive and finite")
+    q_a, q_b = 2.0 * sys.omega_q * _A_COEFF, 2.0 * sys.omega_q * _B_COEFF
+    strongest = max(abs(q_a), abs(q_b), abs(sys.omega_0))
     if strongest == 0.0:
         raise InvalidInputError("all couplings vanish")
-    if omega_rf / strongest < 100.0:
+    if omega_rf < 100.0 * strongest:
         raise InvalidInputError(
-            "floquet oracle requires Omega_rf at least 100x the couplings"
-        )
+            "floquet oracle requires Omega_rf at least 100x the couplings")
+    upper = np.zeros((4, 4), dtype=complex)
+    upper[IDX_D52, IDX_D12], upper[IDX_D12, IDX_DM32] = 0.5 * q_a, 0.5 * q_b
+    static = np.diag([-sys.detuning_rf, 0.0, sys.detuning_rf,
+                      sys.detuning_laser]) + upper + upper.T
+    static[IDX_D12, IDX_S] = static[IDX_S, IDX_D12] = 0.5 * sys.omega_0
 
-    y0 = np.zeros(4, dtype=complex)
-    y0[initial] = 1.0
-    yf = integrate_floquet_state(
-        omega_rf, omega_z, coupling_d52, coupling_dm32, omega_0,
-        detuning_laser, y0, 0.0, tau, rtol=rtol, atol=atol,
-    )
-    return np.abs(yf) ** 2
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        drive = upper * complex(math.cos(2.0 * omega_rf * t),
+                                math.sin(2.0 * omega_rf * t))
+        h = static + drive + drive.conj().T
+        return -1j * (h @ u.reshape(4, 4)).ravel()
 
+    def propagator(t: float) -> np.ndarray:
+        sol = solve_ivp(rhs, (0.0, t), np.eye(4, dtype=complex).ravel(),
+                        method="DOP853", rtol=1e-12, atol=1e-13)
+        if not sol.success:
+            raise IntegrationError(
+                f"time-dependent integration failed: {sol.message}")
+        return sol.y[:, -1].reshape(4, 4)
 
-def integrate_floquet_state(omega_rf: float, omega_z: float,
-                            coupling_d52: float, coupling_dm32: float,
-                            omega_0: float, detuning_laser: float,
-                            state: np.ndarray, t0: float, t1: float,
-                            rtol: float = 1e-10,
-                            atol: float = 1e-12) -> np.ndarray:
-    """Amplitude-level integration of the explicit cos-driven problem."""
-    qa = abs(coupling_d52)
-    qb = abs(coupling_dm32)
-    half_rabi = 0.5 * omega_0
-    two_wz = 2.0 * omega_z
-    delta = detuning_laser
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        osc = math.cos(omega_rf * t) * complex(math.cos(two_wz * t),
-                                               math.sin(two_wz * t))
-        qa_t = qa * osc
-        qb_t = qb * osc
-        laser = half_rabi * complex(math.cos(delta * t), -math.sin(delta * t))
-        y0, y1, y2, y3 = y
-        return np.array([
-            -1j * qa_t * y1,
-            -1j * (qa_t.conjugate() * y0 + qb_t * y2 + laser * y3),
-            -1j * qb_t.conjugate() * y1,
-            -1j * laser.conjugate() * y1,
-        ])
-
-    sol = solve_ivp(
-        rhs, (t0, t1), np.asarray(state, dtype=complex), method="DOP853",
-        rtol=rtol, atol=atol, max_step=2.0 * math.pi / omega_rf / 3.0,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationError(f"time-dependent integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    drift = abs(float(np.sum(np.abs(yf) ** 2)) - 1.0)
+    period = math.pi / omega_rf
+    n_periods = math.floor(tau / period)
+    rest = tau - n_periods * period   # below 0 only by rounding: dropped
+    u = np.eye(4, dtype=complex)
+    if n_periods:
+        u = np.linalg.matrix_power(propagator(period), n_periods)
+    if rest > 0.0:
+        u = propagator(rest) @ u
+    pops = np.abs(u[:, IDX_S]) ** 2
+    drift = abs(float(np.sum(pops)) - 1.0)
     if drift > 1e-9:
-        raise IntegrationError(
-            f"unitarity drift {drift:.2e} exceeds 1e-9; tighten tolerances"
-        )
-    return yf
-
-
-def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float, tau: float,
-                            initial: int = IDX_S, **kwargs) -> np.ndarray:
-    """Run the oracle at the physical parameters matching an RwaSystem.
-
-    Maps Delta = Omega_rf - 2*omega_z and doubles the rotating-frame
-    couplings back to cos amplitudes.
-    """
-    omega_z = 0.5 * (omega_rf - sys.detuning_rf)
-    return floquet_oracle(
-        omega_rf=omega_rf,
-        omega_z=omega_z,
-        coupling_d52=2.0 * sys.omega_q * _A_COEFF,
-        coupling_dm32=2.0 * sys.omega_q * _B_COEFF,
-        omega_0=sys.omega_0,
-        detuning_laser=sys.detuning_laser,
-        tau=tau,
-        initial=initial,
-        **kwargs,
-    )
+        raise IntegrationError(f"unitarity drift {drift:.2e} exceeds 1e-9")
+    return pops

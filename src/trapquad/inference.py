@@ -262,6 +262,8 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("detunings, counts and shots must be finite")
     if np.any(shots_arr < 1):
         raise InvalidInputError("each point needs at least one shot")
+    if np.any(counts < 0) or np.any(counts > shots_arr):
+        raise InvalidInputError("counts must lie between 0 and shots")
     noise = NoiseModel(0.0, config.g_d, config.g_s,
                        config.include_laser_sensitivity)
     from scipy.optimize import least_squares  # scipy is imported on first use

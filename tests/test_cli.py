@@ -346,6 +346,16 @@ class TestFitAndExtract:
                                               tau):
         assert main(["fit", "--data", synthetic_csv, f"--tau={tau}"]) == 2
 
+    @pytest.mark.parametrize("row", ["100.0,450,300", "100.0,-20,300"])
+    def test_counts_outside_zero_to_shots_are_config_error(self, tmp_path,
+                                                           synthetic_csv, row):
+        # exited 0 with a fit
+        lines = Path(synthetic_csv).read_text().splitlines()
+        lines[6] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
+
     def test_non_finite_g_factor_is_config_error(self, synthetic_csv):
         # reached eigh and exited 3
         assert main(["fit", "--data", synthetic_csv, "--tau", "1.2e-3",

@@ -1,8 +1,10 @@
 import math
 
+import direct_drive
 import numpy as np
 import pytest
 
+import trapquad.dynamics as dynamics
 from trapquad.dynamics import (
     IDX_D12,
     IDX_D52,
@@ -14,14 +16,12 @@ from trapquad.dynamics import (
     default_detuning_grid,
     dressed_splitting,
     find_spectrum_peaks,
-    floquet_oracle,
     floquet_oracle_from_rwa,
-    integrate_floquet_state,
     propagate,
     scan_spectrum,
     transfer_probabilities,
 )
-from trapquad.errors import InvalidInputError
+from trapquad.errors import IntegrationError, InvalidInputError
 
 TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
@@ -93,6 +93,12 @@ class TestPropagate:
         h = build_rwa_hamiltonian(RwaSystem(WQ, 0.1 * WQ, 0.0, 0.0))
         with pytest.raises(InvalidInputError):
             propagate(h, -1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, tau):
+        h = build_rwa_hamiltonian(RwaSystem(WQ, 0.1 * WQ, 0.0, 0.0))
+        with pytest.raises(InvalidInputError):
+            propagate(h, tau)
 
 
 class TestScanSpectrum:
@@ -239,25 +245,59 @@ class TestFindSpectrumPeaks:
 class TestFloquetOracle:
     OMEGA_RF = TWO_PI * 3e6
     WQ_TEST = TWO_PI * 20e3  # drive/coupling ratio 150
+    PERIOD = math.pi / OMEGA_RF
+
+    @pytest.fixture
+    def solve_ivp_calls(self, monkeypatch):
+        """The (t0, t1) spans of the oracle's integrations."""
+        spans = []
+        solve = dynamics.solve_ivp
+
+        def counted(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        return spans
 
     def test_agrees_with_rwa_across_detuning_grid(self):
-        # 3x3 grid over (Omega_0, Delta); tolerance 1e-2 absolute
-        for omega_frac in (0.2, 0.35, 0.5):
-            for delta_frac in (0.0, 0.25, 0.5):
-                sys = RwaSystem(self.WQ_TEST, omega_frac * self.WQ_TEST,
-                                delta_frac * self.WQ_TEST, 0.3 * self.WQ_TEST)
-                tau = math.pi / sys.omega_0
-                p_rwa = propagate(build_rwa_hamiltonian(sys), tau)
-                p_orc = floquet_oracle_from_rwa(sys, self.OMEGA_RF, tau)
-                assert np.max(np.abs(p_rwa - p_orc)) < 1e-2
+        # 3x3 grid over (Omega_0, Delta): the gap closes as wq/Omega_rf
+        for ratio in (150, 1500, 12000):
+            omega_rf = ratio * self.WQ_TEST
+            for omega_frac in (0.2, 0.35, 0.5):
+                for delta_frac in (0.0, 0.25, 0.5):
+                    sys = RwaSystem(self.WQ_TEST, omega_frac * self.WQ_TEST,
+                                    delta_frac * self.WQ_TEST,
+                                    0.3 * self.WQ_TEST)
+                    tau = math.pi / sys.omega_0
+                    p_rwa = propagate(build_rwa_hamiltonian(sys), tau)
+                    p_orc = floquet_oracle_from_rwa(sys, omega_rf, tau)
+                    assert np.max(np.abs(p_rwa - p_orc)) * ratio < 0.5
+
+    @pytest.mark.parametrize("periods, fracs, spans", [
+        # one period, then the remainder
+        (300.37, (0.4, 0.2, 0.3), [1.0, 0.37]),
+        (300.37, (0.3, 0.25, 0.1), [1.0, 0.37]),
+        (300.37, (0.5, 0.0, -0.2), [1.0, 0.37]),
+        (0.6, (0.4, 0.2, 0.0), [0.6]),     # shorter than one period
+        (200, (0.4, 0.2, 0.0), [1.0]),     # no remainder
+    ])
+    def test_agrees_with_direct_integration(self, periods, fracs, spans,
+                                            solve_ivp_calls):
+        sys = RwaSystem(self.WQ_TEST, *(f * self.WQ_TEST for f in fracs))
+        tau = periods * self.PERIOD
+        p_orc = floquet_oracle_from_rwa(sys, self.OMEGA_RF, tau)
+        p_ref = direct_drive.populations(sys, self.OMEGA_RF, tau)
+        assert np.max(np.abs(p_orc - p_ref)) <= 1e-9
+        assert solve_ivp_calls == [(0.0, pytest.approx(f * self.PERIOD))
+                                   for f in spans]
 
     def test_reduces_to_rabi_without_quadrupole(self):
         omega_0 = 0.3 * self.WQ_TEST
         delta = 0.2 * self.WQ_TEST
         tau = math.pi / omega_0
-        pops = floquet_oracle(
-            self.OMEGA_RF, 0.5 * self.OMEGA_RF, 0.0, 0.0, omega_0, delta, tau
-        )
+        pops = floquet_oracle_from_rwa(RwaSystem(0.0, omega_0, 0.0, delta),
+                                       self.OMEGA_RF, tau)
         eff = math.hypot(omega_0, delta)
         p_transfer = (omega_0 / eff) ** 2 * math.sin(eff * tau / 2) ** 2
         assert pops[IDX_D12] == pytest.approx(p_transfer, abs=1e-8)
@@ -265,16 +305,57 @@ class TestFloquetOracle:
 
     def test_time_reversal(self):
         sys = RwaSystem(self.WQ_TEST, 0.4 * self.WQ_TEST, 0.2 * self.WQ_TEST, 0.0)
-        omega_z = 0.5 * (self.OMEGA_RF - sys.detuning_rf)
-        args = (self.OMEGA_RF, omega_z, 2 * sys.omega_q / math.sqrt(10),
-                6 * sys.omega_q / (5 * math.sqrt(2)), sys.omega_0, 0.0)
         y0 = np.zeros(4, dtype=complex)
         y0[IDX_S] = 1.0
         tau = math.pi / sys.omega_0
-        mid = integrate_floquet_state(*args, y0, 0.0, tau)
-        back = integrate_floquet_state(*args, mid, tau, 0.0)
+        mid = direct_drive.integrate_state(sys, self.OMEGA_RF, y0, 0.0, tau)
+        back = direct_drive.integrate_state(sys, self.OMEGA_RF, mid, tau, 0.0)
         assert np.max(np.abs(back - y0)) < 1e-8
+        p_orc = floquet_oracle_from_rwa(sys, self.OMEGA_RF, tau)
+        assert np.max(np.abs(p_orc - np.abs(mid) ** 2)) <= 1e-9
 
     def test_enforces_drive_ratio(self):
+        # the |D,1/2>:|D,-3/2> cos amplitude 6 wq/(5 sqrt 2) sets the ratio
+        wq = 1e5 / 100.0 / (6.0 / (5.0 * math.sqrt(2.0)))
+        for factor, omega_0 in ((1.001, 0.0), (1.0, 2e3)):
+            with pytest.raises(InvalidInputError):
+                floquet_oracle_from_rwa(RwaSystem(factor * wq, omega_0), 1e5, 1e-4)
         with pytest.raises(InvalidInputError):
-            floquet_oracle(1e5, 5e4, 5e3, 5e3, 1e3, 0.0, 1e-4)
+            floquet_oracle_from_rwa(RwaSystem(0.0, 0.0), 1e5, 1e-4)
+        assert floquet_oracle_from_rwa(RwaSystem(wq, 0.0), 1e5, 1e-4)[IDX_S] == 1.0
+
+    @pytest.mark.parametrize("omega_rf", [0.0, -1e7, math.nan, math.inf])
+    def test_rejects_bad_drive_frequency(self, omega_rf):
+        with pytest.raises(InvalidInputError):
+            floquet_oracle_from_rwa(RwaSystem(1e3, 1e3), omega_rf, 1e-4)
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-4, math.nan, math.inf])
+    def test_rejects_bad_probe_time(self, tau):
+        with pytest.raises(InvalidInputError):
+            floquet_oracle_from_rwa(RwaSystem(1e3, 1e3), self.OMEGA_RF, tau)
+
+    def test_non_unitary_propagation_is_a_failure(self, monkeypatch):
+        solve = dynamics.solve_ivp
+
+        def leaky(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.y = sol.y * (1.0 + 1e-8)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", leaky)
+        sys = RwaSystem(self.WQ_TEST, 0.4 * self.WQ_TEST, 0.2 * self.WQ_TEST, 0.0)
+        with pytest.raises(IntegrationError, match="unitarity"):
+            floquet_oracle_from_rwa(sys, self.OMEGA_RF, 10.5 * self.PERIOD)
+
+    def test_failed_integration_is_a_failure(self, monkeypatch):
+        solve = dynamics.solve_ivp
+
+        def failing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.success, sol.message = False, "step size too small"
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", failing)
+        sys = RwaSystem(self.WQ_TEST, 0.4 * self.WQ_TEST, 0.2 * self.WQ_TEST, 0.0)
+        with pytest.raises(IntegrationError, match="step size too small"):
+            floquet_oracle_from_rwa(sys, self.OMEGA_RF, 10.5 * self.PERIOD)

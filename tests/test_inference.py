@@ -521,6 +521,23 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, np.where(self.DELTAS > 0, np.nan, 0.0),
                          300, self.CONFIG)
 
+    def test_counts_outside_zero_to_shots_are_rejected(self):
+        # 450/300 and -20/300 "fitted" at 1.30 omega_q with chi2_nu = 166
+        rng = np.random.default_rng(0)
+        good = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                               self.DELTAS, TAU, 300, rng)
+        for bad in ({5: 450, 7: -20}, {5: 301}, {7: -1}):
+            counts = good.copy()
+            for i, c in bad.items():
+                counts[i] = c
+            with pytest.raises(InvalidInputError, match="between 0 and shots"):
+                fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        shots = np.full(40, 300)
+        shots[5] = 450
+        counts = good.copy()
+        counts[5], counts[7] = 450, 0
+        fit_spectrum(self.DELTAS, counts, shots, self.CONFIG)   # the bounds
+
 
 class TestExtractTheta:
     BA_TRAP = TrapConfig.ideal_linear(
