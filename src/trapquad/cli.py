@@ -7,10 +7,10 @@ Subcommands:
   fit               chi^2 fit of (omega_q, sigma_B) to a measured-counts CSV
   extract-theta     quadrupole moment from a fitted coupling and trap config
 
-Configuration is JSON with an explicit schema_version; angles are degrees at
-this boundary and radians internally.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.  All outputs are deterministic for a fixed
-config and seed.
+Every JSON input is checked against its bundled schema; angles are degrees
+at this boundary and radians internally.  CSV and JSON render one table of
+rows.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+All outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ import numpy as np
 from .angular import EulerAngles
 from .coupling import hq_matrix
 from .dynamics import RwaSystem, default_detuning_grid, scan_spectrum
-from .effects import orientation_f1, orientation_f2, shift_decomposition
+from .effects import shift_decomposition
 from .errors import (
     FitError,
     IntegrationError,
     InvalidInputError,
     QuadratureConvergenceError,
     ResonanceError,
-    bundled_schema,
-    reject_unknown_keys,
+    check_document,
+    read_json,
 )
 from .inference import (
     FitConfig,
@@ -47,7 +47,6 @@ from .inference import (
 from .species import load_species, parse_half_int
 from .trap import CODATA2018, TrapConfig, secular_consistency
 
-CONFIG_SCHEMA_VERSION = 1
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 TWO_PI = 2.0 * math.pi
 
@@ -61,110 +60,69 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _number(block: dict, key: str, where: str,
-            default: float | None = None) -> float:
-    """block[key] as a float; only a missing key with a default may be absent,
-    and anything but a finite JSON number is a configuration error."""
-    if key not in block:
-        if default is None:
-            raise InvalidInputError(f"{where} needs {key}")
-        return default
-    value = block[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise InvalidInputError(f"{key} in {where} must be a finite number, "
-                                f"not {value!r}")
-    return float(value)
-
-
 def load_run_config(path: str | Path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InvalidInputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InvalidInputError("config file must hold a JSON object")
-    if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise InvalidInputError(
-            f"unsupported config schema_version {raw.get('schema_version')!r}"
-        )
-    reject_unknown_keys(raw, bundled_schema("run_config"), "config")
-    return raw
+    """The run config at `path`, checked against schemas/run_config.schema.json."""
+    return check_document(read_json(Path(path), "config file"), "run_config", "config")
 
 
 def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
-    """Build a TrapConfig from the config file's trap block.
+    """Build a TrapConfig from a run config's trap block.
 
-    Exactly one of the secular-frequency description and explicit (A, eps)
-    must be present.  Frequencies are Hz, fields V/m^2, angles degrees.
-    A key that schemas/run_config.schema.json does not list is an error.
+    The config must satisfy schemas/run_config.schema.json.  Exactly one of
+    secular_hz, omega_s_hz and explicit (A, eps) must be present.
+    Frequencies are Hz, fields V/m^2, angles degrees.
     """
-    block = config.get("trap")
-    if not isinstance(block, dict):
-        raise InvalidInputError("config has no 'trap' block")
-    trap_schema = bundled_schema("run_config")["properties"]["trap"]
-    reject_unknown_keys(block, trap_schema, "trap block")
-    omega_rf = TWO_PI * _number(block, "omega_rf_hz", "trap block")
+    block = check_document(config, "run_config", "config")["trap"]
+    omega_rf = TWO_PI * block["omega_rf_hz"]
     if mass_kg is None:
-        mass_kg = (_number(block, "mass_u", "trap block (no species given)")
-                   * CODATA2018.atomic_mass)
+        if "mass_u" not in block:
+            raise InvalidInputError("trap block needs mass_u when no species is given")
+        mass_kg = block["mass_u"] * CODATA2018.atomic_mass
 
-    orientation = EulerAngles(
-        math.radians(_number(block, "alpha_deg", "trap block", 0.0)),
-        math.radians(_number(block, "beta_deg", "trap block", 0.0)),
-    )
+    orientation = EulerAngles(math.radians(block.get("alpha_deg", 0.0)),
+                              math.radians(block.get("beta_deg", 0.0)))
 
-    has_secular = ("secular_hz" in block) or ("omega_s_hz" in block)
     has_fields = ("A_v_m2" in block) or ("epsilon_v_m2" in block)
-    if has_secular == has_fields:
-        raise InvalidInputError(
-            "trap block needs exactly one of {secular frequencies, explicit "
-            "A/epsilon}"
-        )
+    if ("secular_hz" in block) + ("omega_s_hz" in block) + has_fields != 1:
+        raise InvalidInputError("trap block needs exactly one of secular_hz, "
+                                "omega_s_hz and explicit A/epsilon")
 
     if has_fields:
         return TrapConfig(
-            omega_rf=omega_rf, mass=mass_kg,
-            A=_number(block, "A_v_m2", "trap block", 0.0),
-            epsilon=_number(block, "epsilon_v_m2", "trap block", 0.0),
-            orientation=orientation,
+            omega_rf=omega_rf, mass=mass_kg, A=block.get("A_v_m2", 0.0),
+            epsilon=block.get("epsilon_v_m2", 0.0), orientation=orientation,
         )
 
     if "secular_hz" in block:
-        sec = block["secular_hz"]
-        if not isinstance(sec, dict):
-            raise InvalidInputError("secular_hz must be an object")
-        reject_unknown_keys(sec, trap_schema["properties"]["secular_hz"],
-                            "secular_hz block")
-        est = secular_consistency(*(
-            TWO_PI * _number(sec, key, "secular_hz block")
-            for key in ("omega_x", "omega_y", "omega_z")))
+        est = secular_consistency(*(TWO_PI * block["secular_hz"][key]
+                                    for key in ("omega_x", "omega_y", "omega_z")))
         omega_s, omega_s_unc = est.omega_s, est.uncertainty
     else:
-        omega_s = TWO_PI * _number(block, "omega_s_hz", "trap block")
-        omega_s_unc = TWO_PI * _number(block, "omega_s_unc_hz", "trap block", 0.0)
+        omega_s = TWO_PI * block["omega_s_hz"]
+        omega_s_unc = TWO_PI * block.get("omega_s_unc_hz", 0.0)
 
-    kind = block.get("preset", "ideal-linear")
-    if kind == "ideal-linear":
-        return TrapConfig.ideal_linear(mass_kg, omega_rf, omega_s,
-                                       omega_s_unc, orientation)
-    if kind == "ideal-quadrupole":
-        return TrapConfig.ideal_quadrupole(mass_kg, omega_rf, omega_s,
-                                           omega_s_unc, orientation)
-    raise InvalidInputError(f"unknown trap preset {kind!r}")
+    preset = (TrapConfig.ideal_quadrupole
+              if block.get("preset") == "ideal-quadrupole" else TrapConfig.ideal_linear)
+    return preset(mass_kg, omega_rf, omega_s, omega_s_unc, orientation)
 
 
-def _emit(args, payload: dict, csv_lines: list[str]) -> None:
+def _emit(args, payload: dict, header, rows, comments=()) -> None:
+    """Write `payload` as JSON, or as CSV: each `comments` row after '# ',
+    the `header` names, then the `rows` the payload was built from."""
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(csv_lines) + "\n"
+        lines = ([f"# {_csv_row(row)}" for row in comments] + [",".join(header)]
+                 + [_csv_row(row) for row in rows])
+        text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_row(row) -> str:
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
 def cmd_matrix_elements(args) -> int:
@@ -176,30 +134,22 @@ def cmd_matrix_elements(args) -> int:
         raise InvalidInputError("empty manifold")
     mat = hq_matrix(level, trap, manifold)
 
-    entries = []
-    lines = ["bra_F,bra_m,ket_F,ket_m,real_rad_s,imag_rad_s,modulus_rad_s"]
+    rows = []
     for i, bra in enumerate(mat.basis):
         for k, ket in enumerate(mat.basis):
             val = mat.amplitude[i, k]
-            if val == 0 and not args.include_zeros:
-                continue
-            entries.append({
-                "bra_f": str(bra.F), "bra_m": str(bra.m),
-                "ket_f": str(ket.F), "ket_m": str(ket.m),
-                "real_rad_s": val.real, "imag_rad_s": val.imag,
-                "modulus_rad_s": abs(val),
-            })
-            lines.append(
-                f"{bra.F},{bra.m},{ket.F},{ket.m},"
-                f"{_fmt(val.real)},{_fmt(val.imag)},{_fmt(abs(val))}"
-            )
+            if val != 0 or args.include_zeros:
+                rows.append((str(bra.F), str(bra.m), str(ket.F), str(ket.m),
+                             val.real, val.imag, abs(val)))
+    keys = ("bra_f", "bra_m", "ket_f", "ket_m", "real_rad_s", "imag_rad_s",
+            "modulus_rad_s")
     payload = {
         "kind": "matrix_elements", "schema_version": 1,
         "species": species.name, "level": args.level,
         "basis": [f"{s.F},{s.m}" for s in mat.basis],
-        "entries": entries,
+        "entries": [dict(zip(keys, row)) for row in rows],
     }
-    _emit(args, payload, lines)
+    _emit(args, payload, ("bra_F", "bra_m", "ket_F", "ket_m", *keys[4:]), rows)
     return EXIT_OK
 
 
@@ -211,28 +161,23 @@ def cmd_clock_shift(args) -> int:
         raise InvalidInputError("--grid must be non-negative")
     dec = shift_decomposition(transition, trap)
 
-    grid_rows = []
+    rows = []
     if args.grid:
         n = args.grid
         for alpha in np.linspace(0.0, 360.0, n):
             for beta in np.linspace(0.0, 180.0, n):
                 ang = EulerAngles(math.radians(alpha), math.radians(beta))
-                grid_rows.append((alpha, beta, dec.fractional_shift(ang)))
+                rows.append((alpha, beta, dec.fractional_shift(ang)))
 
+    keys = ("alpha_deg", "beta_deg", "fractional_shift")
     payload = {
         "kind": "clock_shift", "schema_version": 1,
         "species": species.name, "transition": args.transition,
         "a": dec.a, "eta": dec.eta,
         "frequency_hz": dec.frequency_hz,
-        "grid": [
-            {"alpha_deg": a, "beta_deg": b, "fractional_shift": s}
-            for a, b, s in grid_rows
-        ],
+        "grid": [dict(zip(keys, row)) for row in rows],
     }
-    lines = [f"# a,{_fmt(dec.a)}", f"# eta,{_fmt(dec.eta)}",
-             "alpha_deg,beta_deg,fractional_shift"]
-    lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(s)}" for a, b, s in grid_rows]
-    _emit(args, payload, lines)
+    _emit(args, payload, keys, rows, comments=[("a", dec.a), ("eta", dec.eta)])
     return EXIT_OK
 
 
@@ -261,17 +206,13 @@ def cmd_spectrum(args) -> int:
         "omega_q_hz": args.omega_q_hz, "omega0_ratio": args.omega0_ratio,
         "delta_rf_over_omega_q": args.Delta, "tau_s": tau,
         "sigma_nt": args.sigma_nt,
-        "points": [
-            {"delta_over_omega_q": d, "transfer_probability": p}
-            for d, p in rows
-        ],
+        "points": [dict(zip(("delta_over_omega_q", "transfer_probability"), row))
+                   for row in rows],
     }
     if args.sigma_nt > 0:
         payload["diagnostics"] = {"quadrature_nodes": scan.quadrature_nodes,
                                   "quadrature_change": scan.quadrature_change}
-    lines = ["delta_over_omegaQ,transfer_probability"]
-    lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in rows]
-    _emit(args, payload, lines)
+    _emit(args, payload, ("delta_over_omegaQ", "transfer_probability"), rows)
     return EXIT_OK
 
 
@@ -320,33 +261,21 @@ def cmd_fit(args) -> int:
         include_laser_sensitivity=not args.no_laser_sensitivity,
     )
     result = fit_spectrum(deltas, counts, shots, config)
-    payload = {"kind": "fit_result", "schema_version": 1, **result.to_dict()}
-    lines = ["omega_q_hz,omega_q_err_hz,sigma_b_nt,sigma_b_err_nt,chi2_reduced,"
-             "n_points,shots"]
-    d = result.to_dict()
-    lines.append(",".join(_fmt(d[k]) if isinstance(d[k], float) else str(d[k])
-                          for k in ("omega_q_hz", "omega_q_err_hz", "sigma_b_nt",
-                                    "sigma_b_err_nt", "chi2_reduced",
-                                    "n_points", "shots")))
-    _emit(args, payload, lines)
+    fitted = result.to_dict()
+    keys = ("omega_q_hz", "omega_q_err_hz", "sigma_b_nt", "sigma_b_err_nt",
+            "chi2_reduced", "n_points", "shots")
+    payload = {"kind": "fit_result", "schema_version": 1, **fitted}
+    _emit(args, payload, keys, [tuple(fitted[k] for k in keys)])
     return EXIT_OK
 
 
 def cmd_extract_theta(args) -> int:
     trap = trap_from_config(load_run_config(args.config))
     if args.fit_json:
-        try:
-            fitted = json.loads(Path(args.fit_json).read_text())
-        except FileNotFoundError:
-            raise InvalidInputError(
-                f"fit result not found: {args.fit_json}"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"fit result is not valid JSON: {exc}") from None
-        if not isinstance(fitted, dict):
-            raise InvalidInputError("fit result must hold a JSON object")
-        values = [TWO_PI * _number(fitted, "omega_q_hz", "fit result")]
-        errors = [TWO_PI * _number(fitted, "omega_q_err_hz", "fit result")]
+        fitted = check_document(read_json(Path(args.fit_json), "fit result"),
+                                "cli_output#/definitions/fit_result", "fit result")
+        values = [TWO_PI * fitted["omega_q_hz"]]
+        errors = [TWO_PI * fitted["omega_q_err_hz"]]
     else:
         if args.omega_q_hz is None:
             raise InvalidInputError("need --fit-json or --omega-q-hz")
@@ -357,15 +286,10 @@ def cmd_extract_theta(args) -> int:
     omega_q, omega_q_err = combine_runs(values, errors,
                                         TWO_PI * args.drift_error_hz)
     est = extract_theta(omega_q, omega_q_err, trap)
-    payload = {
-        "kind": "theta_estimate", "schema_version": 1,
-        "omega_q_hz": omega_q / TWO_PI, "omega_q_err_hz": omega_q_err / TWO_PI,
-        "theta_e_a02": est.theta, "theta_err_e_a02": est.error,
-    }
-    lines = ["omega_q_hz,omega_q_err_hz,theta_e_a02,theta_err_e_a02",
-             ",".join(_fmt(v) for v in (omega_q / TWO_PI, omega_q_err / TWO_PI,
-                                        est.theta, est.error))]
-    _emit(args, payload, lines)
+    keys = ("omega_q_hz", "omega_q_err_hz", "theta_e_a02", "theta_err_e_a02")
+    row = (omega_q / TWO_PI, omega_q_err / TWO_PI, est.theta, est.error)
+    payload = {"kind": "theta_estimate", "schema_version": 1, **dict(zip(keys, row))}
+    _emit(args, payload, keys, [row])
     return EXIT_OK
 
 

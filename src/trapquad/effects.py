@@ -181,7 +181,6 @@ class ClockTransition:
 
     level: LevelSpec
     frequency_hz: float
-    hyperfine_averaged: bool = True
 
     def __post_init__(self):
         if self.frequency_hz <= 0:
@@ -209,16 +208,15 @@ def shift_decomposition(transition: ClockTransition,
 
     Only the |dm| = 1 and |dm| = 2 channels survive hyperfine averaging; their
     orientation dependence factors into f1 and f2, so the average shift is
-    a*nu*(f2 + eta*f1) for every trap orientation.  Requires A = 0 (the
-    linear-trap case in which f1, f2 are defined).
+    a*nu*(f2 + eta*f1) for every trap orientation.  Requires A = 0 and
+    epsilon != 0 (a linear trap, where f1, f2 are defined) and I >= J.
     """
-    if trap.A != 0.0:
-        raise InvalidInputError(
-            "shift decomposition into (f1, f2) applies to A = 0 traps only"
-        )
+    if trap.A != 0.0 or trap.epsilon == 0.0:
+        raise InvalidInputError("shift decomposition into (f1, f2) applies to "
+                                "traps with A = 0 and epsilon != 0 only")
     level = transition.level
     fs = level.f_values()
-    if transition.hyperfine_averaged and len(fs) != level.electronic_j.twice + 1:
+    if len(fs) != level.electronic_j.twice + 1:
         raise InvalidInputError("hyperfine averaging assumes I >= J")
 
     # |coupling|^2 in Hz^2 with the orientation factor, whose squared modulus

@@ -401,8 +401,8 @@ def extract_theta(omega_q: float, omega_q_err: float,
     The relative error combines the omega_q and omega_s relative errors in
     quadrature.
     """
-    if omega_q <= 0 or omega_q_err < 0:
-        raise InvalidInputError("omega_q must be positive")
+    if not (0 < omega_q < math.inf and 0 <= omega_q_err < math.inf):
+        raise InvalidInputError("omega_q must be positive, its error >= 0, both finite")
     if trap.omega_s is None or trap.omega_s <= 0:
         raise InvalidInputError("trap must carry a positive omega_s")
     c = CODATA2018
@@ -419,8 +419,9 @@ def combine_runs(omega_qs: list[float], errors: list[float],
     with the slow-drift bound."""
     if not omega_qs or len(omega_qs) != len(errors):
         raise InvalidInputError("need one error per fitted value")
-    if min(errors) < 0 or drift_error < 0:
-        raise InvalidInputError("errors must be non-negative")
+    if not (all(map(math.isfinite, omega_qs))
+            and all(0 <= e < math.inf for e in (*errors, drift_error))):
+        raise InvalidInputError("values must be finite, errors finite and non-negative")
     mean = float(np.mean(omega_qs))
     err = math.hypot(max(errors), drift_error)
     return mean, err

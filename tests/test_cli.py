@@ -22,37 +22,60 @@ SCHEMAS = SRC / "trapquad" / "schemas"
 OUTPUT_SCHEMA = json.loads((SCHEMAS / "cli_output.schema.json").read_text())
 
 
+BA_CONFIG = {
+    "schema_version": 1,
+    "trap": {
+        "omega_rf_hz": 20.585e6,
+        "preset": "ideal-linear",
+        "secular_hz": {"omega_x": 990e3, "omega_y": 895e3, "omega_z": 112e3},
+        "mass_u": 137.905,
+        "alpha_deg": 0.0,
+        "beta_deg": 0.0,
+    },
+}
+LU_CONFIG = {
+    "schema_version": 1,
+    "trap": {
+        "omega_rf_hz": 33e6,
+        "preset": "ideal-linear",
+        "omega_s_hz": 1e6,
+    },
+}
+
+
 @pytest.fixture
 def ba_config(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "trap": {
-            "omega_rf_hz": 20.585e6,
-            "preset": "ideal-linear",
-            "secular_hz": {"omega_x": 990e3, "omega_y": 895e3, "omega_z": 112e3},
-            "mass_u": 137.905,
-            "alpha_deg": 0.0,
-            "beta_deg": 0.0,
-        },
-    }
     path = tmp_path / "ba_trap.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(BA_CONFIG))
     return str(path)
 
 
 @pytest.fixture
 def lu_config(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "trap": {
-            "omega_rf_hz": 33e6,
-            "preset": "ideal-linear",
-            "omega_s_hz": 1e6,
-        },
-    }
     path = tmp_path / "lu_trap.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(LU_CONFIG))
     return str(path)
+
+
+def write_counts_csv(path, seed=7):
+    """Simulated 18 nT counts: 40 points over +-1.5 omega_q, tau = 1.2 ms."""
+    wq = TWO_PI * 1.70e3
+    tau = 1.2e-3
+    deltas = np.linspace(-1.5, 1.5, 40) * wq
+    rng = np.random.default_rng(seed)
+    counts = simulate_counts(
+        RwaSystem(wq, math.pi / tau, 0.0, 0.0),
+        NoiseModel(sigma_b=18e-9), deltas, tau, 300, rng,
+    )
+    rows = ["delta_hz,excited_counts,shots"]
+    rows += [f"{d / TWO_PI:.6f},{c},300" for d, c in zip(deltas, counts)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def synthetic_csv(tmp_path):
+    return write_counts_csv(tmp_path / "data.csv")
 
 
 def run_to_file(tmp_path, argv, name="out"):
@@ -124,6 +147,16 @@ class TestMatrixElements:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("manifold", ["x", "2.5"])
+    def test_malformed_manifold_is_config_error(self, ba_config, capsys, manifold):
+        # ended in int()'s ValueError, exit 1
+        code = main([
+            "matrix-elements", "--species", "ba138", "--level", "D5/2",
+            "--manifold", manifold, "--config", ba_config,
+        ])
+        assert code == 2
+        assert repr(manifold) in capsys.readouterr().err
+
     def test_unknown_level_is_config_error(self, tmp_path, ba_config):
         code = main([
             "matrix-elements", "--species", "ba138", "--level", "D3/2",
@@ -177,12 +210,23 @@ class TestClockShift:
                      "1S0-3D2", "--config", lu_config, "--grid", "-3"])
         assert code == 2
 
-    def test_missing_hyperfine_energies_named(self, tmp_path, ba_config):
+    def test_missing_hyperfine_energies_named(self, tmp_path, ba_config, capsys):
         code = main([
             "clock-shift", "--species", "ba138", "--transition", "S1/2-D5/2",
             "--config", ba_config,
         ])
         assert code == 2
+        assert "I >= J" in capsys.readouterr().err
+
+    def test_field_free_trap_is_config_error(self, tmp_path, capsys):
+        # ended in a ZeroDivisionError traceback, exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "trap": {
+            "omega_rf_hz": 33e6, "A_v_m2": 0, "epsilon_v_m2": 0}}))
+        code = main(["clock-shift", "--species", "lu176", "--transition",
+                     "1S0-3D2", "--config", str(path)])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
 
 
 class TestSpectrum:
@@ -273,22 +317,6 @@ class TestSpectrum:
 
 
 class TestFitAndExtract:
-    @pytest.fixture
-    def synthetic_csv(self, tmp_path):
-        wq = TWO_PI * 1.70e3
-        tau = 1.2e-3
-        deltas = np.linspace(-1.5, 1.5, 40) * wq
-        rng = np.random.default_rng(7)
-        counts = simulate_counts(
-            RwaSystem(wq, math.pi / tau, 0.0, 0.0),
-            NoiseModel(sigma_b=18e-9), deltas, tau, 300, rng,
-        )
-        path = tmp_path / "data.csv"
-        rows = ["delta_hz,excited_counts,shots"]
-        rows += [f"{d / TWO_PI:.6f},{c},300" for d, c in zip(deltas, counts)]
-        path.write_text("\n".join(rows) + "\n")
-        return str(path)
-
     def test_fit_then_extract(self, tmp_path, synthetic_csv, ba_config):
         code, fit_out = run_to_file(tmp_path, [
             "fit", "--data", synthetic_csv, "--tau", "1.2e-3",
@@ -361,6 +389,17 @@ class TestFitAndExtract:
         assert main(["fit", "--data", synthetic_csv, "--tau", "1.2e-3",
                      "--g-d", "nan"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--omega-q-hz", "--omega-q-err-hz",
+                                      "--drift-error-hz"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_is_config_error(self, ba_config, flag, value):
+        # exited 0 with NaN or Infinity in the output
+        argv = {"--omega-q-hz": "1694", "--omega-q-err-hz": "35",
+                "--drift-error-hz": "24", flag: value}
+        code = main(["extract-theta", "--config", ba_config,
+                     *(item for pair in argv.items() for item in pair)])
+        assert code == 2
+
     def test_negative_error_is_config_error(self, tmp_path, ba_config):
         # exited 0, the error taken as +35 Hz
         code = main(["extract-theta", "--config", ba_config,
@@ -406,6 +445,12 @@ class TestConfigHandling:
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
 
+    def test_secular_block_and_omega_s_rejected(self, tmp_path):
+        # secular_hz was used and omega_s_hz silently ignored
+        trap = {**BA_CONFIG["trap"], "omega_s_hz": 1e6}
+        with pytest.raises(InvalidInputError, match="exactly one"):
+            trap_from_config({"schema_version": 1, "trap": trap})
+
     def test_misspelt_trap_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -434,6 +479,17 @@ class TestConfigHandling:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_negative_secular_uncertainty_is_config_error(self, tmp_path, capsys):
+        # exited 0 with a negative theta_err_e_a02
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "trap": {
+            "omega_rf_hz": 20.585e6, "omega_s_hz": 942.5e3,
+            "omega_s_unc_hz": -5, "mass_u": 137.905}}))
+        code = main(["extract-theta", "--config", str(path),
+                     "--omega-q-hz", "1694", "--omega-q-err-hz", "35"])
+        assert code == 2
+        assert "trap.omega_s_unc_hz" in capsys.readouterr().err
+
     def test_unknown_keys_rejected_at_every_level(self):
         base = {"omega_rf_hz": 1e7, "mass_u": 100.0,
                 "secular_hz": {"omega_x": 2e6, "omega_y": 1e6, "omega_z": 1e6}}
@@ -452,15 +508,71 @@ class TestConfigHandling:
             load_run_config(path)
 
 
-class TestImports:
-    """The package and every CLI subcommand but fit need numpy only."""
+class TestCsvMatchesJson:
+    """Each subcommand's CSV carries the JSON payload's numbers."""
 
     @staticmethod
-    def scipy_modules_after(script: str) -> list[str]:
+    def json_rows(p: dict) -> tuple[list, list]:
+        """The payload's table rows and '#' comment rows, in CSV column order."""
+        def table(items, keys):
+            return [[item[k] for k in keys] for item in items]
+        if p["kind"] == "matrix_elements":
+            return table(p["entries"], ("bra_f", "bra_m", "ket_f", "ket_m", "real_rad_s",
+                                        "imag_rad_s", "modulus_rad_s")), []
+        if p["kind"] == "clock_shift":
+            return (table(p["grid"], ("alpha_deg", "beta_deg", "fractional_shift")),
+                    [["a", p["a"]], ["eta", p["eta"]]])
+        if p["kind"] == "spectrum":
+            return table(p["points"], ("delta_over_omega_q", "transfer_probability")), []
+        if p["kind"] == "fit_result":
+            return table([p], ("omega_q_hz", "omega_q_err_hz", "sigma_b_nt",
+                               "sigma_b_err_nt", "chi2_reduced", "n_points", "shots")), []
+        return table([p], ("omega_q_hz", "omega_q_err_hz", "theta_e_a02",
+                           "theta_err_e_a02")), []
+
+    @staticmethod
+    def same_cells(csv_row: list[str], json_row: list) -> bool:
+        return len(csv_row) == len(json_row) and all(
+            cell == value if isinstance(value, str)
+            else float(cell) == pytest.approx(value, rel=1e-11, abs=0)
+            for cell, value in zip(csv_row, json_row))
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix-elements", "--species", "lu176", "--level", "3D2",
+         "--manifold", "5,6", "--include-zeros", "--config", "{lu}"],
+        ["clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+         "--grid", "5", "--config", "{lu}"],
+        ["spectrum", "--points", "21", "--sigma-nt", "10"],
+        ["fit", "--data", "{csv}", "--tau", "1.2e-3"],
+        ["extract-theta", "--omega-q-hz", "1708", "--omega-q-hz", "1662",
+         "--omega-q-err-hz", "24", "--omega-q-err-hz", "19",
+         "--drift-error-hz", "24", "--config", "{ba}"],
+    ], ids=lambda argv: argv[0])
+    def test_rows_carry_the_json_numbers(self, tmp_path, ba_config, lu_config,
+                                         synthetic_csv, argv):
+        argv = [a.format(ba=ba_config, lu=lu_config, csv=synthetic_csv) for a in argv]
+        assert run_to_file(tmp_path, argv + ["--format", "csv"], "out.csv")[0] == 0
+        assert run_to_file(tmp_path, argv + ["--format", "json"], "out.json")[0] == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        rows, comments = self.json_rows(payload)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        csv_comments = [ln[2:].split(",") for ln in lines if ln.startswith("# ")]
+        csv_rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        assert rows and len(csv_rows) == len(rows)
+        assert len(csv_comments) == len(comments)
+        assert all(map(self.same_cells, csv_rows + csv_comments, rows + comments))
+
+
+class TestImports:
+    """The package and every CLI subcommand but fit need numpy only, and
+    none of them loads jsonschema."""
+
+    @staticmethod
+    def optional_modules_after(script: str) -> list[str]:
         code = script + (
             "\nimport json, sys\n"
             "print(json.dumps(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy')))\n")
+            " if m.split('.')[0] in ('scipy', 'jsonschema'))))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -468,7 +580,7 @@ class TestImports:
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_import_loads_no_scipy(self):
-        assert self.scipy_modules_after("import trapquad.cli") == []
+        assert self.optional_modules_after("import trapquad.cli") == []
 
     def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config):
         steps = [
@@ -483,5 +595,5 @@ class TestImports:
         script = "from trapquad.cli import main\n" + "".join(
             f"assert main({argv + ['-o', str(tmp_path / f'out{k}')]!r}) == 0\n"
             for k, argv in enumerate(steps))
-        assert self.scipy_modules_after(script) == []
+        assert self.optional_modules_after(script) == []
         assert all((tmp_path / f"out{k}").read_text() for k in range(len(steps)))

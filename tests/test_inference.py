@@ -605,3 +605,18 @@ class TestCombineRuns:
             combine_runs([1700.0, 1690.0], [20.0, -35.0])
         with pytest.raises(InvalidInputError, match="non-negative"):
             combine_runs([1700.0], [20.0], drift_error=-5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input(self, bad):
+        # the CLI exited 0 with NaN or Infinity in its JSON
+        trap = TestExtractTheta.BA_TRAP
+        calls = [
+            lambda: combine_runs([bad], [20.0]),
+            lambda: combine_runs([1700.0], [bad]),
+            lambda: combine_runs([1700.0], [20.0], drift_error=bad),
+            lambda: extract_theta(bad, 0.0, trap),
+            lambda: extract_theta(TWO_PI * 1700.0, bad, trap),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="finite"):
+                call()

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -38,6 +39,18 @@ class TestParsing:
         with pytest.raises(InvalidInputError):
             parse_half_int("5/3")
 
+    @pytest.mark.parametrize("text", ["x", "2.5", "a/2", "5/", ""])
+    def test_half_int_rejects_other_text(self, text):
+        # "x" and "2.5" ended in int()'s ValueError, exit 1
+        with pytest.raises(InvalidInputError, match="integer or n/2"):
+            parse_half_int(text)
+
+    def test_hyperfine_key_must_be_half_int(self):
+        raw = json.loads((PACKAGE / "species" / "lu176.json").read_text())
+        raw["levels"][1]["hyperfine_f_energies_hz"]["x"] = 1.0
+        with pytest.raises(InvalidInputError, match="'x'"):
+            parse_species(raw)
+
     def test_unknown_species(self):
         with pytest.raises(InvalidInputError):
             load_species("unobtainium")
@@ -75,7 +88,7 @@ class TestParsing:
                 {"label": "t", "upper": "D", "frequency_hz": 1e14}
             ],
         }
-        assert parse_species(raw).transition("t").hyperfine_averaged
+        assert parse_species(raw).transition("t").frequency_hz == 1e14
         typos = (
             {**raw, "nuclear_spn": "0"},
             {**raw, "levels": [{**raw["levels"][0], "theta_ea02": 1.0}]},
@@ -85,3 +98,38 @@ class TestParsing:
         for bad in typos:
             with pytest.raises(InvalidInputError, match="unknown key"):
                 parse_species(bad)
+
+
+def _lu_with(edit):
+    raw = json.loads((PACKAGE / "species" / "lu176.json").read_text())
+    edit(raw)
+    return raw
+
+
+class TestMalformedFiles:
+    """Each of these ended in a traceback (exit 1), or exited 0 with NaN."""
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda d: d.update(mass_u="x"), "mass_u"),
+        (lambda d: d["levels"][1].update(theta_e_a02=None), "levels[1].theta_e_a02"),
+        (lambda d: d["levels"][1].update(j="a/2"), "levels[1].j"),
+        (lambda d: d.update(nuclear_spin="7.5"), "nuclear_spin"),
+        (lambda d: d["levels"][1].update(hyperfine_f_energies_hz=[1.0, 2.0, 3.0]),
+         "levels[1].hyperfine_f_energies_hz"),
+        (lambda d: d["transitions"][0].update(frequency_hz="abc"),
+         "transitions[0].frequency_hz"),
+        (lambda d: d["levels"].append(3), "levels[4]"),
+        (lambda d: d.update(mass_u=math.nan), "mass_u"),
+        (lambda d: d["transitions"][0].update(frequency_hz=math.nan),
+         "transitions[0].frequency_hz"),
+        (lambda d: d["levels"][1]["hyperfine_f_energies_hz"].update({"6": math.nan}),
+         "levels[1].hyperfine_f_energies_hz.6"),
+        (lambda d: d.update(levels={"term": "3D2"}), "levels"),
+    ], ids=["mass-str", "theta-null", "j-str", "spin-str", "energies-list", "freq-str",
+            "level-number", "mass-nan", "freq-nan", "energy-nan", "levels-object"])
+    def test_message_names_the_key(self, tmp_path, edit, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_lu_with(edit)))
+        with pytest.raises(InvalidInputError) as info:
+            load_species(path)
+        assert str(info.value).startswith(f"{key} in species file ")
