@@ -69,7 +69,8 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     """Build a TrapConfig from a run config's trap block.
 
     The config must satisfy schemas/run_config.schema.json.  Exactly one of
-    secular_hz, omega_s_hz and explicit (A, eps) must be present.
+    secular_hz, omega_s_hz and explicit (A, eps) must be present, and
+    omega_s_unc_hz only with omega_s_hz.
     Frequencies are Hz, fields V/m^2, angles degrees.
     """
     block = check_document(config, "run_config", "config")["trap"]
@@ -86,6 +87,9 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     if ("secular_hz" in block) + ("omega_s_hz" in block) + has_fields != 1:
         raise InvalidInputError("trap block needs exactly one of secular_hz, "
                                 "omega_s_hz and explicit A/epsilon")
+    if "omega_s_unc_hz" in block and "omega_s_hz" not in block:
+        raise InvalidInputError("trap block has omega_s_unc_hz without omega_s_hz, "
+                                "and nothing else would use it")
 
     if has_fields:
         return TrapConfig(

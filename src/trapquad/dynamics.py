@@ -278,7 +278,10 @@ def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float,
     rest = tau - n_periods * period   # below 0 only by rounding: dropped
     u = np.eye(4, dtype=complex)
     if n_periods:
-        u = np.linalg.matrix_power(propagator(period), n_periods)
+        # U(T)^N from the eigenphases of U(T): a power of the rounded matrix
+        # would carry its ~1e-16 departure from unitarity N times
+        vals, vecs = np.linalg.eig(propagator(period))
+        u = (vecs * np.exp(1j * n_periods * np.angle(vals))) @ np.linalg.inv(vecs)
     if rest > 0.0:
         u = propagator(rest) @ u
     pops = np.abs(u[:, IDX_S]) ** 2

@@ -12,7 +12,8 @@ halves until two sums agree to 1e-6 at every point, up to 4097 nodes.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
-variance.  Its Jacobian is exact: the transfer's derivatives come from the
+variance, with a projected Levenberg-Marquardt solver in numpy: the module
+needs no scipy.  Its Jacobian is exact: the transfer's derivatives come from the
 eigh that gives the transfer (dynamics.transfer_probabilities), and the
 average's sigma_B derivative is a second weighted sum over the same nodes.
 The seed is the noiseless model on an omega_q grid, in one batched call,
@@ -199,7 +200,8 @@ class FitResult:
     shots: int
     nfev: int             # transfer_probabilities calls, seed included; a
                           # pass with derivatives counts once
-    status: int           # least_squares termination status, 1..4
+    status: int           # why _least_squares stopped, MINPACK's 1..4:
+                          # 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
     correlation: float    # omega_q-sigma_B; 0 when sigma_B is held fixed
     quadrature_nodes: int
     quadrature_change: float   # max |p(2n - 1) - p(n)| where the results were taken
@@ -230,18 +232,18 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
                  config: FitConfig) -> FitResult:
     """Bounded least-squares fit of (omega_q, sigma_B) to measured transfer counts.
 
-    Needs at least 8 points.  scipy's least_squares (trust-region
-    reflective, omega_q > 0, sigma_B >= 0) minimises the binomial-weighted
-    residuals with their exact Jacobian; residuals and Jacobian at one x
-    come from one pass of transfer_probabilities with derivatives.  The
-    seed is the best of 61 omega_q values over 0.2..1.2 times the scan's
-    span for the noiseless model (one batched call), then the best sigma_B
-    of 5, 15, 30 and 60 nT at that omega_q on the 33-node rule.  The fit
-    runs on the coarsest rule that resolves the seed's sigma_B*tau; at the
-    optimum the rule is checked as in noise_averaged_signal, and the fit is
-    refined once on a finer rule when the check needs one.  Errors are the
-    square roots of the diagonal of (J^T J)^-1, multiplied by sqrt(chi2_nu)
-    when chi2_nu exceeds 1.
+    Needs at least 8 points.  A projected Levenberg-Marquardt solver
+    (_least_squares, omega_q >= 0, sigma_B >= 0, scaled by the Jacobian's
+    column norms) minimises the binomial-weighted residuals with their
+    exact Jacobian; residuals and Jacobian at one x come from one pass of
+    transfer_probabilities with derivatives.  The seed is the best of 61
+    omega_q values over 0.2..1.2 times the scan's span for the noiseless
+    model (one batched call), then the best sigma_B of 5, 15, 30 and 60 nT
+    at that omega_q on the 33-node rule.  The fit runs on the coarsest rule
+    that resolves the seed's sigma_B*tau; at the optimum the rule is checked
+    as in noise_averaged_signal, and the fit is refined once on a finer rule
+    when the check needs one.  Errors are the square roots of the diagonal
+    of (J^T J)^-1, multiplied by sqrt(chi2_nu) when chi2_nu exceeds 1.
 
     When the sigma_B bound is active, or sigma_B is smaller than its own
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
@@ -266,8 +268,6 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("counts must lie between 0 and shots")
     noise = NoiseModel(0.0, config.g_d, config.g_s,
                        config.include_laser_sensitivity)
-    from scipy.optimize import least_squares  # scipy is imported on first use
-
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 
@@ -289,11 +289,9 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     def chi2(x, n: int) -> float:
         return float(np.sum(weighted(model(x, n)) ** 2))
 
-    # least_squares asks for the residuals, then the Jacobian, at one x:
-    # both come from one pass
-    @lru_cache(maxsize=1)
-    def residuals_and_jacobian(omega_q, sigma_b, n: int):
-        p, dp = model((omega_q, sigma_b), n, derivatives=True)
+    # residuals and Jacobian at one x come from one pass
+    def residuals_and_jacobian(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+        p, dp = model(x, n, derivatives=True)
         var = _binomial_variance(p, shots_arr)
         # d var/dp is (1 - 2p)/N above the floor and 0 on it
         slope = np.where(p * (1.0 - p) > 1.0 / (4.0 * shots_arr),
@@ -317,13 +315,8 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     n = _start_order(replace(noise, sigma_b=s_seed * 1e-9), config.tau)
 
     while True:
-        fit = least_squares(
-            lambda x, n: residuals_and_jacobian(*x, n)[0], x,
-            jac=lambda x, n: residuals_and_jacobian(*x, n)[1],
-            args=(n,), method="trf",
-            bounds=([0.0, 0.0], [np.inf, np.inf]), x_scale="jac",
-            max_nfev=config.max_nfev,
-        )
+        fit = _least_squares(lambda x: residuals_and_jacobian(x, n), x,
+                             config.max_nfev)
         if fit.status == 0:
             raise FitError(f"no convergence within {config.max_nfev} "
                            f"evaluations on {n} quadrature nodes")
@@ -331,11 +324,11 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         chi2_min = 2.0 * fit.cost
         scale = math.sqrt(max(chi2_min / ndof, 1.0))
         omega_q_err, sigma_b_err, correlation, at_bound = _fit_errors(
-            fit.jac, x[1], fit.active_mask[1] != 0, scale)
+            fit.jac, x[1], fit.at_bound, scale)
         checked = [x]
         if at_bound:
-            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), n),
-                                       x[1], chi2_min + scale ** 2)
+            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), n) - chi2_min,
+                                       x[1], scale ** 2)
             checked.append((x[0], sigma_b_err))
         needed, _, change = _converged_order(
             lambda m, new: np.concatenate([model(p, m, new) for p in checked]), n)
@@ -352,6 +345,71 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         quadrature_nodes=n, quadrature_change=change,
         sigma_b_at_bound=bool(at_bound),
     )
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """Where _least_squares stopped."""
+
+    x: np.ndarray
+    cost: float           # |r|^2 / 2
+    jac: np.ndarray
+    at_bound: bool        # x[1] sits on its bound 0
+    status: int           # 0 at max_nfev; 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+
+
+def _least_squares(fun, x, max_nfev: int, tol: float = 1e-8) -> _Solution:
+    """Minimise |r(x)|^2/2 over x >= 0, where fun(x) = (r, J): projected
+    Levenberg-Marquardt (More, LNM 630 (1978)) on two parameters.
+
+    The damping mu multiplies diag(D^2), D the largest Jacobian column norms
+    seen so far, and follows the gain ratio rho as in Madsen, Nielsen &
+    Tingleff (2004).  A parameter at 0 whose gradient points out of x >= 0
+    is held there.  The stopping tests are MINPACK's, with gtol = ftol =
+    xtol = tol; every call of fun counts towards max_nfev.
+    """
+    x = np.asarray(x, dtype=float)
+    r, jac = fun(x)
+    nfev, cost = 1, 0.5 * float(r @ r)
+    scale, mu, nu = np.zeros(len(x)), 1e-3, 2.0
+
+    def stop(status: int) -> _Solution:
+        return _Solution(x=x, cost=cost, jac=jac, at_bound=bool(x[1] <= 0.0),
+                         status=status)
+
+    while True:
+        columns = np.linalg.norm(jac, axis=0)
+        scale = np.maximum(scale, columns)
+        g, a = jac.T @ r, jac.T @ jac
+        free = (x > 0.0) | (g <= 0.0)
+        # gtol: the cosine between r and each free column of J
+        norms = columns * math.sqrt(2.0 * cost)
+        if np.all(np.abs(g) <= tol * norms, where=free & (norms > 0)):
+            return stop(1)
+        if nfev >= max_nfev:
+            return stop(0)
+        d = np.where(scale > 0.0, scale, 1.0)
+        step = np.zeros(len(x))
+        f = np.ix_(free, free)
+        step[free] = np.linalg.solve(a[f] + mu * np.diag(d[free] ** 2), -g[free])
+        x_new = np.maximum(x + step, 0.0)
+        step = x_new - x
+        predicted = -(g @ step) - 0.5 * (step @ a @ step)
+        r_new, jac_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+        ftol = (abs(cost - cost_new) <= tol * cost
+                and predicted <= tol * cost and rho <= 2.0)
+        xtol = np.linalg.norm(d * step) <= tol * (tol + np.linalg.norm(d * x))
+        if rho > 0.0:
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        if ftol or xtol:
+            return stop(4 if ftol and xtol else 2 if ftol else 3)
 
 
 def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
@@ -373,17 +431,32 @@ def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
     return scale / math.sqrt(jtj[0, 0]), math.nan, 0.0, True
 
 
-def _upper_limit(chi2_along, start: float, target: float) -> float:
-    """sigma_B (nT) above `start` where chi2_along crosses `target`: a
-    doubling bracket from start + 1 nT, then Brent's method."""
-    from scipy.optimize import brentq  # scipy is imported on first use
-
-    lo, hi = start, start + 1.0
-    while chi2_along(hi) < target:
-        lo, hi = hi, start + 2.0 * (hi - start)
+def _upper_limit(rise_along, start: float, rise: float) -> float:
+    """sigma_B (nT) above `start` where rise_along, the rise of chi^2 from
+    its value at `start`, reaches `rise`: a doubling bracket from start +
+    1 nT, then Illinois regula falsi until the bracket is 1e-4 nT wide."""
+    lo, hi, f_lo = start, start + 1.0, -rise
+    while (f_hi := rise_along(hi) - rise) < 0.0:
+        lo, hi, f_lo = hi, start + 2.0 * (hi - start), f_hi
         if hi - start > 1e6:
             raise FitError("chi^2 does not rise along sigma_B above the bound")
-    return brentq(lambda s: chi2_along(s) - target, lo, hi, xtol=1e-4)
+    kept = None   # the end the last step left in place
+    while hi - lo > 1e-4:
+        s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = rise_along(s) - rise
+        if f == 0.0:
+            return s
+        if f < 0.0:
+            lo, f_lo = s, f
+            if kept == "hi":      # kept twice in a row: halve its value
+                f_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi = s, f
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    return s
 
 
 @dataclass(frozen=True)

@@ -80,17 +80,29 @@ def load_species(name_or_path: str | Path) -> Species:
     return parse_species(read_json(path, "species file"))
 
 
+def _new_key(seen: dict, key, where: str, what: str):
+    """`key`, unless `seen` holds it already: a second entry would replace
+    the first without a word."""
+    if key in seen:
+        raise InvalidInputError(f"{where} in species file repeats {what} {key!r}")
+    return key
+
+
 def parse_species(raw: dict) -> Species:
     """A Species from a document that schemas/species.schema.json accepts."""
     check_document(raw, "species", "species file")
     nuclear_spin = parse_half_int(raw["nuclear_spin"])
 
     levels: dict[str, LevelSpec] = {}
-    for entry in raw["levels"]:
+    for i, entry in enumerate(raw["levels"]):
+        term = _new_key(levels, entry["term"], f"levels[{i}].term", "term")
         energies = entry.get("hyperfine_f_energies_hz")
         if energies is not None:
-            energies = {parse_half_int(f): e for f, e in energies.items()}
-        term = entry["term"]
+            by_f = {}
+            for f, e in energies.items():
+                where = f"levels[{i}].hyperfine_f_energies_hz.{f}"
+                by_f[_new_key(by_f, parse_half_int(f), where, "F")] = e
+            energies = by_f
         levels[term] = LevelSpec(
             nuclear_spin=nuclear_spin,
             electronic_j=parse_half_int(entry["j"]),
@@ -100,13 +112,15 @@ def parse_species(raw: dict) -> Species:
         )
 
     transitions: dict[str, ClockTransition] = {}
-    for entry in raw.get("transitions", []):
+    for i, entry in enumerate(raw.get("transitions", [])):
         upper = entry["upper"]
         if upper not in levels:
             raise InvalidInputError(
                 f"transition {entry['label']!r} references unknown level {upper!r}"
             )
-        transitions[entry["label"]] = ClockTransition(
+        label = _new_key(transitions, entry["label"], f"transitions[{i}].label",
+                         "label")
+        transitions[label] = ClockTransition(
             level=levels[upper], frequency_hz=entry["frequency_hz"])
 
     return Species(

@@ -490,6 +490,32 @@ class TestConfigHandling:
         assert code == 2
         assert "trap.omega_s_unc_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trap", [
+        {**BA_CONFIG["trap"], "omega_s_unc_hz": 50e3},
+        {"omega_rf_hz": 20.585e6, "mass_u": 137.905, "A_v_m2": 1e7,
+         "epsilon_v_m2": 0.0, "omega_s_unc_hz": 50e3},
+    ], ids=["secular_hz", "A-epsilon"])
+    def test_secular_uncertainty_without_omega_s_is_config_error(
+            self, tmp_path, capsys, trap):
+        # exited 0 with the stated uncertainty left out of theta_err_e_a02
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "trap": trap}))
+        code = main(["extract-theta", "--config", str(path),
+                     "--omega-q-hz", "1694", "--omega-q-err-hz", "35"])
+        assert code == 2
+        assert "omega_s_unc_hz without omega_s_hz" in capsys.readouterr().err
+
+    def test_duplicate_species_entry_is_config_error(self, tmp_path, capsys,
+                                                     lu_config):
+        raw = json.loads((SRC / "trapquad" / "species" / "lu176.json").read_text())
+        raw["levels"].append({**raw["levels"][2], "theta_e_a02": 5.0})
+        path = tmp_path / "lu_dup.json"
+        path.write_text(json.dumps(raw))
+        code = main(["clock-shift", "--species", str(path), "--transition",
+                     "1S0-3D2", "--config", lu_config])
+        assert code == 2
+        assert "repeats term '3D2'" in capsys.readouterr().err
+
     def test_unknown_keys_rejected_at_every_level(self):
         base = {"omega_rf_hz": 1e7, "mass_u": 100.0,
                 "secular_hz": {"omega_x": 2e6, "omega_y": 1e6, "omega_z": 1e6}}
@@ -564,8 +590,8 @@ class TestCsvMatchesJson:
 
 
 class TestImports:
-    """The package and every CLI subcommand but fit need numpy only, and
-    none of them loads jsonschema."""
+    """The package and every CLI subcommand need numpy only, and none of
+    them loads jsonschema."""
 
     @staticmethod
     def optional_modules_after(script: str) -> list[str]:
@@ -582,7 +608,8 @@ class TestImports:
     def test_import_loads_no_scipy(self):
         assert self.optional_modules_after("import trapquad.cli") == []
 
-    def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config):
+    def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config,
+                                             synthetic_csv):
         steps = [
             ["matrix-elements", "--species", "ba138", "--level", "D5/2",
              "--manifold", "5/2", "--config", ba_config],
@@ -591,6 +618,7 @@ class TestImports:
             ["extract-theta", "--config", ba_config, "--omega-q-hz", "1694",
              "--omega-q-err-hz", "35"],
             ["spectrum", "--sigma-nt", "18", "--points", "101"],
+            ["fit", "--data", synthetic_csv, "--tau", "1.2e-3"],
         ]
         script = "from trapquad.cli import main\n" + "".join(
             f"assert main({argv + ['-o', str(tmp_path / f'out{k}')]!r}) == 0\n"

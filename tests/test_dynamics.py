@@ -314,6 +314,16 @@ class TestFloquetOracle:
         p_orc = floquet_oracle_from_rwa(sys, self.OMEGA_RF, tau)
         assert np.max(np.abs(p_orc - np.abs(mid) ** 2)) <= 1e-9
 
+    def test_stays_unitary_over_ten_million_periods(self):
+        # a 0.59 s probe at the experiment's drive: 2.4e7 periods, past
+        # which a matrix power of the one-period propagator drifted by 2e-9
+        wq, omega_rf, tau = TWO_PI * 1.7e3, TWO_PI * 20.585e6, 0.59
+        sys = RwaSystem(wq, math.pi / tau, 0.0, -0.5 * wq)
+        p_orc = floquet_oracle_from_rwa(sys, omega_rf, tau)
+        assert abs(float(np.sum(p_orc)) - 1.0) <= 1e-12
+        p_rwa = propagate(build_rwa_hamiltonian(sys), tau)
+        assert np.max(np.abs(p_rwa - p_orc)) * omega_rf / wq < 0.5
+
     def test_enforces_drive_ratio(self):
         # the |D,1/2>:|D,-3/2> cos amplitude 6 wq/(5 sqrt 2) sets the ratio
         wq = 1e5 / 100.0 / (6.0 / (5.0 * math.sqrt(2.0)))

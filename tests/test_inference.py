@@ -16,6 +16,7 @@ from trapquad.errors import (
     InvalidInputError,
     QuadratureConvergenceError,
 )
+from trapquad import inference
 from trapquad.inference import (
     FitConfig,
     NoiseModel,
@@ -363,15 +364,15 @@ class TestFitSpectrum:
 
     @staticmethod
     def least_squares_runs(monkeypatch) -> list:
-        import scipy.optimize
+        """The starting points of every solver run fit_spectrum makes."""
         runs = []
 
-        def counted(*args, **kwargs):
-            runs.append(kwargs["args"])
-            return least_squares(*args, **kwargs)
+        def counted(fun, x, *args, **kwargs):
+            runs.append(np.array(x))
+            return least_squares(fun, x, *args, **kwargs)
 
-        least_squares = scipy.optimize.least_squares
-        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        least_squares = inference._least_squares
+        monkeypatch.setattr(inference, "_least_squares", counted)
         return runs
 
     def test_quadrature_order_escalates_at_50nt(self):
@@ -422,45 +423,52 @@ class TestFitSpectrum:
         pass
 
     @classmethod
-    def residual_functions(cls, monkeypatch, sigma_b):
-        """The residual and Jacobian functions that fit_spectrum hands to
-        least_squares, for counts drawn at sigma_b, and their args."""
-        import scipy.optimize
+    def residual_function(cls, monkeypatch, sigma_b):
+        """The function x -> (residuals, Jacobian) that fit_spectrum hands
+        to its solver, for counts drawn at sigma_b."""
         got = {}
 
-        def capture(fun, x0, jac, args, **kwargs):
-            got.update(fun=fun, jac=jac, args=args)
+        def capture(fun, x, max_nfev):
+            got.update(fun=fun)
             raise cls.Captured
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+        monkeypatch.setattr(inference, "_least_squares", capture)
         rng = np.random.default_rng(0)
         counts = simulate_counts(reference_system(),
                                  NoiseModel(sigma_b=sigma_b), cls.DELTAS, TAU,
                                  300, rng)
         with pytest.raises(cls.Captured):
             fit_spectrum(cls.DELTAS, counts, 300, cls.CONFIG)
-        return got["fun"], got["jac"], got["args"]
+        return got["fun"]
 
     @pytest.mark.parametrize("sigma_b", [18e-9, 50e-9, 150e-9])
     def test_jacobian_matches_central_differences(self, monkeypatch, sigma_b):
-        fun, jac, args = self.residual_functions(monkeypatch, sigma_b)
+        fun = self.residual_function(monkeypatch, sigma_b)
         x = np.array([WQ, sigma_b * 1e9])        # (rad/s, nT)
-        exact = jac(x, *args)
+        exact = fun(x)[1]
         for col in (0, 1):
             step = np.zeros(2)
             step[col] = 1e-5 * x[col]
-            central = (fun(x + step, *args) - fun(x - step, *args)) / (2 * step[col])
+            central = (fun(x + step)[0] - fun(x - step)[0]) / (2 * step[col])
             assert np.max(np.abs(central - exact[:, col])) <= (
                 1e-6 * np.max(np.abs(exact[:, col])))
         # residuals and Jacobian at one x come from one pass
-        assert np.array_equal(jac(x, *args), exact)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(kwargs.get("derivatives", False))
+            return transfer_probabilities(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "transfer_probabilities", counted)
+        assert np.array_equal(fun(x)[1], exact)
+        assert passes == [True]
 
     def test_jacobian_at_zero_sigma_b(self, monkeypatch):
-        fun, jac, args = self.residual_functions(monkeypatch, 0.0)
+        fun = self.residual_function(monkeypatch, 0.0)
         x = np.array([WQ, 0.0])
-        exact = jac(x, *args)
+        exact = fun(x)[1]
         step = np.array([1e-5 * WQ, 0.0])
-        central = (fun(x + step, *args) - fun(x - step, *args)) / (2 * step[0])
+        central = (fun(x + step)[0] - fun(x - step)[0]) / (2 * step[0])
         assert np.max(np.abs(central - exact[:, 0])) <= (
             1e-6 * np.max(np.abs(exact[:, 0])))
         # the average is even in sigma_B, so its central difference is zero
@@ -505,6 +513,46 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, counts, 300,
                          FitConfig(tau=TAU, max_nfev=1))
 
+    @staticmethod
+    def scipy_trf(fun, x, max_nfev):
+        """The solver fit_spectrum used before: scipy's trust-region
+        reflective least_squares, sigma_B >= 0, scaled by the Jacobian."""
+        from scipy.optimize import least_squares
+        at = {}
+
+        def memo(x):
+            if at.get("x") is None or not np.array_equal(at["x"], x):
+                at.update(x=np.array(x), value=fun(x))
+            return at["value"]
+
+        fit = least_squares(lambda x: memo(x)[0], x, jac=lambda x: memo(x)[1],
+                            method="trf", bounds=([0.0, 0.0], [np.inf, np.inf]),
+                            x_scale="jac", max_nfev=max_nfev)
+        return inference._Solution(x=fit.x, cost=fit.cost, jac=fit.jac,
+                                   at_bound=fit.active_mask[1] != 0,
+                                   status=fit.status)
+
+    @pytest.mark.parametrize("sigma_b, seeds", [
+        (18e-9, range(20)), (50e-9, range(50, 60)), (150e-9, range(5)),
+        (0.0, [2])])
+    def test_same_fit_as_scipy_least_squares(self, monkeypatch, sigma_b, seeds):
+        for seed in seeds:
+            counts = simulate_counts(reference_system(),
+                                     NoiseModel(sigma_b=sigma_b), self.DELTAS,
+                                     TAU, 300, np.random.default_rng(seed))
+            res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_least_squares", self.scipy_trf)
+                ref = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+            assert abs(res.omega_q - ref.omega_q) <= 1e-3 * ref.omega_q_err
+            assert abs(res.sigma_b - ref.sigma_b) <= 1e-3 * ref.sigma_b_err
+            assert res.omega_q_err == pytest.approx(ref.omega_q_err, rel=1e-4)
+            assert res.sigma_b_err == pytest.approx(ref.sigma_b_err, rel=1e-4)
+            assert res.chi2_reduced == pytest.approx(ref.chi2_reduced, rel=1e-8)
+            assert res.sigma_b_at_bound == ref.sigma_b_at_bound
+            assert res.quadrature_nodes == ref.quadrature_nodes
+            assert res.nfev <= ref.nfev
+
     @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
     def test_probe_time_must_be_positive(self, tau):
         with pytest.raises(InvalidInputError, match="probe time"):
@@ -537,6 +585,61 @@ class TestFitSpectrum:
         counts = good.copy()
         counts[5], counts[7] = 450, 0
         fit_spectrum(self.DELTAS, counts, shots, self.CONFIG)   # the bounds
+
+
+class TestLeastSquares:
+    """The fit's projected Levenberg-Marquardt on problems with known answers."""
+
+    A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+
+    def linear(self, b):
+        return lambda x: (self.A @ x - b, self.A)
+
+    def test_interior_optimum_is_the_normal_equations(self):
+        b = np.array([1.0, 3.0, 5.2, 6.9])
+        sol = inference._least_squares(self.linear(b), [10.0, 10.0], 50)
+        exact = np.linalg.solve(self.A.T @ self.A, self.A.T @ b)
+        assert sol.status in (1, 2, 3, 4)
+        assert np.allclose(sol.x, exact, rtol=1e-7)
+        assert not sol.at_bound
+        assert np.array_equal(sol.jac, self.A)
+
+    def test_bound_holds_the_second_parameter_at_zero(self):
+        # the unconstrained optimum has a negative slope; on x[1] = 0 the
+        # best intercept is the mean of b
+        b = np.array([4.0, 3.0, 2.1, 0.8])
+        sol = inference._least_squares(self.linear(b), [1.0, 1.0], 50)
+        assert sol.status in (1, 2, 3, 4)
+        assert sol.at_bound and sol.x[1] == 0.0
+        assert sol.x[0] == pytest.approx(np.mean(b), rel=1e-7)
+        assert sol.cost == pytest.approx(0.5 * np.sum((b - np.mean(b)) ** 2))
+
+    def test_evaluation_limit_returns_status_zero(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return np.array([np.exp(x[0]) - 2.0, x[1] - 1.0]), np.diag(
+                [np.exp(x[0]), 1.0])
+
+        sol = inference._least_squares(fun, [5.0, 5.0], 3)
+        assert sol.status == 0
+        assert len(calls) == 3
+
+    def test_upper_limit_finds_the_crossing(self):
+        calls = []
+
+        def rise(s):
+            calls.append(s)
+            return ((s - 2.0) / 7.0) ** 2
+
+        limit = inference._upper_limit(rise, 2.0, 1.0)
+        assert limit == pytest.approx(9.0, abs=1e-4)
+        assert len(calls) <= 12
+
+    def test_upper_limit_needs_a_rising_chi2(self):
+        with pytest.raises(FitError, match="does not rise"):
+            inference._upper_limit(lambda s: 0.0, 0.0, 1.0)
 
 
 class TestExtractTheta:

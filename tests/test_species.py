@@ -133,3 +133,22 @@ class TestMalformedFiles:
         with pytest.raises(InvalidInputError) as info:
             load_species(path)
         assert str(info.value).startswith(f"{key} in species file ")
+
+
+class TestDuplicateEntries:
+    """A second entry with the same key replaced the first without a word."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["levels"].append({**d["levels"][2], "theta_e_a02": 5.0}),
+         "levels[4].term in species file repeats term '3D2'"),
+        (lambda d: d["transitions"].append(dict(d["transitions"][1])),
+         "transitions[3].label in species file repeats label '1S0-3D2'"),
+        (lambda d: d["levels"][1]["hyperfine_f_energies_hz"].update({"12/2": 1.0}),
+         "levels[1].hyperfine_f_energies_hz.12/2 in species file repeats F 6"),
+    ], ids=["term", "label", "hyperfine-F"])
+    def test_duplicate_is_named(self, tmp_path, edit, message):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(_lu_with(edit)))
+        with pytest.raises(InvalidInputError) as info:
+            load_species(path)
+        assert str(info.value) == message
