@@ -347,6 +347,10 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     )
 
 
+_TOL = 1e-8     # MINPACK's gtol, ftol and xtol
+_BACK = 0.005   # a step that would cross 0 ends at this fraction of x
+
+
 @dataclass(frozen=True)
 class _Solution:
     """Where _least_squares stopped."""
@@ -354,19 +358,24 @@ class _Solution:
     x: np.ndarray
     cost: float           # |r|^2 / 2
     jac: np.ndarray
-    at_bound: bool        # x[1] sits on its bound 0
+    at_bound: bool        # x[1] <= _TOL, as scipy's active_mask
     status: int           # 0 at max_nfev; 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
 
 
-def _least_squares(fun, x, max_nfev: int, tol: float = 1e-8) -> _Solution:
+def _least_squares(fun, x, max_nfev: int) -> _Solution:
     """Minimise |r(x)|^2/2 over x >= 0, where fun(x) = (r, J): projected
     Levenberg-Marquardt (More, LNM 630 (1978)) on two parameters.
 
     The damping mu multiplies diag(D^2), D the largest Jacobian column norms
     seen so far, and follows the gain ratio rho as in Madsen, Nielsen &
-    Tingleff (2004).  A parameter at 0 whose gradient points out of x >= 0
-    is held there.  The stopping tests are MINPACK's, with gtol = ftol =
-    xtol = tol; every call of fun counts towards max_nfev.
+    Tingleff (2004).  A parameter whose step would cross its bound 0 moves
+    to _BACK times its value instead, and the others minimise the damped
+    model given that move, so iterates that start inside stay inside, as
+    in scipy's trf.  On the bound the sigma_B column of J vanishes (the
+    average is even in sigma_B): an iterate there could not tell a bound
+    optimum from a saddle and would stay.  The stopping tests are MINPACK's,
+    with gtol = ftol = xtol = _TOL; every call of fun counts towards
+    max_nfev.
     """
     x = np.asarray(x, dtype=float)
     r, jac = fun(x)
@@ -374,34 +383,38 @@ def _least_squares(fun, x, max_nfev: int, tol: float = 1e-8) -> _Solution:
     scale, mu, nu = np.zeros(len(x)), 1e-3, 2.0
 
     def stop(status: int) -> _Solution:
-        return _Solution(x=x, cost=cost, jac=jac, at_bound=bool(x[1] <= 0.0),
+        return _Solution(x=x, cost=cost, jac=jac, at_bound=bool(x[1] <= _TOL),
                          status=status)
 
     while True:
         columns = np.linalg.norm(jac, axis=0)
         scale = np.maximum(scale, columns)
         g, a = jac.T @ r, jac.T @ jac
-        free = (x > 0.0) | (g <= 0.0)
-        # gtol: the cosine between r and each free column of J
+        # gtol: the cosine between r and each column of J
         norms = columns * math.sqrt(2.0 * cost)
-        if np.all(np.abs(g) <= tol * norms, where=free & (norms > 0)):
+        if np.all(np.abs(g) <= _TOL * norms, where=norms > 0):
             return stop(1)
         if nfev >= max_nfev:
             return stop(0)
         d = np.where(scale > 0.0, scale, 1.0)
-        step = np.zeros(len(x))
-        f = np.ix_(free, free)
-        step[free] = np.linalg.solve(a[f] + mu * np.diag(d[free] ** 2), -g[free])
-        x_new = np.maximum(x + step, 0.0)
+        h = a + mu * np.diag(d ** 2)
+        step = np.linalg.solve(h, -g)
+        held = x + step < _BACK * x
+        if held.any():
+            step[held] = (_BACK - 1.0) * x[held]
+            f = ~held
+            step[f] = np.linalg.solve(h[np.ix_(f, f)],
+                                      -g[f] - h[np.ix_(f, held)] @ step[held])
+        x_new = np.maximum(x + step, _BACK * x)
         step = x_new - x
         predicted = -(g @ step) - 0.5 * (step @ a @ step)
         r_new, jac_new = fun(x_new)
         nfev += 1
         cost_new = 0.5 * float(r_new @ r_new)
         rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
-        ftol = (abs(cost - cost_new) <= tol * cost
-                and predicted <= tol * cost and rho <= 2.0)
-        xtol = np.linalg.norm(d * step) <= tol * (tol + np.linalg.norm(d * x))
+        ftol = (abs(cost - cost_new) <= _TOL * cost
+                and predicted <= _TOL * cost and rho <= 2.0)
+        xtol = np.linalg.norm(d * step) <= _TOL * (_TOL + np.linalg.norm(d * x))
         if rho > 0.0:
             x, r, jac, cost = x_new, r_new, jac_new, cost_new
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)

@@ -534,7 +534,8 @@ class TestFitSpectrum:
 
     @pytest.mark.parametrize("sigma_b, seeds", [
         (18e-9, range(20)), (50e-9, range(50, 60)), (150e-9, range(5)),
-        (0.0, [2])])
+        (0.0, [2]), (0.0, range(3, 10)), (2e-9, range(4)), (5e-9, range(4)),
+        (8e-9, range(4))])
     def test_same_fit_as_scipy_least_squares(self, monkeypatch, sigma_b, seeds):
         for seed in seeds:
             counts = simulate_counts(reference_system(),
@@ -606,13 +607,27 @@ class TestLeastSquares:
 
     def test_bound_holds_the_second_parameter_at_zero(self):
         # the unconstrained optimum has a negative slope; on x[1] = 0 the
-        # best intercept is the mean of b
+        # best intercept is the mean of b.  Iterates stay inside the bound.
         b = np.array([4.0, 3.0, 2.1, 0.8])
         sol = inference._least_squares(self.linear(b), [1.0, 1.0], 50)
         assert sol.status in (1, 2, 3, 4)
-        assert sol.at_bound and sol.x[1] == 0.0
+        assert sol.at_bound and 0.0 < sol.x[1] <= 1e-8
         assert sol.x[0] == pytest.approx(np.mean(b), rel=1e-7)
         assert sol.cost == pytest.approx(0.5 * np.sum((b - np.mean(b)) ** 2))
+
+    def test_interior_optimum_past_a_vanishing_column(self):
+        # r depends on x[1] through x[1]**2, as the fit's residuals depend on
+        # sigma_B, so the column of J vanishes at x[1] = 0; the first step
+        # from x[1] = 5 would cross the bound, and an iterate on it would stay
+        def fun(x):
+            u = x[1] ** 2
+            return (np.array([x[0] - 1.0, (u - 1.0) / (u + 1.0)]),
+                    np.array([[1.0, 0.0], [0.0, 4.0 * x[1] / (u + 1.0) ** 2]]))
+
+        sol = inference._least_squares(fun, [3.0, 5.0], 50)
+        assert sol.status in (1, 2, 3, 4)
+        assert np.allclose(sol.x, [1.0, 1.0], rtol=1e-7)
+        assert not sol.at_bound
 
     def test_evaluation_limit_returns_status_zero(self):
         calls = []
