@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 from .errors import InvalidInputError
@@ -25,6 +26,7 @@ _SQRT38 = math.sqrt(3.0 / 8.0)
 _SQRT32 = math.sqrt(3.0 / 2.0)
 
 
+@total_ordering
 class HalfInt:
     """An exact integer or half-integer, stored as twice its value."""
 
@@ -68,9 +70,6 @@ class HalfInt:
     def __sub__(self, other: Momentum) -> "HalfInt":
         return HalfInt.from_twice(self.twice - HalfInt(other).twice)
 
-    def __rsub__(self, other: Momentum) -> "HalfInt":
-        return HalfInt.from_twice(HalfInt(other).twice - self.twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt.from_twice(-self.twice)
 
@@ -85,15 +84,6 @@ class HalfInt:
 
     def __lt__(self, other) -> bool:
         return self.twice < HalfInt(other).twice
-
-    def __le__(self, other) -> bool:
-        return self.twice <= HalfInt(other).twice
-
-    def __gt__(self, other) -> bool:
-        return self.twice > HalfInt(other).twice
-
-    def __ge__(self, other) -> bool:
-        return self.twice >= HalfInt(other).twice
 
     def __hash__(self) -> int:
         return hash(self.twice / 2.0)

@@ -10,7 +10,9 @@ Subcommands:
 Every JSON input is checked against its bundled schema; angles are degrees
 at this boundary and radians internally.  CSV and JSON render one table of
 rows.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-All outputs are deterministic for a fixed config and seed.
+All outputs are deterministic for a fixed config and seed.  Each subcommand
+imports the modules it uses when it runs, after its config is checked:
+extract-theta, and any run whose config is rejected, never load numpy.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .angular import EulerAngles
-from .coupling import hq_matrix
-from .dynamics import RwaSystem, default_detuning_grid, scan_spectrum
-from .effects import shift_decomposition
 from .errors import (
     FitError,
     IntegrationError,
@@ -36,24 +33,19 @@ from .errors import (
     check_document,
     read_json,
 )
-from .inference import (
-    FitConfig,
-    NoiseModel,
-    combine_runs,
-    extract_theta,
-    fit_spectrum,
-    noise_averaged_signal,
-)
-from .species import load_species, parse_half_int
-from .trap import CODATA2018, TrapConfig, secular_consistency
+from .trap import (CODATA2018, NoiseModel, TrapConfig, combine_runs, extract_theta,
+                   secular_consistency)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 TWO_PI = 2.0 * math.pi
 
-_NUMERICAL_ERRORS = (
-    ResonanceError, QuadratureConvergenceError, IntegrationError, FitError,
-    np.linalg.LinAlgError,
-)
+
+def _numerical_errors() -> tuple:
+    """The exceptions that exit 3.  numpy's LinAlgError is among them once
+    numpy is loaded; before that, nothing can have raised it."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (ResonanceError, QuadratureConvergenceError, IntegrationError, FitError,
+            *((linalg.LinAlgError,) if linalg else ()))
 
 
 def _fmt(value: float) -> str:
@@ -130,9 +122,12 @@ def _csv_row(row) -> str:
 
 
 def cmd_matrix_elements(args) -> int:
+    config = load_run_config(args.config)   # a bad config exits before numpy loads
+    from .coupling import hq_matrix
+    from .species import load_species, parse_half_int
     species = load_species(args.species)
     level = species.level(args.level)
-    trap = trap_from_config(load_run_config(args.config), species.mass_kg)
+    trap = trap_from_config(config, species.mass_kg)
     manifold = [parse_half_int(f) for f in args.manifold.split(",") if f.strip()]
     if not manifold:
         raise InvalidInputError("empty manifold")
@@ -158,9 +153,13 @@ def cmd_matrix_elements(args) -> int:
 
 
 def cmd_clock_shift(args) -> int:
+    config = load_run_config(args.config)   # a bad config exits before numpy loads
+    import numpy as np
+    from .effects import shift_decomposition
+    from .species import load_species
     species = load_species(args.species)
     transition = species.transition(args.transition)
-    trap = trap_from_config(load_run_config(args.config), species.mass_kg)
+    trap = trap_from_config(config, species.mass_kg)
     if args.grid < 0:
         raise InvalidInputError("--grid must be non-negative")
     dec = shift_decomposition(transition, trap)
@@ -186,6 +185,8 @@ def cmd_clock_shift(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .dynamics import RwaSystem, default_detuning_grid, scan_spectrum
+    from .inference import noise_averaged_signal
     omega_q = TWO_PI * args.omega_q_hz
     omega_0 = args.omega0_ratio * abs(omega_q)
     if omega_0 <= 0:
@@ -220,7 +221,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_fit_csv(path: str) -> tuple[list[float], list[float], list[float]]:
     try:
         text = Path(path).read_text()
     except FileNotFoundError:
@@ -247,7 +248,7 @@ def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shots.append(float(cols[2]))
     if not deltas:
         raise InvalidInputError("fit CSV contains no data rows")
-    return (TWO_PI * np.array(deltas), np.array(counts), np.array(shots))
+    return [TWO_PI * d for d in deltas], counts, shots
 
 
 def _is_number(text: str) -> bool:
@@ -259,6 +260,7 @@ def _is_number(text: str) -> bool:
 
 
 def cmd_fit(args) -> int:
+    from .inference import FitConfig, fit_spectrum
     deltas, counts, shots = _read_fit_csv(args.data)
     config = FitConfig(
         tau=args.tau, g_d=args.g_d, g_s=args.g_s,
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,4 +1,4 @@
-"""Quasi-static noise averaging, lineshape fitting and moment extraction.
+"""Quasi-static noise averaging and lineshape fitting.
 
 Magnetic field noise is modelled as Gaussian across experiments and constant
 within one experiment.  A field excursion b shifts both rotating-frame
@@ -20,6 +20,8 @@ The seed is the noiseless model on an omega_q grid, in one batched call,
 then a four-value sigma_B scan.  Parameter errors come from (J^T J)^-1 at
 the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1; at the
 sigma_B >= 0 bound the sigma_B error is a one-sided upper limit instead.
+The noise model and the moment extraction need no numpy and live in trap;
+they are importable from here too.
 """
 
 from __future__ import annotations
@@ -33,41 +35,13 @@ import numpy as np
 from .dynamics import (RwaSystem, SpectrumScan, check_probe_time,
                        transfer_probabilities)
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
-from .trap import CODATA2018, TrapConfig
+from .trap import NoiseModel
+from .trap import ThetaEstimate, combine_runs, extract_theta  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 _FIRST_NODES = 33              # the coarsest rule, step 0.5
 _MAX_NODES = 4097
 _QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Zero-mean Gaussian quasi-static field noise and its detuning sensitivities."""
-
-    sigma_b: float                 # tesla, rms deviation
-    g_d: float = 6.0 / 5.0
-    g_s: float = 2.0025
-    include_laser_sensitivity: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_b < math.inf:
-            raise InvalidInputError("sigma_b must be finite and non-negative")
-        if not (math.isfinite(self.g_d) and math.isfinite(self.g_s)):
-            raise InvalidInputError("g-factors must be finite")
-
-    @property
-    def sensitivity_rf(self) -> float:
-        """d(Delta)/d(-b): 2 g_D mu_B / hbar, rad/s per tesla."""
-        return 2.0 * self.g_d * CODATA2018.bohr_magneton / CODATA2018.hbar
-
-    @property
-    def sensitivity_laser(self) -> float:
-        """d(delta)/d(-b): (g_D - g_S) mu_B / (2 hbar), rad/s per tesla."""
-        if not self.include_laser_sensitivity:
-            return 0.0
-        return ((self.g_d - self.g_s) * CODATA2018.bohr_magneton
-                / (2.0 * CODATA2018.hbar))
 
 
 @lru_cache(maxsize=None)
@@ -470,44 +444,3 @@ def _upper_limit(rise_along, start: float, rise: float) -> float:
                 f_lo *= 0.5
             kept = "lo"
     return s
-
-
-@dataclass(frozen=True)
-class ThetaEstimate:
-    """Quadrupole moment in e*a0^2 with propagated uncertainty."""
-
-    theta: float
-    error: float
-
-
-def extract_theta(omega_q: float, omega_q_err: float,
-                  trap: TrapConfig) -> ThetaEstimate:
-    """Theta = hbar*omega_q*sqrt(2)*e/(m*Omega_rf*omega_s), in e*a0^2.
-
-    The relative error combines the omega_q and omega_s relative errors in
-    quadrature.
-    """
-    if not (0 < omega_q < math.inf and 0 <= omega_q_err < math.inf):
-        raise InvalidInputError("omega_q must be positive, its error >= 0, both finite")
-    if trap.omega_s is None or trap.omega_s <= 0:
-        raise InvalidInputError("trap must carry a positive omega_s")
-    c = CODATA2018
-    theta_si = (c.hbar * omega_q * math.sqrt(2.0) * c.elementary_charge
-                / (trap.mass * trap.omega_rf * trap.omega_s))
-    theta = theta_si / c.e_a0_squared
-    rel = math.hypot(omega_q_err / omega_q, trap.omega_s_unc / trap.omega_s)
-    return ThetaEstimate(theta=theta, error=abs(theta) * rel)
-
-
-def combine_runs(omega_qs: list[float], errors: list[float],
-                 drift_error: float = 0.0) -> tuple[float, float]:
-    """Mean coupling over runs; the largest fit error combines in quadrature
-    with the slow-drift bound."""
-    if not omega_qs or len(omega_qs) != len(errors):
-        raise InvalidInputError("need one error per fitted value")
-    if not (all(map(math.isfinite, omega_qs))
-            and all(0 <= e < math.inf for e in (*errors, drift_error))):
-        raise InvalidInputError("values must be finite, errors finite and non-negative")
-    mean = float(np.mean(omega_qs))
-    err = math.hypot(max(errors), drift_error)
-    return mean, err

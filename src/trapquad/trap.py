@@ -1,10 +1,12 @@
-"""Trap and field configuration: quadrupole strengths from secular frequencies.
+"""Trap and field configuration, and the quadrupole moment they imply.
 
 The rf potential near the ion is written on principal axes as
 A*(x'^2 + y'^2 - 2 z'^2) + eps*(x'^2 - y'^2), multiplied by cos(Omega_rf t).
 An ideal linear rf trap has A = 0 with eps = m*Omega_rf*omega_s/(e*sqrt(2)),
 where omega_s is the pseudo-potential confinement frequency; the ideal
-quadrupole trap has eps = 0 with the same expression for A.
+quadrupole trap has eps = 0 with the same expression for A.  The field's
+quasi-static noise model and the Theta extraction from fitted couplings are
+here too: all of this is plain arithmetic and needs no numpy.
 """
 
 from __future__ import annotations
@@ -132,3 +134,73 @@ class TrapConfig:
             epsilon=self.epsilon, omega_s=self.omega_s,
             omega_s_unc=self.omega_s_unc, orientation=orientation,
         )
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Zero-mean Gaussian quasi-static field noise and its detuning sensitivities."""
+
+    sigma_b: float                 # tesla, rms deviation
+    g_d: float = 6.0 / 5.0
+    g_s: float = 2.0025
+    include_laser_sensitivity: bool = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.sigma_b < math.inf:
+            raise InvalidInputError("sigma_b must be finite and non-negative")
+        if not (math.isfinite(self.g_d) and math.isfinite(self.g_s)):
+            raise InvalidInputError("g-factors must be finite")
+
+    @property
+    def sensitivity_rf(self) -> float:
+        """d(Delta)/d(-b): 2 g_D mu_B / hbar, rad/s per tesla."""
+        return 2.0 * self.g_d * CODATA2018.bohr_magneton / CODATA2018.hbar
+
+    @property
+    def sensitivity_laser(self) -> float:
+        """d(delta)/d(-b): (g_D - g_S) mu_B / (2 hbar), rad/s per tesla."""
+        if not self.include_laser_sensitivity:
+            return 0.0
+        return ((self.g_d - self.g_s) * CODATA2018.bohr_magneton
+                / (2.0 * CODATA2018.hbar))
+
+
+@dataclass(frozen=True)
+class ThetaEstimate:
+    """Quadrupole moment in e*a0^2 with propagated uncertainty."""
+
+    theta: float
+    error: float
+
+
+def extract_theta(omega_q: float, omega_q_err: float,
+                  trap: TrapConfig) -> ThetaEstimate:
+    """Theta = hbar*omega_q*sqrt(2)*e/(m*Omega_rf*omega_s), in e*a0^2.
+
+    The relative error combines the omega_q and omega_s relative errors in
+    quadrature.
+    """
+    if not (0 < omega_q < math.inf and 0 <= omega_q_err < math.inf):
+        raise InvalidInputError("omega_q must be positive, its error >= 0, both finite")
+    if trap.omega_s is None or trap.omega_s <= 0:
+        raise InvalidInputError("trap must carry a positive omega_s")
+    c = CODATA2018
+    theta_si = (c.hbar * omega_q * math.sqrt(2.0) * c.elementary_charge
+                / (trap.mass * trap.omega_rf * trap.omega_s))
+    theta = theta_si / c.e_a0_squared
+    rel = math.hypot(omega_q_err / omega_q, trap.omega_s_unc / trap.omega_s)
+    return ThetaEstimate(theta=theta, error=abs(theta) * rel)
+
+
+def combine_runs(omega_qs: list[float], errors: list[float],
+                 drift_error: float = 0.0) -> tuple[float, float]:
+    """Mean coupling over runs; the largest fit error combines in quadrature
+    with the slow-drift bound."""
+    if not omega_qs or len(omega_qs) != len(errors):
+        raise InvalidInputError("need one error per fitted value")
+    if not (all(map(math.isfinite, omega_qs))
+            and all(0 <= e < math.inf for e in (*errors, drift_error))):
+        raise InvalidInputError("values must be finite, errors finite and non-negative")
+    mean = sum(map(float, omega_qs)) / len(omega_qs)  # np.mean's bits below 8 values
+    err = math.hypot(max(errors), drift_error)
+    return mean, err

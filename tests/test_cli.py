@@ -427,6 +427,24 @@ class TestFitAndExtract:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("module,name,argv", [
+        ("inference", "fit_spectrum", ["fit", "--tau", "1.2e-3"]),
+        ("coupling", "hq_matrix", ["matrix-elements", "--species", "ba138",
+                                   "--level", "D5/2", "--manifold", "5/2"]),
+    ])
+    def test_linalg_error_is_numerical_failure(self, monkeypatch, capsys, tmp_path,
+                                               ba_config, synthetic_csv,
+                                               module, name, argv):
+        # the subcommand imports its function when it runs, so patching the
+        # function's own module reaches it; numpy is not imported to catch this
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(f"trapquad.{module}.{name}", fail)
+        given = ["--data", synthetic_csv] if argv[0] == "fit" else ["--config", ba_config]
+        assert main([*argv, *given, "-o", str(tmp_path / "out")]) == 3
+        assert "numerical failure: Eigenvalues" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 99, "trap": {}}))
@@ -591,22 +609,63 @@ class TestCsvMatchesJson:
 
 class TestImports:
     """The package and every CLI subcommand need numpy only, and none of
-    them loads jsonschema."""
+    them loads jsonschema.  Each subcommand loads what it uses: a bare
+    `import trapquad`, extract-theta and a rejected config load no numpy."""
+
+    TYPO_TRAP = {"schema_version": 1,
+                 "trap": {"omega_rf_hz": 33e6, "preset": "ideal-linear",
+                          "omega_s_hz": 1e6, "alpha_degs": 30.0}}
 
     @staticmethod
-    def optional_modules_after(script: str) -> list[str]:
-        code = script + (
-            "\nimport json, sys\n"
-            "print(json.dumps(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'jsonschema'))))\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
+    def fresh_process(args) -> tuple[int, set[str]]:
+        """Exit code of a fresh `python -X importtime <args>` process, and the
+        top-level package of every module it imported."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        loaded = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        return proc.returncode, loaded
+
+    def test_bare_import_loads_no_numpy(self):
+        code, loaded = self.fresh_process(["-c", "import trapquad"])
+        assert code == 0 and "trapquad" in loaded
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("source", ["omega", "fit-json"])
+    def test_extract_theta_loads_no_numpy(self, tmp_path, ba_config, synthetic_csv,
+                                          source):
+        if source == "omega":
+            given = ["--omega-q-hz", "1694", "--omega-q-err-hz", "35"]
+        else:
+            fit_json = tmp_path / "fit.json"
+            assert main(["fit", "--data", synthetic_csv, "--tau", "1.2e-3",
+                         "--format", "json", "-o", str(fit_json)]) == 0
+            given = ["--fit-json", str(fit_json)]
+        out = tmp_path / "theta.csv"
+        code, loaded = self.fresh_process(
+            ["-m", "trapquad.cli", "extract-theta", "--config", ba_config, *given,
+             "-o", str(out)])
+        assert code == 0 and "theta_e_a02" in out.read_text()
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["clock-shift", "--species", "lu176", "--transition", "1S0-3D2"],
+        ["matrix-elements", "--species", "lu176", "--level", "3D2", "--manifold", "5"],
+    ])
+    def test_config_typo_exits_before_numpy_loads(self, tmp_path, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.TYPO_TRAP))
+        code, loaded = self.fresh_process(
+            ["-m", "trapquad.cli", *argv, "--config", str(path)])
+        assert code == 2
+        assert "numpy" not in loaded
 
     def test_import_loads_no_scipy(self):
-        assert self.optional_modules_after("import trapquad.cli") == []
+        code, loaded = self.fresh_process(["-c", "import trapquad.cli"])
+        assert code == 0 and "trapquad" in loaded
+        assert not loaded & {"scipy", "jsonschema"}
 
     def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config,
                                              synthetic_csv):
@@ -623,5 +682,7 @@ class TestImports:
         script = "from trapquad.cli import main\n" + "".join(
             f"assert main({argv + ['-o', str(tmp_path / f'out{k}')]!r}) == 0\n"
             for k, argv in enumerate(steps))
-        assert self.optional_modules_after(script) == []
+        code, loaded = self.fresh_process(["-c", script])
+        assert code == 0
+        assert not loaded & {"scipy", "jsonschema"}
         assert all((tmp_path / f"out{k}").read_text() for k in range(len(steps)))

@@ -149,6 +149,12 @@ class TestHqMatrix:
         mat = hq_matrix(ba_d52, trap, [2.5])
         assert np.all(mat.amplitude == 0)
 
+    def test_state_outside_basis_is_named(self, ba_d52):
+        trap = TrapConfig(omega_rf=1e8, mass=2.3e-25, epsilon=1e9)
+        mat = hq_matrix(ba_d52, trap, [2.5])
+        with pytest.raises(InvalidInputError, match=r"^\|3/2,1/2> not in basis$"):
+            mat.element(HyperfineState(2.5, 0.5), HyperfineState(1.5, 0.5))
+
     def test_hermitian_and_traceless_random(self, ba_d52):
         rng = random.Random(3)
         levels = [

@@ -712,6 +712,19 @@ class TestCombineRuns:
         mean, err = combine_runs([5.0, 5.0, 5.0], [1.0, 1.0, 1.0])
         assert mean == 5.0 and err == 1.0
 
+    def test_mean_matches_numpy(self):
+        # the mean is taken without numpy: bit-equal to np.mean below 8
+        # values, which every caller passes, and within 1e-15 above
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            values = list(rng.normal(WQ, 300.0, n) * 10.0 ** rng.integers(-3, 4))
+            assert combine_runs(values, [1.0] * n)[0] == float(np.mean(values))
+        for n in range(8, 101):
+            values = list(rng.uniform(1e3, 2e4, n))
+            assert combine_runs(values, [1.0] * n)[0] == pytest.approx(
+                np.mean(values), rel=1e-15, abs=0)
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             combine_runs([], [])
