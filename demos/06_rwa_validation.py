@@ -1,10 +1,11 @@
 """Validating the rotating-wave treatment against the explicit cos drive.
 
 The four-level rotating-frame model halves the cos(Omega_rf t) coupling
-amplitudes.  The oracle propagates the explicitly time-dependent problem over
-one rf half-period and raises that propagator to the number of half-periods
-in the probe, so it runs at the experiment's drive ratio in milliseconds.
-The gap to the rotating-wave populations falls as omega_q/Omega_rf.
+amplitudes.  The oracle solves the explicitly time-dependent problem through
+its time-independent Floquet Hamiltonian on a few rf harmonics, with no split
+of the probe into rf periods, so it runs at the experiment's drive ratio in
+about a millisecond.  The gap to the rotating-wave populations falls as
+omega_q/Omega_rf.
 """
 
 import math
@@ -39,7 +40,6 @@ for delta_frac in (0.0, 0.25, 0.5):
         print(f"{delta_frac:9.2f} {omega_frac:10.2f} {diff:12.2e}"
               f"   ({dt * 1e3:.1f} ms)")
 
-print("(the first call includes importing scipy.integrate)")
 print("\nthe gap falls as wq/Omega_rf: times the drive ratio it stays near 0.1 "
       "(Delta = 0.25, Omega0 = 0.35, delta = 0.3 wq):")
 print(f"{'ratio':>7} {'max |diff|':>12} {'x ratio':>8}")

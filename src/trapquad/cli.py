@@ -227,17 +227,14 @@ def _read_fit_csv(path: str) -> tuple[list[float], list[float], list[float]]:
     except FileNotFoundError:
         raise InvalidInputError(f"data file not found: {path}") from None
     deltas, counts, shots = [], [], []
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    rows = [(ln, line) for ln, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#")]
+    for i, (ln, line) in enumerate(rows):
         cols = [c.strip() for c in line.split(",")]
-        if ln == 1 and not _is_number(cols[0]):
+        if i == 0 and not _is_number(cols[0]):   # a header, after any comments
             expect = ["delta_hz", "excited_counts", "shots"]
             if [c.lower() for c in cols[:3]] != expect:
-                raise InvalidInputError(
-                    f"fit CSV header must be {','.join(expect)}"
-                )
+                raise InvalidInputError(f"fit CSV header must be {','.join(expect)}")
             continue
         if len(cols) < 3:
             raise InvalidInputError(f"line {ln}: need delta_hz,excited_counts,shots")

@@ -14,8 +14,8 @@ with wq = eps*Theta/hbar, Delta = Omega_rf - 2*omega_z the rf detuning from
 twice the Zeeman splitting, and delta the laser detuning from the
 Zeeman-shifted carrier.  The rotating-wave off-diagonals are HALF the
 cos(Omega_rf t) amplitudes of the coupling module; `floquet_oracle_from_rwa`
-checks that bookkeeping against the explicitly time-dependent problem, one
-rf period at a time.
+checks that bookkeeping against the explicitly time-dependent problem,
+solved through its Fourier-space (Floquet) Hamiltonian with no ODE.
 
 Note the |D,5/2> state carries the weaker coupling wq/sqrt(10): from m=1/2
 the downward rank-2 ladder element to m=-3/2 is the stronger one, as direct
@@ -37,6 +37,8 @@ IDX_D52, IDX_D12, IDX_DM32, IDX_S = 0, 1, 2, 3
 _A_COEFF = 1.0 / math.sqrt(10.0)       # |D,1/2> <-> |D,5/2>, per unit wq
 _B_COEFF = 3.0 / (5.0 * math.sqrt(2.0))  # |D,1/2> <-> |D,-3/2>, per unit wq
 _BATCH = 2 ** 9                          # (Delta, delta) pairs per eigh call
+_HARMONIC_TOL = 1e-10    # populations at K and 2K Floquet harmonics agree
+_MAX_HARMONICS = 64      # K past which the Floquet series counts as unconverged
 
 
 @dataclass(frozen=True)
@@ -223,13 +225,6 @@ def _prominence(y: np.ndarray, i: int) -> float:
     return float(y[i] - max(y[lo:i + 1].min(), y[i:hi].min()))
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: the import alone
-    takes most of a second, and nothing else in the package needs it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float,
                             tau: float) -> np.ndarray:
     """Populations after tau from |S,1/2> under the explicit cos(Omega_rf t)
@@ -239,9 +234,9 @@ def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float,
     couplings are written from the full cos amplitudes q = 2*wq*(A, B), not
     from build_rwa_hamiltonian: (q/2)(1 + exp(2i Omega_rf t)) above the
     diagonal, so the check catches a wrong factor 1/2 in the rotating-wave
-    couplings.  H is then periodic in T = pi/Omega_rf, and with tau = N T + r,
-    U(tau) = U(r) U(T)^N (Shirley, Phys. Rev. 138, B979 (1965)): the 4x4
-    propagator is integrated over one period and over the remainder.
+    couplings.  That H(t) is solved through Shirley's Floquet Hamiltonian
+    (Phys. Rev. 138, B979 (1965)) on harmonics |n| <= K, with no ODE; K
+    doubles from 1 until K and 2K agree to _HARMONIC_TOL, up to _MAX_HARMONICS.
     """
     check_probe_time(tau)
     if not 0.0 < omega_rf < math.inf:
@@ -253,39 +248,45 @@ def floquet_oracle_from_rwa(sys: RwaSystem, omega_rf: float,
     if omega_rf < 100.0 * strongest:
         raise InvalidInputError(
             "floquet oracle requires Omega_rf at least 100x the couplings")
-    upper = np.zeros((4, 4), dtype=complex)
+    upper = np.zeros((4, 4))
     upper[IDX_D52, IDX_D12], upper[IDX_D12, IDX_DM32] = 0.5 * q_a, 0.5 * q_b
     static = np.diag([-sys.detuning_rf, 0.0, sys.detuning_rf,
                       sys.detuning_laser]) + upper + upper.T
     static[IDX_D12, IDX_S] = static[IDX_S, IDX_D12] = 0.5 * sys.omega_0
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        drive = upper * complex(math.cos(2.0 * omega_rf * t),
-                                math.sin(2.0 * omega_rf * t))
-        h = static + drive + drive.conj().T
-        return -1j * (h @ u.reshape(4, 4)).ravel()
-
-    def propagator(t: float) -> np.ndarray:
-        sol = solve_ivp(rhs, (0.0, t), np.eye(4, dtype=complex).ravel(),
-                        method="DOP853", rtol=1e-12, atol=1e-13)
-        if not sol.success:
+    k, change = 1, math.inf
+    pops = _floquet_populations(static, upper, 2.0 * omega_rf, tau, 1)
+    while change > _HARMONIC_TOL:
+        k *= 2
+        if k > _MAX_HARMONICS:
             raise IntegrationError(
-                f"time-dependent integration failed: {sol.message}")
-        return sol.y[:, -1].reshape(4, 4)
-
-    period = math.pi / omega_rf
-    n_periods = math.floor(tau / period)
-    rest = tau - n_periods * period   # below 0 only by rounding: dropped
-    u = np.eye(4, dtype=complex)
-    if n_periods:
-        # U(T)^N from the eigenphases of U(T): a power of the rounded matrix
-        # would carry its ~1e-16 departure from unitarity N times
-        vals, vecs = np.linalg.eig(propagator(period))
-        u = (vecs * np.exp(1j * n_periods * np.angle(vals))) @ np.linalg.inv(vecs)
-    if rest > 0.0:
-        u = propagator(rest) @ u
-    pops = np.abs(u[:, IDX_S]) ** 2
+                f"Floquet series unconverged at {k // 2} harmonics: the last "
+                f"doubling moved the populations by {change:.1e}")
+        finer = _floquet_populations(static, upper, 2.0 * omega_rf, tau, k)
+        change, pops = float(np.max(np.abs(finer - pops))), finer
     drift = abs(float(np.sum(pops)) - 1.0)
     if drift > 1e-9:
         raise IntegrationError(f"unitarity drift {drift:.2e} exceeds 1e-9")
     return pops
+
+
+def _floquet_populations(static: np.ndarray, upper: np.ndarray, omega: float,
+                         tau: float, k: int) -> np.ndarray:
+    """Populations after tau from |S,1/2> under static + upper e^{i omega t} +
+    h.c.: H_F has blocks static + n omega on its diagonal, upper and upper^T
+    beside them, over the harmonics of each state in turn (|S,1/2> last, so an
+    uncoupled S stays exactly unmixed).  Its four eigenvectors centred on n = 0
+    are the Floquet states u_j, and U(tau) = sum_j u_j(tau) e^{-i eps_j tau}
+    u_j(0)^T.  They and the eps_j are re-resolved on H_F projected onto those
+    four: eigh's absolute error, ~1e-16 k omega, is a phase of up to 1e-7 over
+    a long probe."""
+    size = 2 * k + 1
+    harmonics = omega * np.arange(-k, k + 1)
+    h_f = (np.kron(static, np.eye(size)) + np.kron(np.eye(4), np.diag(harmonics))
+           + np.kron(upper, np.eye(size, k=-1)) + np.kron(upper.T, np.eye(size, k=1)))
+    vecs = np.linalg.eigh(h_f)[1]
+    centred = vecs[:, np.argsort(np.sum(vecs[k::size] ** 2, axis=0))[-4:]]
+    quasi, rot = np.linalg.eigh(centred.T @ h_f @ centred)
+    blocks = (centred @ rot).reshape(4, size, 4)   # (state, harmonic, u_j)
+    u_tau = np.exp(1j * harmonics * tau) @ blocks
+    amps = u_tau @ (np.exp(-1j * quasi * tau) * np.sum(blocks[IDX_S], axis=0))
+    return np.abs(amps) ** 2

@@ -425,6 +425,28 @@ class TestFitAndExtract:
         code = main(["fit", "--data", str(path), "--tau", "1.2e-3"])
         assert code == 2
 
+    def test_header_after_comment_lines(self, tmp_path, synthetic_csv):
+        # exited 2: the header was looked for on line 1 only
+        path = tmp_path / "commented.csv"
+        path.write_text("# run 1\n\n# 18 nT\n" + Path(synthetic_csv).read_text())
+        outputs = []
+        for data in (synthetic_csv, str(path)):
+            out = tmp_path / f"fit{len(outputs)}.json"
+            assert main(["fit", "--data", data, "--tau", "1.2e-3",
+                         "--format", "json", "-o", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text", [
+        "# run 1\nfrequency,counts,n\n1,2,3\n",       # a bad header after a comment
+        "delta_hz,excited_counts,shots\n# run 1\n"
+        "delta_hz,excited_counts,shots\n1,2,3\n",     # a second header
+    ])
+    def test_header_only_on_first_content_line(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
+
 
 class TestConfigHandling:
     @pytest.mark.parametrize("module,name,argv", [
@@ -665,6 +687,17 @@ class TestImports:
     def test_import_loads_no_scipy(self):
         code, loaded = self.fresh_process(["-c", "import trapquad.cli"])
         assert code == 0 and "trapquad" in loaded
+        assert not loaded & {"scipy", "jsonschema"}
+
+    def test_floquet_oracle_loads_no_scipy(self):
+        script = ("import math\n"
+                  "from trapquad.dynamics import RwaSystem, floquet_oracle_from_rwa\n"
+                  "wq = 2 * math.pi * 1.7e3\n"
+                  "pops = floquet_oracle_from_rwa(RwaSystem(wq, math.pi / 1.2e-3, 0.0, "
+                  "-0.5 * wq), 2 * math.pi * 20.585e6, 1.2e-3)\n"
+                  "assert abs(sum(pops) - 1.0) <= 1e-12\n")
+        code, loaded = self.fresh_process(["-c", script])
+        assert code == 0 and "numpy" in loaded
         assert not loaded & {"scipy", "jsonschema"}
 
     def test_light_subcommands_load_no_scipy(self, tmp_path, ba_config, lu_config,

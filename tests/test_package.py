@@ -1,9 +1,11 @@
 """The package namespace: every exported name is imported from its
-submodule on first use."""
+submodule on first use; and the package imports only what it declares."""
 
+import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,21 @@ def test_submodule_import_in_a_fresh_process():
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_imports_match_declared_dependencies():
+    # every import statement, inside functions too, against the names in
+    # [project] dependencies of pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in (SRC / "trapquad").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"trapquad"}
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    assert third_party == declared
