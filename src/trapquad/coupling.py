@@ -12,11 +12,13 @@ Theta(J):
       * Theta(J) * D2_{dmu,q}(alpha, beta)
 
 with dmu = mu' - mu.  All but Theta(J) and D2 depends on (I, J) alone and
-is computed once per (I, J) into a cached ReducedTable.  A trap adds five
-channel factors c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, and
-H_Q/hbar = Theta * reduced * c[dmu] elementwise; every coupling in the
-package is read this way.  Amplitudes are in rad/s, the coefficient of
-cos(Omega_rf t); no rotating-wave factor is applied here.
+is computed once per (I, J) into a cached ReducedTable, which also maps
+each state to its row.  A trap adds five channel factors
+c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, and
+H_Q/hbar = Theta * reduced * c[dmu] elementwise.  `amplitudes` reads any
+block of that product at table indices; every H_Q amplitude in the package,
+one element or a whole matrix, is read through it.  Amplitudes are in rad/s,
+the coefficient of cos(Omega_rf t); no rotating-wave factor is applied here.
 """
 
 from __future__ import annotations
@@ -147,12 +149,13 @@ def gradient_components(A: float, epsilon: float) -> dict[int, float]:
 @dataclass(frozen=True)
 class ReducedTable:
     """The orientation-free part of H_Q over every |F,m> of a level, in units
-    of Theta(J), states ordered by (F ascending, m ascending).  reduced[i, k]
-    couples states[k] to states[i] through dmu = m_i - m_k, held in
-    channel[i, k] as dmu + 2 (as 0 where |dmu| > 2 and reduced is 0).  All
-    arrays are read-only."""
+    of Theta(J), states ordered by (F ascending, m ascending); rows maps each
+    state to its position.  reduced[i, k] couples states[k] to states[i]
+    through dmu = m_i - m_k, held in channel[i, k] as dmu + 2 (as 0 where
+    |dmu| > 2 and reduced is 0).  All arrays are read-only."""
 
     states: tuple[HyperfineState, ...]
+    rows: Mapping[HyperfineState, int]
     f_twice: np.ndarray
     m_twice: np.ndarray
     reduced: np.ndarray
@@ -166,9 +169,10 @@ def reduced_table(level: LevelSpec) -> ReducedTable:
 
 def table_index(level: LevelSpec, state: HyperfineState) -> int:
     """Position of a state of `level` in reduced_table(level)."""
-    f_twice = level.validate_f(state.F).twice
-    start = int(np.searchsorted(reduced_table(level).f_twice, f_twice))
-    return start + (f_twice + state.m.twice) // 2
+    row = reduced_table(level).rows.get(state)
+    if row is None:  # every |F,m> of a valid F is in the table
+        level.validate_f(state.F)
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +205,8 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
         reduced += np.tril(reduced, -1).T * (-1.0) ** (dmu2 // 2)
     for array in (f2, m2, reduced, channel):
         array.flags.writeable = False
-    return ReducedTable(tuple(states), f2, m2, reduced, channel)
+    return ReducedTable(tuple(states), {s: row for row, s in enumerate(states)},
+                        f2, m2, reduced, channel)
 
 
 @lru_cache(maxsize=64)
@@ -236,13 +241,6 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
         return 0.0j
     dmu = (bra.m.twice - ket.m.twice) // 2
     return complex(level.theta_e_a02 * pref * wigner_D2(dmu, q, angles))
-
-
-def coupling_amplitude(level: LevelSpec, bra: HyperfineState,
-                       ket: HyperfineState, trap: TrapConfig) -> complex:
-    """<bra|H_Q|ket>/hbar in rad/s, the coefficient of cos(Omega_rf t)."""
-    key = (table_index(level, bra), table_index(level, ket))
-    return complex(amplitudes(level, trap, key))
 
 
 @dataclass(frozen=True)
@@ -286,5 +284,5 @@ def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
     C2_{F,m} = (-1)^(2F+I+J+m) (2F+1) {F F 2; J J I} (F 2 F; m 0 -m)
                / (J 2 J; -J 0 J).
     """
-    k = table_index(level, HyperfineState(level.validate_f(F), HalfInt(m)))
+    k = table_index(level, HyperfineState(F, m))
     return float(reduced_table(level).reduced[k, k])

@@ -6,8 +6,9 @@ Zeeman-ladder shifts, static-limit m=0 clock shifts, and the fractional-shift
 decomposition  dnu/nu = a*(f2(alpha,beta) + eta*f1(alpha,beta))  after
 hyperfine averaging, where f1 and f2 are the squared moduli of the |dm|=1 and
 |dm|=2 orientation factors of a linear (A=0) trap.  Every coupling is read
-from the level's cached table in the coupling module; the decomposition
-takes its orientation-free weights from that table directly.
+with coupling.amplitudes at the level's table indices from table_index: one
+element, or a whole column for the sums over a state's partners.  The
+decomposition takes its orientation-free weights from that table directly.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from typing import Mapping
 import numpy as np
 
 from .angular import EulerAngles, HalfInt, Momentum
-from .coupling import (HyperfineState, LevelSpec, amplitudes, coupling_amplitude,
-                       gradient_components, reduced_table, table_index)
+from .coupling import (HyperfineState, LevelSpec, amplitudes, gradient_components,
+                       reduced_table, table_index)
 from .errors import InvalidInputError, ResonanceError
 from .trap import CODATA2018, TrapConfig
 
 TWO_PI = 2.0 * math.pi
+_GUARD = 1e-3   # closest a coupled Zeeman interval may come to Omega_rf, relative
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ def sideband_index(level: LevelSpec, F: Momentum, m: Momentum,
     The peak time-varying shift of |F,m> divided by the drive frequency; it
     sets the strength of rf sidebands on transitions involving the state.
     """
-    state = HyperfineState(level.validate_f(F), HalfInt(m))
-    return coupling_amplitude(level, state, state, trap).real / trap.omega_rf
+    k = table_index(level, HyperfineState(F, m))
+    return float(amplitudes(level, trap, (k, k)).real) / trap.omega_rf
 
 
 def resonant_coupling(level: LevelSpec, bra: HyperfineState,
@@ -83,42 +85,36 @@ def resonant_coupling(level: LevelSpec, bra: HyperfineState,
             "resonant coupling requires |dm| of 1 or 2, got "
             f"{HalfInt.from_twice(dm)!r}"
         )
-    return coupling_amplitude(level, bra, ket, trap)
+    key = (table_index(level, bra), table_index(level, ket))
+    return complex(amplitudes(level, trap, key))
 
 
 def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
-                             trap: TrapConfig, zeeman: ZeemanConfig,
-                             guard: float = 1e-3) -> float:
+                             trap: TrapConfig, zeeman: ZeemanConfig) -> float:
     """Second-order shift (rad/s) of |F,m> from off-resonant H_Q couplings.
 
     delta E / hbar = -sum_dm |<F,m+dm|H_Q|F,m>/hbar|^2 / 2
                      * omega_z*dm / ((omega_z*dm)^2 - Omega_rf^2)
 
-    Raises ResonanceError when a Zeeman interval is within guard*Omega_rf of
-    the drive; the perturbative formula diverges there.
+    The partners are the states of the same F with dm != 0 and a nonzero
+    coupling, read from the state's column of the level's table (|dm| <= 2).
+    Raises ResonanceError when a partner's Zeeman interval is within
+    1e-3*Omega_rf of the drive; the perturbative formula diverges there.
     """
-    F = level.validate_f(F)
-    m = HalfInt(m)
-    state = HyperfineState(F, m)
-    omega_z = zeeman.omega_z
-
-    shift = 0.0
-    for dm in (-2, -1, 1, 2):
-        tm2 = m.twice + 2 * dm
-        if abs(tm2) > F.twice:
-            continue
-        other = HyperfineState(F, HalfInt.from_twice(tm2))
-        amp = coupling_amplitude(level, other, state, trap)
-        mod2 = abs(amp) ** 2
-        if mod2 == 0.0:
-            continue
-        if abs(abs(omega_z * dm) - trap.omega_rf) < guard * trap.omega_rf:
-            raise ResonanceError(
-                f"Zeeman interval |dm|={abs(dm)} within {guard:g}*Omega_rf "
-                "of the drive; off-resonant formula invalid"
-            )
-        shift -= 0.5 * mod2 * omega_z * dm / ((omega_z * dm) ** 2 - trap.omega_rf**2)
-    return shift
+    table = reduced_table(level)
+    k = table_index(level, HyperfineState(F, m))
+    mod2 = np.abs(amplitudes(level, trap, (slice(None), k))) ** 2
+    dm = (table.m_twice - table.m_twice[k]) // 2
+    partner = (table.f_twice == table.f_twice[k]) & (dm != 0) & (mod2 != 0.0)
+    mod2, dm = mod2[partner], dm[partner]
+    split = zeeman.omega_z * dm
+    near = np.abs(np.abs(split) - trap.omega_rf) < _GUARD * trap.omega_rf
+    if near.any():
+        raise ResonanceError(
+            f"Zeeman interval |dm|={abs(dm[near][0])} within {_GUARD:g}*Omega_rf "
+            "of the drive; off-resonant formula invalid"
+        )
+    return float(np.sum(-0.5 * mod2 * split / (split**2 - trap.omega_rf**2)))
 
 
 def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:

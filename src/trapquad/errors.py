@@ -26,7 +26,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the time-dependent integrator misses its accuracy targets."""
+    """Raised when the Floquet oracle misses its accuracy targets: its series is
+    unconverged at the harmonic cap, or its populations drift from unit sum."""
 
 
 class FitError(RuntimeError):

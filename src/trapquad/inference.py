@@ -143,21 +143,16 @@ def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fixed experimental parameters and optimiser settings for fit_spectrum."""
+    """Fixed experimental parameters for fit_spectrum.  The probe is a pi
+    pulse on the rf resonance: omega_0 = pi/tau and Delta = 0."""
 
     tau: float                      # probe time, s
-    omega_0: float | None = None    # defaults to the pi-pulse value pi/tau
-    detuning_rf: float = 0.0        # mean Delta during the scan
     g_d: float = NoiseModel.g_d
     g_s: float = NoiseModel.g_s
     include_laser_sensitivity: bool = True
-    max_nfev: int = 200             # residual evaluations per refinement
 
     def __post_init__(self):
         check_probe_time(self.tau)
-
-    def rabi_frequency(self) -> float:
-        return self.omega_0 if self.omega_0 is not None else math.pi / self.tau
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
-    fixed.  Raises FitError when a refinement reaches config.max_nfev or the
+    fixed.  Raises FitError when a refinement reaches _MAX_NFEV or the
     covariance is degenerate, and QuadratureConvergenceError past 4097 nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
@@ -245,7 +240,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 
-    omega_0 = config.rabi_frequency()
+    omega_0 = math.pi / config.tau
     nfev = 0
 
     # x = (omega_q in rad/s, sigma_B in nT): nT are the units of the seed
@@ -253,7 +248,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     def model(x, n: int, new_only: bool = False, derivatives: bool = False):
         nonlocal nfev
         nfev += 1
-        sys = RwaSystem(x[0], omega_0, config.detuning_rf, 0.0)
+        sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
         return _averaged_transfer(sys, replace(noise, sigma_b=x[1] * 1e-9),
                                   detunings, config.tau, n, new_only, derivatives)
 
@@ -280,7 +275,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     omegas = np.linspace(0.2 * span, 1.2 * span, 61)[:, None]
     nfev += 1
     p_seed = transfer_probabilities(
-        omegas, omega_0, config.detuning_rf,
+        omegas, omega_0, 0.0,
         np.broadcast_to(detunings, (len(omegas), len(detunings))), config.tau)
     w_seed = float(omegas[np.argmin(np.sum(weighted(p_seed) ** 2, axis=1)), 0])
     s_seed = min((5.0, 15.0, 30.0, 60.0),
@@ -290,9 +285,9 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
 
     while True:
         fit = _least_squares(lambda x: residuals_and_jacobian(x, n), x,
-                             config.max_nfev)
+                             _MAX_NFEV)
         if fit.status == 0:
-            raise FitError(f"no convergence within {config.max_nfev} "
+            raise FitError(f"no convergence within {_MAX_NFEV} "
                            f"evaluations on {n} quadrature nodes")
         x = fit.x
         chi2_min = 2.0 * fit.cost
@@ -321,8 +316,9 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     )
 
 
-_TOL = 1e-8     # MINPACK's gtol, ftol and xtol
-_BACK = 0.005   # a step that would cross 0 ends at this fraction of x
+_TOL = 1e-8       # MINPACK's gtol, ftol and xtol
+_MAX_NFEV = 200   # residual evaluations per refinement
+_BACK = 0.005     # a step that would cross 0 ends at this fraction of x
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ here too: all of this is plain arithmetic and needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .angular import EulerAngles
 from .errors import InvalidInputError
@@ -129,11 +129,7 @@ class TrapConfig:
         )
 
     def with_orientation(self, orientation: EulerAngles) -> "TrapConfig":
-        return TrapConfig(
-            omega_rf=self.omega_rf, mass=self.mass, A=self.A,
-            epsilon=self.epsilon, omega_s=self.omega_s,
-            omega_s_unc=self.omega_s_unc, orientation=orientation,
-        )
+        return replace(self, orientation=orientation)
 
 
 @dataclass(frozen=True)

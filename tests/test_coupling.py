@@ -10,7 +10,6 @@ from trapquad.coupling import (
     HyperfineState,
     LevelSpec,
     c2_coefficient,
-    coupling_amplitude,
     gradient_components,
     hq_matrix,
     reduced_table,

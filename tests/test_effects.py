@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trapquad.angular import EulerAngles, HalfInt
-from trapquad.coupling import HyperfineState, LevelSpec, coupling_amplitude
+from trapquad.coupling import HyperfineState, LevelSpec, c2_coefficient, hq_matrix
 from trapquad.effects import (
     ClockTransition,
     ZeemanConfig,
@@ -48,17 +48,11 @@ class TestSidebandIndex:
 
     def test_matches_closed_form(self, lu, lu_trap):
         # beta_Q = (m omega_s / (hbar e sqrt(2))) C2 Theta sin^2(beta) cos(2 alpha)
-        from trapquad.coupling import c2_coefficient
         level = lu.level("3D2")
         ang = EulerAngles(0.4, 1.1)
         trap = lu_trap.with_orientation(ang)
         factor = math.sin(ang.beta) ** 2 * math.cos(2 * ang.alpha)
         for f, m in ((5, 5), (7, 2), (9, -9)):
-            want = (lu.mass_kg * TWO_PI * 1e6 / (CODATA2018.hbar *
-                    CODATA2018.elementary_charge * math.sqrt(2)) *
-                    c2_coefficient(level, f, m) * level.theta_e_a02 *
-                    CODATA2018.e_a0_squared * factor)
-            # closed form carries 1/e inside epsilon; express via diagonal
             want = (trap.epsilon * c2_coefficient(level, f, m) *
                     level.theta_e_a02 * CODATA2018.e_a0_squared * factor /
                     (CODATA2018.hbar * trap.omega_rf))
@@ -202,12 +196,58 @@ class TestOffResonantShift:
         assert worst < 1e-8
 
     def test_resonance_guard(self, lu, lu_trap):
+        # a Zeeman interval dm*omega_z on the drive raises only where that
+        # channel couples: a linear trap at beta = 0 has no |dm| = 1 coupling
         level = lu.level("3D2")
-        zee = ZeemanConfig.from_splitting(1.2, lu_trap.omega_rf / 2)
-        with pytest.raises(ResonanceError):
-            offresonant_zeeman_shift(
-                level, 5, 3, lu_trap.with_orientation(EulerAngles(0.3, 0.9)), zee
-            )
+        for dm, angles, coupled in ((2, (0.3, 0.9), True), (1, (0.3, 0.9), True),
+                                    (1, (0.0, 0.0), False)):
+            zee = ZeemanConfig.from_splitting(1.2, lu_trap.omega_rf / dm)
+            trap = lu_trap.with_orientation(EulerAngles(*angles))
+            if coupled:
+                with pytest.raises(ResonanceError, match=f"\\|dm\\|={dm} "):
+                    offresonant_zeeman_shift(level, 5, 3, trap, zee)
+            else:
+                assert math.isfinite(offresonant_zeeman_shift(level, 5, 3, trap, zee))
+
+    @pytest.mark.parametrize("angles", [(0.3, 0.9), (2.2, 1.4)])
+    @pytest.mark.parametrize("term", ["Lu+ 3D2", "Ba+ D5/2"])
+    def test_matches_explicit_second_order_sum(self, lu, lu_trap, ba_d52,
+                                               term, angles):
+        # every state against the sum over its hq_matrix column, element by element
+        level = lu.level("3D2") if term == "Lu+ 3D2" else ba_d52
+        trap = lu_trap.with_orientation(EulerAngles(*angles))
+        zee = ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)
+        w_z, w_rf = zee.omega_z, trap.omega_rf
+        for f in level.f_values():
+            h_q = hq_matrix(level, trap, [f])
+            for ket in h_q.basis:
+                terms = [0.5 * abs(h_q.element(bra, ket)) ** 2 * w_z * dm
+                         / ((w_z * dm) ** 2 - w_rf**2)
+                         for bra in h_q.basis
+                         if (dm := (bra.m.twice - ket.m.twice) // 2) != 0]
+                want = -sum(terms)
+                got = offresonant_zeeman_shift(level, f, ket.m, trap, zee)
+                assert got == pytest.approx(
+                    want, rel=1e-12, abs=1e-12 * max(map(abs, terms)))
+
+
+@pytest.mark.parametrize("term", ["Lu+ 3D2", "Ba+ D5/2"])
+@pytest.mark.parametrize("call", [
+    lambda level, f, trap: sideband_index(level, f, f, trap),
+    lambda level, f, trap: resonant_coupling(
+        level, HyperfineState(f, f), HyperfineState(f, f - 1), trap),
+    lambda level, f, trap: offresonant_zeeman_shift(
+        level, f, f, trap, ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)),
+    lambda level, f, trap: c2_coefficient(level, f, f),
+    lambda level, f, trap: clock_shift(level, f, trap),
+], ids=["sideband_index", "resonant_coupling", "offresonant_zeeman_shift",
+        "c2_coefficient", "clock_shift"])
+def test_f_outside_the_level_is_named(lu, lu_trap, ba_d52, term, call):
+    level, f, message = ((lu.level("3D2"), 4, "F=4 invalid for I=7, J=2")
+                         if term == "Lu+ 3D2" else
+                         (ba_d52, 1.5, "F=3/2 invalid for I=0, J=5/2"))
+    with pytest.raises(InvalidInputError, match=message):
+        call(level, f, lu_trap)
 
 
 class TestClockShift:
@@ -220,9 +260,10 @@ class TestClockShift:
         got = clock_shift(level, 1, trap)
         want = 0.0
         ket = HyperfineState(1, 0)
+        h_q = hq_matrix(level, trap, [0, 1, 2])
         for fp, e in ((0, -2e9), (2, 3e9)):
             bra = HyperfineState(fp, 0)
-            amp_hz = coupling_amplitude(level, bra, ket, trap) / TWO_PI
+            amp_hz = h_q.element(bra, ket) / TWO_PI
             want -= abs(amp_hz) ** 2 / (2 * e)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -505,13 +505,13 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, counts, 300, FitConfig(tau=tau))
         assert runs == []
 
-    def test_evaluation_limit_is_a_failure(self):
+    def test_evaluation_limit_is_a_failure(self, monkeypatch):
         rng = np.random.default_rng(0)
         counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
                                  self.DELTAS, TAU, 300, rng)
+        monkeypatch.setattr(inference, "_MAX_NFEV", 1)
         with pytest.raises(FitError):
-            fit_spectrum(self.DELTAS, counts, 300,
-                         FitConfig(tau=TAU, max_nfev=1))
+            fit_spectrum(self.DELTAS, counts, 300, FitConfig(tau=TAU))
 
     @staticmethod
     def scipy_trf(fun, x, max_nfev):

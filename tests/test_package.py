@@ -67,19 +67,37 @@ def test_submodule_import_in_a_fresh_process():
     assert proc.stdout.strip() == "False"
 
 
+def _import_statements():
+    """(file name, node) for every import statement of the package, inside
+    functions too."""
+    for path in sorted((SRC / "trapquad").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, node
+
+
 def test_imports_match_declared_dependencies():
-    # every import statement, inside functions too, against the names in
-    # [project] dependencies of pyproject.toml
+    # every import statement against the names in [project] dependencies of
+    # pyproject.toml
     tomllib = pytest.importorskip("tomllib")
     imported = set()
-    for path in (SRC / "trapquad").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    for _, node in _import_statements():
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"trapquad"}
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
                 for req in project["dependencies"]}
     assert third_party == declared
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # the seams between modules are their public names: effects reads
+    # couplings through coupling.amplitudes, never coupling._channel_factors
+    private = [f"{name}: {alias.name}" for name, node in _import_statements()
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("trapquad"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
