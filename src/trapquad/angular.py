@@ -5,9 +5,9 @@ half-integers compare exactly.  The 3j/6j symbols are evaluated with the Racah
 single-sum formulas using exact integer factorials for each term; only the
 final combination is done in floating point.  Rotations follow the passive
 z-y-z Euler convention with the first rotation (alpha) about z and gamma = 0,
-so D2(mp, m; alpha, beta) = d2(mp, m; beta) * exp(i*m*alpha).  The sign
-convention of the little-d matrix is locked by the closed-form tests in
-tests/test_angular.py.
+so D2(mp, m; alpha, beta) = d2(mp, m; beta) * exp(i*m*alpha).  Every d2
+entry comes from Wigner's single sum (Varshalovich et al. 1988, sec. 4.3.1);
+its sign convention is pinned in tests/test_angular.py against exp(+i*beta*Jy).
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from typing import Union
 from .errors import InvalidInputError
 
 Momentum = Union["HalfInt", int, float]
-
-_SQRT38 = math.sqrt(3.0 / 8.0)
-_SQRT32 = math.sqrt(3.0 / 2.0)
-
 
 @total_ordering
 class HalfInt:
@@ -223,72 +219,30 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
     return math.sqrt(float(pref2)) * total
 
 
-def _little_d2(mp: int, m: int, beta: float) -> float:
-    """Rank-2 little-d matrix element in the passive convention."""
-    c = math.cos(beta)
-    s = math.sin(beta)
-    key = (mp, m)
-    if key == (2, 2):
-        return ((1 + c) / 2) ** 2
-    if key == (2, 1):
-        return s * (1 + c) / 2
-    if key == (2, 0):
-        return _SQRT38 * s * s
-    if key == (2, -1):
-        return s * (1 - c) / 2
-    if key == (2, -2):
-        return ((1 - c) / 2) ** 2
-    if key == (1, 2):
-        return -s * (1 + c) / 2
-    if key == (1, 1):
-        return (1 + c) * (2 * c - 1) / 2
-    if key == (1, 0):
-        return _SQRT32 * s * c
-    if key == (1, -1):
-        return (1 - c) * (2 * c + 1) / 2
-    if key == (1, -2):
-        return s * (1 - c) / 2
-    if key == (0, 2):
-        return _SQRT38 * s * s
-    if key == (0, 1):
-        return -_SQRT32 * s * c
-    if key == (0, 0):
-        return (3 * c * c - 1) / 2
-    if key == (0, -1):
-        return _SQRT32 * s * c
-    if key == (0, -2):
-        return _SQRT38 * s * s
-    if key == (-1, 2):
-        return -s * (1 - c) / 2
-    if key == (-1, 1):
-        return (1 - c) * (2 * c + 1) / 2
-    if key == (-1, 0):
-        return -_SQRT32 * s * c
-    if key == (-1, -1):
-        return (1 + c) * (2 * c - 1) / 2
-    if key == (-1, -2):
-        return s * (1 + c) / 2
-    if key == (-2, 2):
-        return ((1 - c) / 2) ** 2
-    if key == (-2, 1):
-        return -s * (1 - c) / 2
-    if key == (-2, 0):
-        return _SQRT38 * s * s
-    if key == (-2, -1):
-        return -s * (1 + c) / 2
-    if key == (-2, -2):
-        return ((1 + c) / 2) ** 2
-    raise InvalidInputError(f"projections out of range for rank 2: {mp}, {m}")
-
-
 def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
-    """Passive rank-2 little-d element d2_{mp,m}(beta)."""
+    """Passive rank-2 little-d element d2_{mp,m}(beta), by Wigner's sum.
+
+    The passive matrix is the transpose of the active one.  With c, s the
+    cosine and sine of beta/2, and k over the non-negative factorials,
+    d2_{mp,m} = sum_k (-1)^(k-mp+m) sqrt((2+m)!(2-m)!(2+mp)!(2-mp)!)
+                / ((2+mp-k)! k! (2-k-m)! (k-mp+m)!) c^(4-2k+mp-m) s^(2k-mp+m).
+    """
     mp, m = HalfInt(mp), HalfInt(m)
     if not (mp.is_integer and m.is_integer):
         raise InvalidInputError("rank-2 projections must be integers")
     if abs(mp.twice) > 4 or abs(m.twice) > 4:
         raise InvalidInputError("rank-2 projections must satisfy |m| <= 2")
-    return _little_d2(int(mp), int(m), beta)
+    if not math.isfinite(beta):
+        raise InvalidInputError(f"beta must be finite, not {beta!r}")
+    mp, m = int(mp), int(m)
+    fac = math.factorial
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    total = 0.0
+    for k in range(max(0, mp - m), min(2 + mp, 2 - m) + 1):
+        denom = fac(2 + mp - k) * fac(k) * fac(2 - k - m) * fac(k - mp + m)
+        total += ((-1) ** (k - mp + m) / denom
+                  * c ** (4 - 2 * k + mp - m) * s ** (2 * k - mp + m))
+    return math.sqrt(fac(2 + m) * fac(2 - m) * fac(2 + mp) * fac(2 - mp)) * total
 
 
 def wigner_D2(mp: Momentum, m: Momentum, angles: EulerAngles) -> complex:

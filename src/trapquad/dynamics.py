@@ -77,15 +77,14 @@ def build_rwa_hamiltonian(sys: RwaSystem) -> np.ndarray:
                              np.array([sys.detuning_laser]))[0]
 
 
-def propagate(hamiltonian: np.ndarray, tau: float,
-              initial: int = IDX_S) -> np.ndarray:
-    """Populations |<k|exp(-iH tau)|initial>|^2 via eigendecomposition."""
+def propagate(hamiltonian: np.ndarray, tau: float) -> np.ndarray:
+    """Populations |<k|exp(-iH tau)|S,1/2>|^2 via eigendecomposition."""
     if not 0.0 <= tau < math.inf:
         raise InvalidInputError(
             f"propagation time must be non-negative and finite, not {tau!r}")
     evals, evecs = np.linalg.eigh(hamiltonian)
     phases = np.exp(-1j * evals * tau)
-    amps = evecs @ (phases * evecs[initial, :].conj())
+    amps = evecs @ (phases * evecs[IDX_S, :].conj())
     return np.abs(amps) ** 2
 
 

@@ -34,8 +34,12 @@ _GUARD = 1e-3   # closest a coupled Zeeman interval may come to Omega_rf, relati
 class ZeemanConfig:
     """Linear Zeeman splitting omega_z = g_F * mu_B * B0 / hbar between m states."""
 
-    g_f: float
+    g_f: float      # 0 means no splitting
     b_field: float  # tesla
+
+    def __post_init__(self):
+        if not (math.isfinite(self.g_f) and math.isfinite(self.b_field)):
+            raise InvalidInputError("g_F and the field must be finite")
 
     @property
     def omega_z(self) -> float:
@@ -43,6 +47,8 @@ class ZeemanConfig:
 
     @classmethod
     def from_splitting(cls, g_f: float, omega_z: float) -> "ZeemanConfig":
+        if not (math.isfinite(g_f) and g_f != 0):
+            raise InvalidInputError(f"a splitting needs a finite nonzero g_F, not {g_f!r}")
         b = omega_z * CODATA2018.hbar / (g_f * CODATA2018.bohr_magneton)
         return cls(g_f=g_f, b_field=b)
 
@@ -162,6 +168,11 @@ def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
         if missing:
             raise InvalidInputError(
                 f"shifts missing for F={missing} of level {level.label or '?'}"
+            )
+        if len(shifts) > len(expected):
+            extra = [f for f in shifts if f not in expected]
+            raise InvalidInputError(
+                f"shifts given for F={extra}, not in level {level.label or '?'}"
             )
         if len(expected) != level.electronic_j.twice + 1:
             raise InvalidInputError(

@@ -99,12 +99,16 @@ class TrapConfig:
     orientation: EulerAngles = field(default_factory=EulerAngles)
 
     def __post_init__(self):
-        if self.omega_rf <= 0:
-            raise InvalidInputError("omega_rf must be positive")
-        if self.mass <= 0:
-            raise InvalidInputError("ion mass must be positive")
-        if self.omega_s is not None and self.omega_s <= 0:
-            raise InvalidInputError("omega_s must be positive when given")
+        if not 0 < self.omega_rf < math.inf:
+            raise InvalidInputError("omega_rf must be positive and finite")
+        if not 0 < self.mass < math.inf:
+            raise InvalidInputError("ion mass must be positive and finite")
+        if not (math.isfinite(self.A) and math.isfinite(self.epsilon)):
+            raise InvalidInputError("A and epsilon must be finite")
+        if self.omega_s is not None and not 0 < self.omega_s < math.inf:
+            raise InvalidInputError("omega_s must be positive and finite when given")
+        if not 0 <= self.omega_s_unc < math.inf:
+            raise InvalidInputError("omega_s_unc must be finite and non-negative")
 
     @classmethod
     def ideal_linear(cls, mass: float, omega_rf: float, omega_s: float,

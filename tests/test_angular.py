@@ -218,6 +218,26 @@ class TestRank2Rotation:
                         math.sqrt(3 / 8) * s * s, abs=1e-12
                     )
 
+    def test_every_entry_is_exp_of_jy(self):
+        # passive d2_{mp,m}(beta) = [exp(+i*beta*Jy)]_{mp,m}, basis m = 2..-2,
+        # with Jy = (J+ - J-)/(2i) from <m+1|J+|m> = sqrt(j(j+1) - m(m+1))
+        ms = range(2, -3, -1)
+        j_plus = np.zeros((5, 5))
+        for row in range(4):
+            m = ms[row + 1]
+            j_plus[row, row + 1] = math.sqrt(6 - m * (m + 1))
+        evals, evecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
+        for beta in np.linspace(0.0, math.pi, 181):
+            want = (evecs * np.exp(1j * beta * evals)) @ evecs.conj().T
+            got = [[wigner_d2(mp, m, beta) for m in ms] for mp in ms]
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        # nan came back as nan, and inf raised a bare "math domain error"
+        with pytest.raises(InvalidInputError, match="beta must be finite"):
+            wigner_d2(0, 0, beta)
+
     def test_unitarity_random_angles(self):
         rng = random.Random(5)
         for _ in range(25):

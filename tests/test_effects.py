@@ -312,6 +312,32 @@ class TestHyperfineAverage:
         with pytest.raises(InvalidInputError, match="missing"):
             hyperfine_average({6: 1.0, 7: 2.0}, level)
 
+    @pytest.mark.parametrize("extra, named", [(42, "42"), (6.5, "13/2")])
+    def test_f_outside_the_level_rejected(self, lu, extra, named):
+        # was dropped without a word, leaving the average unchanged
+        level = lu.level("3D2")
+        shifts = {f: 1.0 for f in level.f_values()}
+        with pytest.raises(InvalidInputError, match=rf"F=\[{named}\]"):
+            hyperfine_average({**shifts, extra: 1e9}, level)
+
+
+class TestZeemanConfig:
+    @pytest.mark.parametrize("build, g_f, value", [
+        # offresonant_zeeman_shift returned nan for these
+        ("direct", 1.2, math.nan), ("direct", 1.2, math.inf),
+        ("direct", math.nan, 1e-4), ("direct", -math.inf, 1e-4),
+        ("from_splitting", 0.0, TWO_PI * 100e3),   # was a ZeroDivisionError
+        ("from_splitting", math.nan, TWO_PI * 100e3),
+        ("from_splitting", 1.2, math.nan), ("from_splitting", 1.2, math.inf),
+    ])
+    def test_rejects_non_finite_values(self, build, g_f, value):
+        make = ZeemanConfig if build == "direct" else ZeemanConfig.from_splitting
+        with pytest.raises(InvalidInputError, match="finite"):
+            make(g_f, value)
+
+    def test_zero_g_f_means_no_splitting(self):
+        assert ZeemanConfig(0.0, 1e-4).omega_z == 0.0
+
 
 class TestShiftDecomposition:
     def test_orientation_functions_bounds(self):

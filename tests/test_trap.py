@@ -89,6 +89,20 @@ class TestTrapConfig:
         with pytest.raises(InvalidInputError):
             TrapConfig(omega_rf=1e8, mass=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("omega_rf", math.nan), ("omega_rf", math.inf), ("mass", math.nan),
+        ("A", math.nan), ("epsilon", math.nan), ("epsilon", -math.inf),
+        ("omega_s", math.nan), ("omega_s", math.inf),
+        ("omega_s_unc", math.nan), ("omega_s_unc", math.inf), ("omega_s_unc", -5.0),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        # NaN omega_rf or epsilon made sideband_index return nan, NaN omega_s
+        # or omega_s_unc made extract_theta return nan, and -5 was accepted
+        good = dict(omega_rf=1e8, mass=2e-25, epsilon=1e9, omega_s=1e6, omega_s_unc=1e3)
+        TrapConfig(**good)
+        with pytest.raises(InvalidInputError, match=field):
+            TrapConfig(**{**good, field: value})
+
     def test_with_orientation(self):
         trap = TrapConfig(omega_rf=1e8, mass=2e-25, epsilon=1e9)
         rotated = trap.with_orientation(EulerAngles(0.3, 0.2))
