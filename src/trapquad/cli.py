@@ -61,8 +61,9 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     """Build a TrapConfig from a run config's trap block.
 
     The config must satisfy schemas/run_config.schema.json.  Exactly one of
-    secular_hz, omega_s_hz and explicit (A, eps) must be present, and
-    omega_s_unc_hz only with omega_s_hz.
+    secular_hz, omega_s_hz and explicit (A, eps) must be present,
+    omega_s_unc_hz only with omega_s_hz, and mass_u, when a species gives
+    `mass_kg`, must agree with it to 1e-6.
     Frequencies are Hz, fields V/m^2, angles degrees.
     """
     block = check_document(config, "run_config", "config")["trap"]
@@ -71,6 +72,11 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
         if "mass_u" not in block:
             raise InvalidInputError("trap block needs mass_u when no species is given")
         mass_kg = block["mass_u"] * CODATA2018.atomic_mass
+    elif "mass_u" in block:
+        species_u = mass_kg / CODATA2018.atomic_mass
+        if not math.isclose(block["mass_u"], species_u, rel_tol=1e-6):
+            raise InvalidInputError(f"trap.mass_u in config is {block['mass_u']:g} u, "
+                                    f"but the species mass is {species_u:g} u")
 
     orientation = EulerAngles(math.radians(block.get("alpha_deg", 0.0)),
                               math.radians(block.get("beta_deg", 0.0)))
@@ -259,11 +265,8 @@ def _is_number(text: str) -> bool:
 def cmd_fit(args) -> int:
     from .inference import FitConfig, fit_spectrum
     deltas, counts, shots = _read_fit_csv(args.data)
-    config = FitConfig(
-        tau=args.tau, g_d=args.g_d, g_s=args.g_s,
-        include_laser_sensitivity=not args.no_laser_sensitivity,
-    )
-    result = fit_spectrum(deltas, counts, shots, config)
+    result = fit_spectrum(deltas, counts, shots,
+                          FitConfig(tau=args.tau, g_d=args.g_d, g_s=args.g_s))
     fitted = result.to_dict()
     keys = ("omega_q_hz", "omega_q_err_hz", "sigma_b_nt", "sigma_b_err_nt",
             "chi2_reduced", "n_points", "shots")
@@ -352,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="probe time in s")
     p.add_argument("--g-d", type=float, default=NoiseModel.g_d)
     p.add_argument("--g-s", type=float, default=NoiseModel.g_s)
-    p.add_argument("--no-laser-sensitivity", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_fit)
 

@@ -59,9 +59,9 @@ class HyperfineState:
 class LevelSpec:
     """An atomic fine-structure level with quadrupole moment Theta(J).
 
-    theta_e_a02 is Theta(J) in units of e*a0^2.  hyperfine_energies maps F to
-    the level energy in Hz (times h); it is required only for I > 0 levels
-    used in clock-shift sums.
+    theta_e_a02 is Theta(J) in units of e*a0^2.  hyperfine_energies_hz, when
+    given, maps every F of the level, and no other, to a distinct energy in
+    Hz (times h); clock-shift sums need it for I > 0 levels.
     """
 
     nuclear_spin: HalfInt
@@ -85,14 +85,15 @@ class LevelSpec:
         if hyperfine_energies_hz is not None:
             energies = {HalfInt(f): float(e) for f, e in hyperfine_energies_hz.items()}
             fs = self._f_range(nuclear_spin, electronic_j)
-            for f in energies:
-                if f not in fs:
-                    raise InvalidInputError(
-                        f"F={f!r} outside |I-J|..I+J for I={nuclear_spin!r}, "
-                        f"J={electronic_j!r}"
-                    )
-            if len(set(energies.values())) != len(energies):
-                raise InvalidInputError("hyperfine energies must be distinct")
+            missing = [f for f in fs if f not in energies]
+            extra = [f for f in energies if f not in fs]
+            if missing or extra:
+                raise InvalidInputError(
+                    f"level {label or '?'} needs a hyperfine energy for each F in "
+                    f"{fs} and no other; missing F={missing}, extra F={extra}")
+            if not (all(map(math.isfinite, energies.values()))
+                    and len(set(energies.values())) == len(energies)):
+                raise InvalidInputError("hyperfine energies must be finite and unique")
             object.__setattr__(self, "hyperfine_energies_hz", energies)
         else:
             object.__setattr__(self, "hyperfine_energies_hz", None)
@@ -126,14 +127,7 @@ class LevelSpec:
             raise InvalidInputError(
                 f"level {self.label or '?'} has no hyperfine energies"
             )
-        F = self.validate_f(F)
-        try:
-            return self.hyperfine_energies_hz[F]
-        except KeyError:
-            raise InvalidInputError(
-                f"hyperfine energy for F={F!r} missing from level "
-                f"{self.label or '?'}"
-            ) from None
+        return self.hyperfine_energies_hz[self.validate_f(F)]
 
 
 def gradient_components(A: float, epsilon: float) -> dict[int, float]:

@@ -152,34 +152,30 @@ def _clock_weights(level: LevelSpec, f_clock: HalfInt) -> tuple[int, np.ndarray]
 
 
 def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
-                      level: LevelSpec | None = None) -> float:
-    """Equal-weight mean of per-F clock shifts over a fine-structure level.
+                      level: LevelSpec) -> float:
+    """Equal-weight mean of per-F clock shifts over every F of `level`.
 
     With equal weights over the 2J+1 hyperfine levels (I >= J), the dm = 0
     contributions cancel pairwise because each (F, F') pair enters twice with
     opposite-sign denominators.
     """
     shifts = {HalfInt(f): float(v) for f, v in per_f_shifts.items()}
-    if not shifts:
-        raise InvalidInputError("no shifts to average")
-    if level is not None:
-        expected = level.f_values()
-        missing = [f for f in expected if f not in shifts]
-        if missing:
-            raise InvalidInputError(
-                f"shifts missing for F={missing} of level {level.label or '?'}"
-            )
-        if len(shifts) > len(expected):
-            extra = [f for f in shifts if f not in expected]
-            raise InvalidInputError(
-                f"shifts given for F={extra}, not in level {level.label or '?'}"
-            )
-        if len(expected) != level.electronic_j.twice + 1:
-            raise InvalidInputError(
-                "equal-weight averaging assumes I >= J (2J+1 hyperfine levels)"
-            )
-        return sum(shifts[f] for f in expected) / len(expected)
-    return sum(shifts.values()) / len(shifts)
+    expected = level.f_values()
+    missing = [f for f in expected if f not in shifts]
+    if missing:
+        raise InvalidInputError(
+            f"shifts missing for F={missing} of level {level.label or '?'}"
+        )
+    if len(shifts) > len(expected):
+        extra = [f for f in shifts if f not in expected]
+        raise InvalidInputError(
+            f"shifts given for F={extra}, not in level {level.label or '?'}"
+        )
+    if len(expected) != level.electronic_j.twice + 1:
+        raise InvalidInputError(
+            "equal-weight averaging assumes I >= J (2J+1 hyperfine levels)"
+        )
+    return sum(shifts[f] for f in expected) / len(expected)
 
 
 @dataclass(frozen=True)
@@ -190,8 +186,8 @@ class ClockTransition:
     frequency_hz: float
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise InvalidInputError("transition frequency must be positive")
+        if not 0 < self.frequency_hz < math.inf:
+            raise InvalidInputError("transition frequency must be positive and finite")
 
 
 @dataclass(frozen=True)

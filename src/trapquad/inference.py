@@ -144,12 +144,12 @@ def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
 @dataclass(frozen=True)
 class FitConfig:
     """Fixed experimental parameters for fit_spectrum.  The probe is a pi
-    pulse on the rf resonance: omega_0 = pi/tau and Delta = 0."""
+    pulse on the rf resonance: omega_0 = pi/tau and Delta = 0.  g_d and g_s
+    set the NoiseModel's rf and probe-line field sensitivities."""
 
     tau: float                      # probe time, s
     g_d: float = NoiseModel.g_d
     g_s: float = NoiseModel.g_s
-    include_laser_sensitivity: bool = True
 
     def __post_init__(self):
         check_probe_time(self.tau)
@@ -235,8 +235,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("each point needs at least one shot")
     if np.any(counts < 0) or np.any(counts > shots_arr):
         raise InvalidInputError("counts must lie between 0 and shots")
-    noise = NoiseModel(0.0, config.g_d, config.g_s,
-                       config.include_laser_sensitivity)
+    noise = NoiseModel(0.0, config.g_d, config.g_s)
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 

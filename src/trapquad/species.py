@@ -4,7 +4,7 @@ Species files are versioned JSON documents. `parse_species` checks each one
 against schemas/species.schema.json through `errors.check_document`, so a
 wrong type, a missing or unknown key, or a non-finite number is an
 InvalidInputError; what the schema cannot say (a transition's upper level,
-the F range of hyperfine energies) is checked here and in LevelSpec.
+one hyperfine energy for each F of a level) is checked here and in LevelSpec.
 Angular momenta appear as strings like "7/2" or "3"; energies are in Hz.
 """
 

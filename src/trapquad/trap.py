@@ -43,16 +43,9 @@ def epsilon_from_secular(mass: float, omega_rf: float, omega_s: float) -> float:
     eps = m * Omega_rf * omega_s / (e * sqrt(2)).  The ideal quadrupole trap
     has the same expression for A, with omega_s the smaller radial frequency.
     """
-    if mass <= 0 or omega_rf <= 0 or omega_s <= 0:
-        raise InvalidInputError("mass, omega_rf and omega_s must be positive")
+    if not all(0 < v < math.inf for v in (mass, omega_rf, omega_s)):
+        raise InvalidInputError("mass, omega_rf, omega_s must be positive and finite")
     return mass * omega_rf * omega_s / (CODATA2018.elementary_charge * math.sqrt(2.0))
-
-
-def omega_s_from_epsilon(mass: float, omega_rf: float, epsilon: float) -> float:
-    """Inverse of epsilon_from_secular."""
-    if mass <= 0 or omega_rf <= 0 or epsilon <= 0:
-        raise InvalidInputError("mass, omega_rf and epsilon must be positive")
-    return epsilon * CODATA2018.elementary_charge * math.sqrt(2.0) / (mass * omega_rf)
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,9 @@ def secular_consistency(omega_x: float, omega_y: float,
     With rf confinement only, omega_z = omega_x - omega_y; the deviation from
     that identity is taken as a conservative uncertainty on omega_s.
     """
-    if omega_x <= 0 or omega_y <= 0 or omega_z < 0:
-        raise InvalidInputError("trap frequencies must be positive")
+    if not (0 < omega_x < math.inf and 0 < omega_y < math.inf
+            and 0 <= omega_z < math.inf):
+        raise InvalidInputError("trap frequencies must be positive and finite")
     asymmetry = omega_z - (omega_x - omega_y)
     return SecularEstimate(
         omega_s=0.5 * (omega_x + omega_y),
@@ -138,12 +132,12 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean Gaussian quasi-static field noise and its detuning sensitivities."""
+    """Zero-mean Gaussian quasi-static field noise: a field excursion moves the
+    rf resonance and the probe line together, by the two sensitivities below."""
 
     sigma_b: float                 # tesla, rms deviation
     g_d: float = 6.0 / 5.0
     g_s: float = 2.0025
-    include_laser_sensitivity: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_b < math.inf:
@@ -159,8 +153,6 @@ class NoiseModel:
     @property
     def sensitivity_laser(self) -> float:
         """d(delta)/d(-b): (g_D - g_S) mu_B / (2 hbar), rad/s per tesla."""
-        if not self.include_laser_sensitivity:
-            return 0.0
         return ((self.g_d - self.g_s) * CODATA2018.bohr_magneton
                 / (2.0 * CODATA2018.hbar))
 

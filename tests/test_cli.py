@@ -556,6 +556,44 @@ class TestConfigHandling:
         assert code == 2
         assert "repeats term '3D2'" in capsys.readouterr().err
 
+    def test_mass_u_disagreeing_with_species_is_config_error(self, tmp_path,
+                                                              capsys):
+        # exited 0 with the species mass; the config's mass_u was ignored
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "trap": {**LU_CONFIG["trap"], "mass_u": 1.0}}))
+        code = main(["clock-shift", "--species", "lu176",
+                     "--transition", "1S0-3D2", "--config", str(path)])
+        assert code == 2
+        assert ("trap.mass_u in config is 1 u, but the species mass is 175.94 u"
+                in capsys.readouterr().err)
+
+    def test_mass_u_agreeing_with_species_is_accepted(self, tmp_path):
+        outputs = []
+        for extra in ({}, {"mass_u": 175.94 * (1 + 5e-7)}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"schema_version": 1,
+                                        "trap": {**LU_CONFIG["trap"], **extra}}))
+            code, out = run_to_file(tmp_path, [
+                "clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+                "--config", str(path)], f"out{len(outputs)}")
+            assert code == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
+    def test_partial_energy_map_is_config_error(self, tmp_path, capsys, lu_config):
+        # a species file that leaves out one F of a level fails when loaded,
+        # also for matrix-elements, which reads no energies
+        raw = json.loads((SRC / "trapquad" / "species" / "lu176.json").read_text())
+        del raw["levels"][2]["hyperfine_f_energies_hz"]["9"]
+        path = tmp_path / "lu_partial.json"
+        path.write_text(json.dumps(raw))
+        code = main(["matrix-elements", "--species", str(path), "--level", "3D2",
+                     "--manifold", "5", "--config", lu_config])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "176Lu+ 3D2" in err and "missing F=[9]" in err
+
     def test_unknown_keys_rejected_at_every_level(self):
         base = {"omega_rf_hz": 1e7, "mass_u": 100.0,
                 "secular_hz": {"omega_x": 2e6, "omega_y": 1e6, "omega_z": 1e6}}
@@ -572,6 +610,35 @@ class TestConfigHandling:
         }))
         with pytest.raises(InvalidInputError, match="traps"):
             load_run_config(path)
+
+
+class TestConfigErrorMessages:
+    """Exits with code 2 that no other test reaches, each with its message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["extract-theta", "--config", "{no_mass}", "--omega-q-hz", "1694"],
+         "trap block needs mass_u when no species is given"),
+        (["fit", "--data", "{short_row}", "--tau", "1.2e-3"],
+         "line 2: need delta_hz,excited_counts,shots"),
+        (["fit", "--data", "{header_only}", "--tau", "1.2e-3"],
+         "fit CSV contains no data rows"),
+        (["extract-theta", "--config", "{ba}"], "need --fit-json or --omega-q-hz"),
+        (["extract-theta", "--config", "{ba}", "--omega-q-hz", "1694",
+          "--omega-q-hz", "1700", "--omega-q-err-hz", "35"],
+         "need one --omega-q-err-hz per --omega-q-hz"),
+        (["spectrum", "--Omega0-ratio", "0"], "Omega0 ratio must be positive"),
+    ], ids=["no-mass", "short-row", "no-rows", "no-coupling", "error-count",
+            "zero-ratio"])
+    def test_exits_2_with_message(self, tmp_path, capsys, ba_config, lu_config,
+                                  argv, message):
+        files = {"ba": ba_config, "no_mass": lu_config}
+        for name, text in (("short_row", "delta_hz,excited_counts,shots\n1.0,2\n"),
+                           ("header_only", "# no data\ndelta_hz,excited_counts,shots\n")):
+            files[name] = str(tmp_path / f"{name}.csv")
+            Path(files[name]).write_text(text)
+        code = main([arg.format(**files) for arg in argv])
+        assert code == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 class TestCsvMatchesJson:

@@ -106,6 +106,12 @@ class TestThetaMatrixElement:
                 IDENTITY,
             )
 
+    def test_beyond_rank_two_is_zero(self, lu_3d2_bare):
+        # |dm| = 5 > 2: no rank-2 component connects the states
+        el = theta_matrix_element(lu_3d2_bare, HyperfineState(9, 5),
+                                  HyperfineState(9, 0), 2, EulerAngles(0.3, 0.7))
+        assert el == 0.0j
+
     def test_invalid_q_rejected(self, ba_d52):
         s = HyperfineState(2.5, 0.5)
         with pytest.raises(InvalidInputError):
@@ -371,8 +377,15 @@ class TestLevelSpec:
         with pytest.raises(InvalidInputError):
             LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 0.0, 8: 0.0})
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_energy(self, energy):
+        # was accepted, and clock_shift(level, 7, trap) then returned nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: energy, 7: 0.0, 8: 1e9})
+
     def test_missing_energy_named_in_error(self):
-        level = LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 1e9},
-                          label="partial")
-        with pytest.raises(InvalidInputError, match="F=8"):
-            level.hyperfine_energy(8)
+        # was accepted, and failed only when a clock-shift sum read F = 8
+        with pytest.raises(InvalidInputError, match=r"partial .*missing F=\[8\]"):
+            LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 1e9},
+                      label="partial")

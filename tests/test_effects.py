@@ -304,13 +304,16 @@ class TestHyperfineAverage:
             avg = hyperfine_average(shifts, level)
             assert abs(avg) < 1e-12 * scale
 
-    def test_single_entry_identity(self):
-        assert hyperfine_average({2.5: 3.7}) == 3.7
-
     def test_missing_level_rejected(self, lu):
         level = lu.level("3D1")
         with pytest.raises(InvalidInputError, match="missing"):
             hyperfine_average({6: 1.0, 7: 2.0}, level)
+
+    def test_level_with_i_below_j_rejected(self):
+        # I = 1/2, J = 2 has two hyperfine levels, not 2J + 1 = 5
+        level = LevelSpec(0.5, 2, 1.0, label="I<J")
+        with pytest.raises(InvalidInputError, match="I >= J"):
+            hyperfine_average({1.5: 1.0, 2.5: 2.0}, level)
 
     @pytest.mark.parametrize("extra, named", [(42, "42"), (6.5, "13/2")])
     def test_f_outside_the_level_rejected(self, lu, extra, named):
@@ -319,6 +322,15 @@ class TestHyperfineAverage:
         shifts = {f: 1.0 for f in level.f_values()}
         with pytest.raises(InvalidInputError, match=rf"F=\[{named}\]"):
             hyperfine_average({**shifts, extra: 1e9}, level)
+
+
+class TestClockTransition:
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_frequency(self, lu, frequency):
+        # was accepted, and shift_decomposition then returned a = nan or 0
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            ClockTransition(lu.level("3D2"), frequency)
 
 
 class TestZeemanConfig:

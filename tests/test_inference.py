@@ -54,10 +54,6 @@ class TestNoiseModel:
             (1.2 - 2.0025) / 2 * mu_over_hbar
         )
 
-    def test_laser_sensitivity_switch(self):
-        noise = NoiseModel(sigma_b=18e-9, include_laser_sensitivity=False)
-        assert noise.sensitivity_laser == 0.0
-
     def test_rejects_negative_sigma(self):
         with pytest.raises(InvalidInputError):
             NoiseModel(sigma_b=-1e-9)
@@ -640,6 +636,38 @@ class TestLeastSquares:
         sol = inference._least_squares(fun, [5.0, 5.0], 3)
         assert sol.status == 0
         assert len(calls) == 3
+
+    def test_zero_residual_at_the_start_stops_on_gtol(self):
+        b = self.A @ np.array([2.0, 0.5])
+        sol = inference._least_squares(self.linear(b), [2.0, 0.5], 50)
+        assert sol.status == 1
+        assert sol.cost == 0.0 and np.array_equal(sol.x, [2.0, 0.5])
+
+    @staticmethod
+    def counted(rise, limit=60):
+        """rise, recording its arguments, failing past `limit` calls (a
+        root-finder that cannot shrink its bracket would loop forever)."""
+        calls = []
+
+        def wrapped(s):
+            calls.append(s)
+            assert len(calls) <= limit, "the bracket stopped shrinking"
+            return rise(s)
+        return wrapped, calls
+
+    def test_upper_limit_halves_a_lower_end_kept_twice(self):
+        # a concave rise keeps the lower end in plain regula falsi, so the
+        # Illinois step must halve f_lo for the bracket to close
+        rise, calls = self.counted(lambda s: 3.0 * math.sqrt(s))
+        assert inference._upper_limit(rise, 0.0, 1.0) == pytest.approx(
+            1.0 / 9.0, abs=1e-4)
+        assert len(calls) <= 15
+
+    def test_upper_limit_returns_an_exact_root(self):
+        # linear rise: after the doubling bracket [1, 2] the secant lands on 1.5
+        rise, calls = self.counted(lambda s: s)
+        assert inference._upper_limit(rise, 0.0, 1.5) == 1.5
+        assert calls == [1.0, 2.0, 1.5]
 
     def test_upper_limit_finds_the_crossing(self):
         calls = []

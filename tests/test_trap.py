@@ -8,7 +8,6 @@ from trapquad.trap import (
     CODATA2018,
     TrapConfig,
     epsilon_from_secular,
-    omega_s_from_epsilon,
     secular_consistency,
 )
 
@@ -36,18 +35,19 @@ class TestEpsilonFromSecular:
         assert epsilon_from_secular(2e-25, 2e8, 6e6) == pytest.approx(2 * base)
         assert epsilon_from_secular(2e-25, 1e8, 1.2e7) == pytest.approx(2 * base)
 
-    def test_round_trip(self):
-        mass, omega_rf, omega_s = 2.29e-25, 1.29e8, 5.93e6
-        eps = epsilon_from_secular(mass, omega_rf, omega_s)
-        assert omega_s_from_epsilon(mass, omega_rf, eps) == pytest.approx(
-            omega_s, rel=1e-12
-        )
-
     def test_rejects_non_positive(self):
         with pytest.raises(InvalidInputError):
             epsilon_from_secular(0.0, 1e8, 1e6)
         with pytest.raises(InvalidInputError):
             epsilon_from_secular(2e-25, -1e8, 1e6)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1e8, 1e6), (2e-25, math.inf, 1e6), (2e-25, 1e8, math.nan),
+    ], ids=["mass-nan", "omega_rf-inf", "omega_s-nan"])
+    def test_rejects_non_finite(self, args):
+        # returned nan or inf: the check was a <= 0 comparison
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            epsilon_from_secular(*args)
 
 
 class TestSecularConsistency:
@@ -64,6 +64,15 @@ class TestSecularConsistency:
         est = secular_consistency(1.0e6, 1.0e6, 0.0)
         assert est.omega_s == pytest.approx(1.0e6)
         assert est.uncertainty == 0.0
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 0.1), (1.0, math.inf, 0.1), (1.0, 1.0, math.nan),
+        (math.inf, 1.0, 0.1),
+    ], ids=["x-nan", "y-inf", "z-nan", "x-inf"])
+    def test_rejects_non_finite(self, args):
+        # returned omega_s = nan or inf: the checks were <= 0 comparisons
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            secular_consistency(*args)
 
 
 class TestTrapConfig:
