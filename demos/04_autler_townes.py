@@ -3,8 +3,10 @@
 Scans the clock-laser detuning across the |S,1/2> -> |D,1/2> line while the
 trap rf resonantly dresses the upper state.  On resonance (Delta = 0) the
 spectrum shows two lines at +-sqrt(7)/5 * wq; detuning the Zeeman splitting
-reveals the full three-line pattern.  Panels are written to
-out/autler_townes.csv; pass --plot to draw them if matplotlib is available.
+reveals the full three-line pattern.  Each panel is the noise average at
+sigma_B = 0, which is the noiseless spectrum on a single node.  Panels are
+written to out/autler_townes.csv; pass --plot to draw them if matplotlib is
+available.
 """
 
 import math
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trapquad import RwaSystem, scan_spectrum
+from trapquad import NoiseModel, RwaSystem, noise_averaged_signal
 from trapquad.dynamics import (
     default_detuning_grid,
     dressed_splitting,
@@ -28,7 +30,8 @@ panels = {}
 for omega0_frac in (0.05, 0.3):
     for delta_frac in (0.0, 0.25, 0.5):
         sys_ = RwaSystem(WQ, omega0_frac * WQ, delta_frac * WQ, 0.0)
-        scan = scan_spectrum(sys_, grid, math.pi / sys_.omega_0)
+        scan = noise_averaged_signal(sys_, NoiseModel(0.0), grid,
+                                     math.pi / sys_.omega_0)
         panels[(omega0_frac, delta_frac)] = scan
         peaks = find_spectrum_peaks(scan)
         print(f"Omega0 = {omega0_frac:4.2f} wq, Delta = {delta_frac:4.2f} wq: "

@@ -17,7 +17,7 @@ _EXPORTS = {
     "coupling": ("HyperfineState", "LevelSpec", "QuadCouplingMatrix", "c2_coefficient",
                  "gradient_components", "hq_matrix", "theta_matrix_element"),
     "dynamics": ("RWA_BASIS", "RwaSystem", "SpectrumScan", "build_rwa_hamiltonian",
-                 "floquet_oracle_from_rwa", "propagate", "scan_spectrum"),
+                 "floquet_oracle_from_rwa", "propagate"),
     "effects": ("ClockTransition", "ShiftDecomposition", "ZeemanConfig", "clock_shift",
                 "hyperfine_average", "offresonant_zeeman_shift", "orientation_f1",
                 "orientation_f2", "resonant_coupling", "shift_decomposition",

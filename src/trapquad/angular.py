@@ -58,19 +58,8 @@ class HalfInt:
             raise InvalidInputError(f"{self!r} is not an integer")
         return self.twice // 2
 
-    def __add__(self, other: Momentum) -> "HalfInt":
-        return HalfInt.from_twice(self.twice + HalfInt(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Momentum) -> "HalfInt":
-        return HalfInt.from_twice(self.twice - HalfInt(other).twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt.from_twice(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt.from_twice(abs(self.twice))
 
     def __eq__(self, other) -> bool:
         try:

@@ -62,8 +62,8 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
 
     The config must satisfy schemas/run_config.schema.json.  Exactly one of
     secular_hz, omega_s_hz and explicit (A, eps) must be present,
-    omega_s_unc_hz only with omega_s_hz, and mass_u, when a species gives
-    `mass_kg`, must agree with it to 1e-6.
+    omega_s_unc_hz only with omega_s_hz, preset only without (A, eps), and
+    mass_u, when a species gives `mass_kg`, must agree with it to 1e-6.
     Frequencies are Hz, fields V/m^2, angles degrees.
     """
     block = check_document(config, "run_config", "config")["trap"]
@@ -88,6 +88,9 @@ def trap_from_config(config: dict, mass_kg: float | None = None) -> TrapConfig:
     if "omega_s_unc_hz" in block and "omega_s_hz" not in block:
         raise InvalidInputError("trap block has omega_s_unc_hz without omega_s_hz, "
                                 "and nothing else would use it")
+    if "preset" in block and has_fields:
+        raise InvalidInputError("trap block has preset with explicit A/epsilon; "
+                                "preset goes only with secular_hz or omega_s_hz")
 
     if has_fields:
         return TrapConfig(
@@ -191,7 +194,7 @@ def cmd_clock_shift(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .dynamics import RwaSystem, default_detuning_grid, scan_spectrum
+    from .dynamics import RwaSystem, default_detuning_grid
     from .inference import noise_averaged_signal
     omega_q = TWO_PI * args.omega_q_hz
     omega_0 = args.omega0_ratio * abs(omega_q)
@@ -202,14 +205,7 @@ def cmd_spectrum(args) -> int:
     if args.points < 1 or not 0.0 < args.span < math.inf:
         raise InvalidInputError("--points and --span must be positive")
     grid = default_detuning_grid(omega_q, args.points, args.span)
-    if not args.sigma_nt >= 0:
-        raise InvalidInputError("--sigma-nt must be non-negative")
-    if args.sigma_nt > 0:
-        noise = NoiseModel(sigma_b=args.sigma_nt * 1e-9, g_d=args.g_d,
-                           g_s=args.g_s)
-        scan = noise_averaged_signal(sys_, noise, grid, tau)
-    else:
-        scan = scan_spectrum(sys_, grid, tau)
+    scan = noise_averaged_signal(sys_, NoiseModel(args.sigma_nt * 1e-9), grid, tau)
 
     rows = [(d / abs(omega_q), p) for d, p in zip(scan.detunings, scan.transfer)]
     payload = {
@@ -220,7 +216,7 @@ def cmd_spectrum(args) -> int:
         "points": [dict(zip(("delta_over_omega_q", "transfer_probability"), row))
                    for row in rows],
     }
-    if args.sigma_nt > 0:
+    if scan.quadrature_nodes > 1:      # a noise average, not the bare spectrum
         payload["diagnostics"] = {"quadrature_nodes": scan.quadrature_nodes,
                                   "quadrature_change": scan.quadrature_change}
     _emit(args, payload, ("delta_over_omegaQ", "transfer_probability"), rows)
@@ -265,8 +261,7 @@ def _is_number(text: str) -> bool:
 def cmd_fit(args) -> int:
     from .inference import FitConfig, fit_spectrum
     deltas, counts, shots = _read_fit_csv(args.data)
-    result = fit_spectrum(deltas, counts, shots,
-                          FitConfig(tau=args.tau, g_d=args.g_d, g_s=args.g_s))
+    result = fit_spectrum(deltas, counts, shots, FitConfig(tau=args.tau))
     fitted = result.to_dict()
     keys = ("omega_q_hz", "omega_q_err_hz", "sigma_b_nt", "sigma_b_err_nt",
             "chi2_reduced", "n_points", "shots")
@@ -343,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=float, default=2.0,
                    help="detuning span in units of omega_q")
     p.add_argument("--sigma-nt", type=float, default=0.0,
-                   help="rms field noise in nT (0 disables averaging)")
-    p.add_argument("--g-d", type=float, default=NoiseModel.g_d)
-    p.add_argument("--g-s", type=float, default=NoiseModel.g_s)
+                   help="rms field noise in nT (0: the noiseless spectrum)")
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -353,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="CSV of delta_hz,excited_counts,shots")
     p.add_argument("--tau", type=float, required=True, help="probe time in s")
-    p.add_argument("--g-d", type=float, default=NoiseModel.g_d)
-    p.add_argument("--g-s", type=float, default=NoiseModel.g_s)
     add_common(p)
     p.set_defaults(func=cmd_fit)
 

@@ -20,6 +20,10 @@ solved through its Fourier-space (Floquet) Hamiltonian with no ODE.
 Note the |D,5/2> state carries the weaker coupling wq/sqrt(10): from m=1/2
 the downward rank-2 ladder element to m=-3/2 is the stronger one, as direct
 evaluation of J-ladder matrix elements confirms.
+
+A spectrum, noiseless or averaged over field noise, is one call of
+inference.noise_averaged_signal: at sigma_B = 0 it is transfer_probabilities
+on the detuning grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -168,16 +172,6 @@ def _transfer_gradient(evals: np.ndarray, evecs: np.ndarray, y: np.ndarray,
     da = np.stack([2.0 * _A_COEFF * zsz(0, 1) + 2.0 * _B_COEFF * zsz(1, 2),
                    zsz(2, 2) - zsz(0, 0), zsz(IDX_S, IDX_S)])
     return -2.0 * tau * np.imag(np.conj(amps) * da)
-
-
-def scan_spectrum(sys: RwaSystem, detunings: np.ndarray, tau: float) -> SpectrumScan:
-    """Sweep the laser detuning delta and record the transfer probability."""
-    detunings = np.asarray(detunings, dtype=float)
-    transfer = transfer_probabilities(
-        sys.omega_q, sys.omega_0,
-        np.full_like(detunings, sys.detuning_rf), detunings, tau,
-    )
-    return SpectrumScan(detunings=detunings, transfer=transfer, tau=tau)
 
 
 def default_detuning_grid(omega_q: float, n_points: int = 801,

@@ -8,7 +8,10 @@ signal is a trapezoid sum over x = b/sigma_B in [-8, 8] with weights
 h*phi(x), exponentially convergent once h resolves the transfer's features,
 pi/(k_D*sigma_B*tau) wide (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
 h is worked out, never set: from the coarsest 0.5/2**k that resolves them, it
-halves until two sums agree to 1e-6 at every point, up to 4097 nodes.
+halves until two sums agree to 1e-6 at every point, up to 4097 nodes.  At
+sigma_B = 0 every node is the same, and the rule is the single node x = 0
+with weight 1: the noiseless spectrum.  g_D and g_S are the Ba+ constants
+trap.G_D and trap.G_S.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
@@ -27,7 +30,7 @@ they are importable from here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,21 +50,28 @@ _QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
 @lru_cache(maxsize=None)
 def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes x and weights h*phi(x) of the n-node rule, computed
-    once; with new_only, just the nodes it adds to the (n + 1)/2-node rule."""
-    x = np.linspace(-8.0, 8.0, n)
-    if new_only:
-        x = x[1::2]
-    w = 16.0 / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
+    once; with new_only, just the nodes it adds to the (n + 1)/2-node rule.
+    The 1-node rule is x = 0 with weight 1."""
+    if n == 1:
+        x, w = np.zeros(1), np.ones(1)
+    else:
+        x = np.linspace(-8.0, 8.0, n)
+        if new_only:
+            x = x[1::2]
+        w = 16.0 / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
     for array in (x, w):
         array.flags.writeable = False
     return x, w
 
 
 def _start_order(noise: NoiseModel, tau: float) -> int:
-    """Nodes of the coarsest rule with h <= min(0.5, pi/(k_D*sigma_B*tau));
-    raises QuadratureConvergenceError when its check would pass 4097 nodes."""
+    """Nodes of the coarsest rule with h <= min(0.5, pi/(k_D*sigma_B*tau)),
+    1 when sigma_B = 0; raises QuadratureConvergenceError when its check
+    would pass 4097 nodes."""
     check_probe_time(tau)
     spread = abs(noise.sensitivity_rf) * noise.sigma_b * tau
+    if spread == 0.0:
+        return 1
     n = _FIRST_NODES
     while 16.0 / (n - 1) * spread > math.pi:
         n = 2 * n - 1
@@ -96,8 +106,11 @@ def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
     """(n, average(2n - 1), max |average(2n - 1) - average(n)|) for the first
     n from the given one where the two agree to 1e-6 at every point, raising
     past 4097 nodes.  average(n, new_only) is as _averaged_transfer, so each
-    halving of h evaluates only the new nodes."""
+    halving of h evaluates only the new nodes.  The 1-node rule is exact
+    (every node is the same at sigma_B = 0) and returns unchecked."""
     coarse = average(n, False)
+    if n == 1:
+        return 1, coarse, 0.0
     while True:
         fine = 0.5 * coarse + average(2 * n - 1, True)
         change = float(np.max(np.abs(fine - coarse)))
@@ -115,7 +128,7 @@ class NoiseAveragedScan(SpectrumScan):
     """A noise-averaged spectrum, taken on 2n - 1 nodes, and how it converged."""
 
     quadrature_nodes: int           # n: the averages on n and 2n - 1 nodes agree
-    quadrature_change: float        # max |p(2n - 1) - p(n)|, at most 1e-6
+    quadrature_change: float        # max |p(2n - 1) - p(n)|, at most 1e-6; 0 at n = 1
 
 
 def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
@@ -123,8 +136,9 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                           tau: float) -> NoiseAveragedScan:
     """Noise-averaged transfer spectrum on 2n - 1 nodes, for the first n from
     the coarsest rule that resolves sigma_B*tau where the averages on n and
-    2n - 1 nodes agree to 1e-6 at every point.  Raises
-    QuadratureConvergenceError past 4097 nodes (sigma_B*tau near 1.9 nT*s)."""
+    2n - 1 nodes agree to 1e-6 at every point; at sigma_B = 0, the noiseless
+    spectrum on the single node n = 1.  Raises QuadratureConvergenceError
+    past 4097 nodes (sigma_B*tau near 1.9 nT*s)."""
     detunings = np.asarray(detunings, dtype=float)
     n, transfer, change = _converged_order(
         lambda m, new: _averaged_transfer(sys, noise, detunings, tau, m, new),
@@ -144,12 +158,9 @@ def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
 @dataclass(frozen=True)
 class FitConfig:
     """Fixed experimental parameters for fit_spectrum.  The probe is a pi
-    pulse on the rf resonance: omega_0 = pi/tau and Delta = 0.  g_d and g_s
-    set the NoiseModel's rf and probe-line field sensitivities."""
+    pulse on the rf resonance: omega_0 = pi/tau and Delta = 0."""
 
     tau: float                      # probe time, s
-    g_d: float = NoiseModel.g_d
-    g_s: float = NoiseModel.g_s
 
     def __post_init__(self):
         check_probe_time(self.tau)
@@ -235,7 +246,6 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("each point needs at least one shot")
     if np.any(counts < 0) or np.any(counts > shots_arr):
         raise InvalidInputError("counts must lie between 0 and shots")
-    noise = NoiseModel(0.0, config.g_d, config.g_s)
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 
@@ -248,7 +258,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         nonlocal nfev
         nfev += 1
         sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
-        return _averaged_transfer(sys, replace(noise, sigma_b=x[1] * 1e-9),
+        return _averaged_transfer(sys, NoiseModel(x[1] * 1e-9),
                                   detunings, config.tau, n, new_only, derivatives)
 
     def weighted(p: np.ndarray) -> np.ndarray:
@@ -280,7 +290,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     s_seed = min((5.0, 15.0, 30.0, 60.0),
                  key=lambda s: chi2((w_seed, s), _FIRST_NODES))
     x = np.array([w_seed, s_seed])
-    n = _start_order(replace(noise, sigma_b=s_seed * 1e-9), config.tau)
+    n = _start_order(NoiseModel(s_seed * 1e-9), config.tau)
 
     while True:
         fit = _least_squares(lambda x: residuals_and_jacobian(x, n), x,

@@ -5,8 +5,9 @@ A*(x'^2 + y'^2 - 2 z'^2) + eps*(x'^2 - y'^2), multiplied by cos(Omega_rf t).
 An ideal linear rf trap has A = 0 with eps = m*Omega_rf*omega_s/(e*sqrt(2)),
 where omega_s is the pseudo-potential confinement frequency; the ideal
 quadrupole trap has eps = 0 with the same expression for A.  The field's
-quasi-static noise model and the Theta extraction from fitted couplings are
-here too: all of this is plain arithmetic and needs no numpy.
+quasi-static noise model, whose one setting is sigma_B (the Ba+ g-factors
+G_D and G_S are constants), and the Theta extraction from fitted couplings
+are here too: all of this is plain arithmetic and needs no numpy.
 """
 
 from __future__ import annotations
@@ -130,31 +131,31 @@ class TrapConfig:
         return replace(self, orientation=orientation)
 
 
+G_D = 6.0 / 5.0      # Lande g-factor of Ba+ D5/2
+G_S = 2.0025         # and of S1/2
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean Gaussian quasi-static field noise: a field excursion moves the
-    rf resonance and the probe line together, by the two sensitivities below."""
+    """Zero-mean Gaussian quasi-static field noise of rms sigma_b: a field
+    excursion moves the rf resonance and the probe line together, by the
+    two sensitivities below, fixed by the Ba+ g-factors G_D and G_S."""
 
     sigma_b: float                 # tesla, rms deviation
-    g_d: float = 6.0 / 5.0
-    g_s: float = 2.0025
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_b < math.inf:
             raise InvalidInputError("sigma_b must be finite and non-negative")
-        if not (math.isfinite(self.g_d) and math.isfinite(self.g_s)):
-            raise InvalidInputError("g-factors must be finite")
 
     @property
     def sensitivity_rf(self) -> float:
         """d(Delta)/d(-b): 2 g_D mu_B / hbar, rad/s per tesla."""
-        return 2.0 * self.g_d * CODATA2018.bohr_magneton / CODATA2018.hbar
+        return 2.0 * G_D * CODATA2018.bohr_magneton / CODATA2018.hbar
 
     @property
     def sensitivity_laser(self) -> float:
         """d(delta)/d(-b): (g_D - g_S) mu_B / (2 hbar), rad/s per tesla."""
-        return ((self.g_d - self.g_s) * CODATA2018.bohr_magneton
-                / (2.0 * CODATA2018.hbar))
+        return (G_D - G_S) * CODATA2018.bohr_magneton / (2.0 * CODATA2018.hbar)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from trapquad.dynamics import (
     find_spectrum_peaks,
     floquet_oracle_from_rwa,
     propagate,
-    scan_spectrum,
 )
 from trapquad.effects import (
     ZeemanConfig,
@@ -41,6 +40,7 @@ from trapquad.inference import (
     combine_runs,
     extract_theta,
     fit_spectrum,
+    noise_averaged_signal,
     simulate_counts,
 )
 from trapquad.species import load_species
@@ -107,7 +107,8 @@ def test_criterion_4_autler_townes_structure():
     wq = TWO_PI * 1.7e3
     sys_on = RwaSystem(wq, 0.05 * wq, 0.0, 0.0)
     grid = default_detuning_grid(wq, 801)
-    scan = scan_spectrum(sys_on, grid, math.pi / sys_on.omega_0)
+    scan = noise_averaged_signal(sys_on, NoiseModel(0.0), grid,
+                                 math.pi / sys_on.omega_0)
     peaks = find_spectrum_peaks(scan)
     want = dressed_splitting(wq)
     assert len(peaks) == 2
@@ -115,7 +116,8 @@ def test_criterion_4_autler_townes_structure():
     assert abs(peaks[1] - want) < 0.01 * want
 
     sys_off = RwaSystem(wq, 0.05 * wq, 0.5 * wq, 0.0)
-    scan_off = scan_spectrum(sys_off, grid, math.pi / sys_off.omega_0)
+    scan_off = noise_averaged_signal(sys_off, NoiseModel(0.0), grid,
+                                     math.pi / sys_off.omega_0)
     n_off = len(find_spectrum_peaks(scan_off))
     assert n_off == 3
     elapsed = time.perf_counter() - start

@@ -284,11 +284,10 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("argv", [
         ["--points", "-5"],             # a numpy traceback, exit 1
-        ["--g-d", "nan", "--sigma-nt", "10"],   # reached eigh, exit 3
-        ["--g-s", "nan", "--sigma-nt", "10"],
         ["--Delta", "nan"],
         ["--span", "nan"],
-    ], ids=["points", "g-d", "g-s", "Delta", "span"])
+        ["--sigma-nt", "nan"],
+    ], ids=["points", "Delta", "span", "sigma-nt"])
     def test_bad_number_is_config_error(self, argv):
         assert main(["spectrum", "--points", "11", *argv]) == 2
 
@@ -383,11 +382,6 @@ class TestFitAndExtract:
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
-
-    def test_non_finite_g_factor_is_config_error(self, synthetic_csv):
-        # reached eigh and exited 3
-        assert main(["fit", "--data", synthetic_csv, "--tau", "1.2e-3",
-                     "--g-d", "nan"]) == 2
 
     @pytest.mark.parametrize("flag", ["--omega-q-hz", "--omega-q-err-hz",
                                       "--drift-error-hz"])
@@ -484,6 +478,18 @@ class TestConfigHandling:
         code = main(["clock-shift", "--species", "lu176",
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
+
+    def test_preset_with_explicit_fields_is_config_error(self, tmp_path, capsys):
+        # exited 0 with A = 0 and eps = 1e7: the preset was dropped unread
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "trap": {
+            "omega_rf_hz": 24.1e6, "preset": "ideal-quadrupole",
+            "epsilon_v_m2": 1e7}}))
+        code = main(["matrix-elements", "--species", "ba138", "--level", "D5/2",
+                     "--manifold", "5/2", "--config", str(path)])
+        assert code == 2
+        assert "preset goes only with secular_hz or omega_s_hz" in (
+            capsys.readouterr().err)
 
     def test_secular_block_and_omega_s_rejected(self, tmp_path):
         # secular_hz was used and omega_s_hz silently ignored

@@ -18,13 +18,14 @@ from trapquad.dynamics import (
     find_spectrum_peaks,
     floquet_oracle_from_rwa,
     propagate,
-    scan_spectrum,
     transfer_probabilities,
 )
 from trapquad.errors import IntegrationError, InvalidInputError
+from trapquad.inference import NoiseModel, noise_averaged_signal
 
 TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
+NOISELESS = NoiseModel(sigma_b=0.0)   # a spectrum without field noise
 
 
 class TestBuildRwaHamiltonian:
@@ -104,7 +105,8 @@ class TestPropagate:
 class TestScanSpectrum:
     def test_two_peaks_on_resonance(self):
         sys = RwaSystem(WQ, 0.05 * WQ, 0.0, 0.0)
-        scan = scan_spectrum(sys, default_detuning_grid(WQ), math.pi / sys.omega_0)
+        scan = noise_averaged_signal(sys, NOISELESS, default_detuning_grid(WQ),
+                                     math.pi / sys.omega_0)
         peaks = find_spectrum_peaks(scan)
         assert len(peaks) == 2
         want = dressed_splitting(WQ)
@@ -113,37 +115,49 @@ class TestScanSpectrum:
 
     def test_triplet_off_resonance(self):
         sys = RwaSystem(WQ, 0.05 * WQ, 0.5 * WQ, 0.0)
-        scan = scan_spectrum(sys, default_detuning_grid(WQ), math.pi / sys.omega_0)
+        scan = noise_averaged_signal(sys, NOISELESS, default_detuning_grid(WQ),
+                                     math.pi / sys.omega_0)
         assert len(find_spectrum_peaks(scan)) == 3
 
     def test_peak_count_transition(self):
         counts = []
         for frac in (0.0, 0.25, 0.5):
             sys = RwaSystem(WQ, 0.05 * WQ, frac * WQ, 0.0)
-            scan = scan_spectrum(sys, default_detuning_grid(WQ),
-                                 math.pi / sys.omega_0)
+            scan = noise_averaged_signal(sys, NOISELESS, default_detuning_grid(WQ),
+                                         math.pi / sys.omega_0)
             counts.append(len(find_spectrum_peaks(scan)))
         assert counts == [2, 3, 3]
 
     def test_single_rabi_line_without_quadrupole(self):
         omega_0 = 0.05 * WQ
         sys = RwaSystem(0.0, omega_0, 0.0, 0.0)
-        scan = scan_spectrum(sys, default_detuning_grid(WQ), math.pi / omega_0)
+        scan = noise_averaged_signal(sys, NOISELESS, default_detuning_grid(WQ),
+                                     math.pi / omega_0)
         peaks = find_spectrum_peaks(scan)
         assert len(peaks) == 1
         assert abs(peaks[0]) < 0.01 * WQ
 
     def test_symmetric_at_zero_rf_detuning(self):
         sys = RwaSystem(WQ, 0.05 * WQ, 0.0, 0.0)
-        scan = scan_spectrum(sys, default_detuning_grid(WQ), math.pi / sys.omega_0)
+        scan = noise_averaged_signal(sys, NOISELESS, default_detuning_grid(WQ),
+                                     math.pi / sys.omega_0)
         assert np.allclose(scan.transfer, scan.transfer[::-1], atol=1e-10)
+        # the noise average too: nodes +-x pair the mirror images
+        # p(-k_D b, delta - k_d b) and p(k_D b, -delta + k_d b), on a grid
+        # that is its own mirror image
+        half = np.linspace(0.0, 1.5 * WQ, 101)
+        grid = np.concatenate([-half[:0:-1], half])
+        tau = 1.2e-3
+        scan = noise_averaged_signal(RwaSystem(WQ, math.pi / tau, 0.0, 0.0),
+                                     NoiseModel(sigma_b=50e-9), grid, tau)
+        assert np.max(np.abs(scan.transfer - scan.transfer[::-1])) <= 1e-15
 
     def test_rejects_bad_grid(self):
         sys = RwaSystem(WQ, 0.05 * WQ, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
-            scan_spectrum(sys, np.array([]), 1e-3)
+            noise_averaged_signal(sys, NOISELESS, np.array([]), 1e-3)
         with pytest.raises(InvalidInputError):
-            scan_spectrum(sys, np.array([0.0, 0.0, 1.0]), 1e-3)
+            noise_averaged_signal(sys, NOISELESS, np.array([0.0, 0.0, 1.0]), 1e-3)
 
 
 class TestTransferProbabilities:
@@ -164,6 +178,45 @@ class TestTransferProbabilities:
         _, row_dp = transfer_probabilities(WQ, 0.2 * WQ, d_rf[2], d_l[2],
                                            1.2e-3, derivatives=True)
         assert np.array_equal(dp[:, 2], row_dp)
+
+    @staticmethod
+    def random_pairs():
+        """10,000 (Delta, delta) pairs over +-2 omega_q, none at 0."""
+        return np.random.default_rng(0).uniform(-2.0, 2.0, (2, 10000)) * WQ
+
+    def test_mirror_of_both_detunings(self):
+        # H is real and, with G = diag(-1, 1, -1, -1), H(-Delta, -delta) =
+        # -G H(Delta, delta) G: the mirror conjugates <S|U|S>, so p is the
+        # same bit for bit, dp/d omega_q is even and dp/dDelta, dp/ddelta odd
+        d_rf, d_l = self.random_pairs()
+        tau = 1.2e-3
+        p, dp = transfer_probabilities(WQ, math.pi / tau, d_rf, d_l, tau,
+                                       derivatives=True)
+        q, dq = transfer_probabilities(WQ, math.pi / tau, -d_rf, -d_l, tau,
+                                       derivatives=True)
+        assert np.array_equal(p, q)
+        assert np.array_equal(
+            transfer_probabilities(WQ, math.pi / tau, -d_rf, -d_l, tau), p)
+        scale = np.max(np.abs(dp), axis=1)
+        assert np.all(scale > 0.0)
+        assert np.max(np.abs(dq[0] - dp[0])) <= 2e-15 * scale[0]
+        for k in (1, 2):
+            assert np.max(np.abs(dq[k] + dp[k])) <= 2e-15 * scale[k]
+
+    def test_even_in_omega_q(self):
+        # D = diag(-1, 1, -1, 1) flips both quadrupole couplings and nothing
+        # else: p is even in omega_q and dp/d omega_q odd, bit for bit
+        d_rf, d_l = self.random_pairs()
+        tau = 1.2e-3
+        p, dp = transfer_probabilities(WQ, math.pi / tau, d_rf, d_l, tau,
+                                       derivatives=True)
+        q, dq = transfer_probabilities(-WQ, math.pi / tau, d_rf, d_l, tau,
+                                       derivatives=True)
+        assert np.array_equal(p, q)
+        assert np.array_equal(
+            transfer_probabilities(-WQ, math.pi / tau, d_rf, d_l, tau), p)
+        assert np.array_equal(dq[0], -dp[0])
+        assert np.array_equal(dq[1:], dp[1:])
 
     def test_omega_q_broadcasts_with_the_detunings(self):
         omegas = np.array([0.5, 1.0, 1.5])[:, None] * WQ
@@ -218,7 +271,7 @@ class TestFindSpectrumPeaks:
         grid = default_detuning_grid(WQ)
         for omega_q, frac in ((WQ, 0.0), (WQ, 0.25), (WQ, 0.5), (0.0, 0.0)):
             sys = RwaSystem(omega_q, 0.05 * WQ, frac * WQ, 0.0)
-            yield scan_spectrum(sys, grid, math.pi / sys.omega_0)
+            yield noise_averaged_signal(sys, NOISELESS, grid, math.pi / sys.omega_0)
 
     def test_agrees_with_scipy_on_the_test_spectra(self):
         from scipy.signal import find_peaks

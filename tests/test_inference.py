@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from trapquad.dynamics import (
     SpectrumScan,
     default_detuning_grid,
     find_spectrum_peaks,
-    scan_spectrum,
     transfer_probabilities,
 )
 from trapquad.errors import (
@@ -47,7 +47,8 @@ def reference_system(omega_q: float = WQ, tau: float = TAU) -> RwaSystem:
 
 class TestNoiseModel:
     def test_sensitivities(self):
-        noise = NoiseModel(sigma_b=18e-9, g_d=1.2, g_s=2.0025)
+        # the Ba+ g-factors g_D = 6/5 and g_S = 2.0025 are the model's constants
+        noise = NoiseModel(sigma_b=18e-9)
         mu_over_hbar = CODATA2018.bohr_magneton / CODATA2018.hbar
         assert noise.sensitivity_rf == pytest.approx(2.4 * mu_over_hbar)
         assert noise.sensitivity_laser == pytest.approx(
@@ -58,10 +59,9 @@ class TestNoiseModel:
         with pytest.raises(InvalidInputError):
             NoiseModel(sigma_b=-1e-9)
 
-    @pytest.mark.parametrize("g", [{"g_d": math.nan}, {"g_s": math.inf}])
-    def test_rejects_non_finite_g_factors(self, g):
-        with pytest.raises(InvalidInputError, match="g-factors"):
-            NoiseModel(sigma_b=18e-9, **g)
+    def test_sigma_b_and_tau_are_the_only_settings(self):
+        assert [f.name for f in dataclasses.fields(NoiseModel)] == ["sigma_b"]
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["tau"]
 
 
 def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
@@ -81,11 +81,16 @@ def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
 
 class TestNoiseAveragedSignal:
     def test_zero_sigma_reduces_to_bare_scan(self):
-        sys = reference_system()
+        # every node is the same at sigma_B = 0: one node, and the bare
+        # transfer on the grid bit for bit
         grid = default_detuning_grid(WQ, 101)
-        bare = scan_spectrum(sys, grid, TAU)
-        avg = noise_averaged_signal(sys, NoiseModel(sigma_b=0.0), grid, TAU)
-        assert np.allclose(avg.transfer, bare.transfer, atol=1e-14)
+        for delta_rf in (0.0, 0.3 * WQ):
+            sys = RwaSystem(WQ, math.pi / TAU, delta_rf, 0.0)
+            avg = noise_averaged_signal(sys, NoiseModel(sigma_b=0.0), grid, TAU)
+            assert avg.quadrature_nodes == 1
+            assert avg.quadrature_change == 0.0
+            bare = transfer_probabilities(WQ, sys.omega_0, delta_rf, grid, TAU)
+            assert np.array_equal(avg.transfer, bare)
 
     def test_golden_curve_at_paper_parameters(self):
         # frozen from a quadrature run at order 200; order-independent to 1e-11
@@ -554,6 +559,23 @@ class TestFitSpectrum:
     def test_probe_time_must_be_positive(self, tau):
         with pytest.raises(InvalidInputError, match="probe time"):
             FitConfig(tau=tau)
+
+    def test_mirrored_spectrum_gives_the_same_fit(self):
+        # at Delta = 0 node x at delta mirrors node -x at -delta, so negating
+        # and reversing the detunings, with the counts reversed, leaves chi^2
+        # unchanged
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=50e-9),
+                                 self.DELTAS, TAU, 300, np.random.default_rng(3))
+        fit = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        mirrored = fit_spectrum(-self.DELTAS[::-1], counts[::-1], 300, self.CONFIG)
+        assert (mirrored.nfev, mirrored.quadrature_nodes) == (
+            fit.nfev, fit.quadrature_nodes)
+        for key in ("omega_q", "sigma_b", "chi2_reduced"):
+            assert getattr(mirrored, key) == pytest.approx(getattr(fit, key),
+                                                           rel=2e-15, abs=0)
+        for key in ("omega_q_err", "sigma_b_err"):
+            assert getattr(mirrored, key) == pytest.approx(getattr(fit, key),
+                                                           rel=1e-14, abs=0)
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
