@@ -101,10 +101,19 @@ class SpectrumScan:
     tau: float
 
     def __post_init__(self):
-        if len(self.detunings) == 0:
-            raise InvalidInputError("empty detuning grid")
-        if np.any(np.diff(self.detunings) <= 0):
-            raise InvalidInputError("detuning grid must be strictly increasing")
+        check_detuning_grid(self.detunings)
+
+
+def check_detuning_grid(detunings) -> np.ndarray:
+    """The grid as a float array; raises InvalidInputError unless it is
+    one-dimensional, non-empty and strictly increasing."""
+    grid = np.asarray(detunings, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise InvalidInputError(
+            f"detuning grid must be a non-empty 1-D array, not shape {grid.shape}")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidInputError("detuning grid must be strictly increasing")
+    return grid
 
 
 def check_probe_time(tau: float) -> None:

@@ -22,7 +22,8 @@ class ResonanceError(ArithmeticError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when the noise average does not converge within 4097 nodes."""
+    """Raised when the noise average does not converge within 3073 nodes
+    (x = b/sigma_B in [-6, 6] at step 1/256)."""
 
 
 class IntegrationError(RuntimeError):

@@ -4,14 +4,17 @@ Magnetic field noise is modelled as Gaussian across experiments and constant
 within one experiment.  A field excursion b shifts both rotating-frame
 detunings: Delta -> Delta - k_D*b with k_D = 2*g_D*mu_B/hbar, and
 delta -> delta - k_d*b with k_d = (g_D - g_S)*mu_B/(2*hbar).  The averaged
-signal is a trapezoid sum over x = b/sigma_B in [-8, 8] with weights
+signal is a trapezoid sum over x = b/sigma_B in [-6, 6] with weights
 h*phi(x), exponentially convergent once h resolves the transfer's features,
 pi/(k_D*sigma_B*tau) wide (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
-h is worked out, never set: from the coarsest 0.5/2**k that resolves them, it
-halves until two sums agree to 1e-6 at every point, up to 4097 nodes.  At
-sigma_B = 0 every node is the same, and the rule is the single node x = 0
-with weight 1: the noiseless spectrum.  g_D and g_S are the Ba+ constants
-trap.G_D and trap.G_S.
+Since 0 <= p <= 1, the nodes left out beyond |x| = 6 could move the average
+by at most their Gaussian mass 2*Phi(-6) = 2.0e-9, far below the 1e-6
+check; the sigma_B column's weights x*h*phi(x) lose 2*phi(6) = 1.2e-8 there.
+h is worked out, never set: from the coarsest 0.5/2**k that resolves them
+(25 nodes at h = 0.5), it halves until two sums agree to 1e-6 at every
+point, up to 3073 nodes (h = 1/256).  At sigma_B = 0 every node is the same,
+and the rule is the single node x = 0 with weight 1: the noiseless spectrum.
+g_D and g_S are the Ba+ constants trap.G_D and trap.G_S.
 
 The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
 a bounded least-squares fit of the residuals weighted by per-point binomial
@@ -35,15 +38,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (RwaSystem, SpectrumScan, check_probe_time,
-                       transfer_probabilities)
+from .dynamics import (RwaSystem, SpectrumScan, check_detuning_grid,
+                       check_probe_time, transfer_probabilities)
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
 from .trap import NoiseModel
 from .trap import ThetaEstimate, combine_runs, extract_theta  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
-_FIRST_NODES = 33              # the coarsest rule, step 0.5
-_MAX_NODES = 4097
+_HALF_WIDTH = 6.0              # nodes on [-6, 6]; the tails hold 2*Phi(-6) = 2.0e-9
+_FIRST_NODES = 25              # the coarsest rule, step 0.5
+_MAX_NODES = 3073              # the finest, step 1/256
 _QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
 
 
@@ -55,10 +59,10 @@ def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         x, w = np.zeros(1), np.ones(1)
     else:
-        x = np.linspace(-8.0, 8.0, n)
+        x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, n)
         if new_only:
             x = x[1::2]
-        w = 16.0 / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
+        w = 2.0 * _HALF_WIDTH / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
     for array in (x, w):
         array.flags.writeable = False
     return x, w
@@ -66,14 +70,14 @@ def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _start_order(noise: NoiseModel, tau: float) -> int:
     """Nodes of the coarsest rule with h <= min(0.5, pi/(k_D*sigma_B*tau)),
-    1 when sigma_B = 0; raises QuadratureConvergenceError when its check
-    would pass 4097 nodes."""
+    1 when sigma_B = 0, else from 25 nodes (h = 0.5) on x in [-6, 6]; raises
+    QuadratureConvergenceError when its check would pass 3073 nodes."""
     check_probe_time(tau)
     spread = abs(noise.sensitivity_rf) * noise.sigma_b * tau
     if spread == 0.0:
         return 1
     n = _FIRST_NODES
-    while 16.0 / (n - 1) * spread > math.pi:
+    while 2.0 * _HALF_WIDTH / (n - 1) * spread > math.pi:
         n = 2 * n - 1
         if 2 * n - 1 > _MAX_NODES:
             raise QuadratureConvergenceError(
@@ -105,7 +109,7 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
 def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
     """(n, average(2n - 1), max |average(2n - 1) - average(n)|) for the first
     n from the given one where the two agree to 1e-6 at every point, raising
-    past 4097 nodes.  average(n, new_only) is as _averaged_transfer, so each
+    past 3073 nodes.  average(n, new_only) is as _averaged_transfer, so each
     halving of h evaluates only the new nodes.  The 1-node rule is exact
     (every node is the same at sigma_B = 0) and returns unchecked."""
     coarse = average(n, False)
@@ -137,9 +141,13 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
     """Noise-averaged transfer spectrum on 2n - 1 nodes, for the first n from
     the coarsest rule that resolves sigma_B*tau where the averages on n and
     2n - 1 nodes agree to 1e-6 at every point; at sigma_B = 0, the noiseless
-    spectrum on the single node n = 1.  Raises QuadratureConvergenceError
-    past 4097 nodes (sigma_B*tau near 1.9 nT*s)."""
-    detunings = np.asarray(detunings, dtype=float)
+    spectrum on the single node n = 1.  The nodes lie on x in [-6, 6], from
+    25 (h = 0.5) to 3073 (h = 1/256); those beyond |x| = 6 would move the
+    average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError for a
+    grid that is not 1-D, non-empty and strictly increasing, before any
+    transfer is computed, and QuadratureConvergenceError past 3073 nodes
+    (sigma_B*tau near 1.9 nT*s)."""
+    detunings = check_detuning_grid(detunings)
     n, transfer, change = _converged_order(
         lambda m, new: _averaged_transfer(sys, noise, detunings, tau, m, new),
         _start_order(noise, tau))
@@ -219,7 +227,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     transfer_probabilities with derivatives.  The seed is the best of 61
     omega_q values over 0.2..1.2 times the scan's span for the noiseless
     model (one batched call), then the best sigma_B of 5, 15, 30 and 60 nT
-    at that omega_q on the 33-node rule.  The fit runs on the coarsest rule
+    at that omega_q on the 25-node rule.  The fit runs on the coarsest rule
     that resolves the seed's sigma_B*tau; at the optimum the rule is checked
     as in noise_averaged_signal, and the fit is refined once on a finer rule
     when the check needs one.  Errors are the square roots of the diagonal
@@ -230,7 +238,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
     fixed.  Raises FitError when a refinement reaches _MAX_NFEV or the
-    covariance is degenerate, and QuadratureConvergenceError past 4097 nodes.
+    covariance is degenerate, and QuadratureConvergenceError past 3073 nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)

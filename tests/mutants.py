@@ -52,21 +52,33 @@ MUTANTS = (
            (_TI + "TestNoiseAveragedSignal::test_refinement_passes_only_the_new_nodes",
             _TI + "TestNoiseAveragedSignal::test_uniform_rule_is_computed_once_and_read_only")),
     Mutant("start-rule-twice-too-coarse", _INFERENCE,
-           "while 16.0 / (n - 1) * spread > math.pi:",
-           "while 16.0 / (n - 1) * spread > 2.0 * math.pi:",
+           "while 2.0 * _HALF_WIDTH / (n - 1) * spread > math.pi:",
+           "while 2.0 * _HALF_WIDTH / (n - 1) * spread > 2.0 * math.pi:",
            (_TI + "TestNoiseAveragedSignal::test_start_rule_is_the_coarsest_that_resolves"
-            "[0.0059-4e-08-257]",)),
+            "[0.0059-4e-08-193]",)),
     Mutant("no-cap-at-the-start", _INFERENCE,
            "if 2 * n - 1 > _MAX_NODES:", "if False:",
            (_TI + "TestNoiseAveragedSignal::test_convergence_check_raises_when_underresolved",)),
-    Mutant("weights-16-over-n", _INFERENCE,
-           "w = 16.0 / (n - 1) * np.exp", "w = 16.0 / n * np.exp",
+    Mutant("weights-over-n", _INFERENCE,
+           "w = 2.0 * _HALF_WIDTH / (n - 1) * np.exp",
+           "w = 2.0 * _HALF_WIDTH / n * np.exp",
            (_TI + "TestNoiseAveragedSignal::test_golden_curve_at_paper_parameters",)),
     Mutant("endpoint-dropped", _INFERENCE,
-           "x = np.linspace(-8.0, 8.0, n)",
-           "x = np.linspace(-8.0, 8.0, n, endpoint=False)",
+           "x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, n)",
+           "x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, n, endpoint=False)",
            (_TD + "TestScanSpectrum::test_symmetric_at_zero_rf_detuning",
             _TI + "TestFitSpectrum::test_mirrored_spectrum_gives_the_same_fit")),
+    Mutant("range-5-sigma", _INFERENCE,
+           "_HALF_WIDTH = 6.0", "_HALF_WIDTH = 5.0",
+           (_TI + "TestNoiseAveragedSignal::test_order_is_worked_out_at_100nt",
+            _TI + "TestNoiseAveragedSignal::test_converges_where_gauss_hermite_failed"
+            "[1.5e-07-0.0012]",
+            _TI + "TestNoiseAveragedSignal::test_converges_where_gauss_hermite_failed"
+            "[2e-07-0.0012]",
+            _TI + "TestNoiseAveragedSignal::test_converges_where_gauss_hermite_failed"
+            "[4e-08-0.0059]",
+            _TI + "TestNoiseAveragedSignal::test_converges_where_gauss_hermite_failed"
+            "[1e-07-0.0059]")),
     Mutant("one-node-start", _INFERENCE,
            "    if spread == 0.0:\n        return 1\n", "",
            (_TI + "TestNoiseAveragedSignal::test_zero_sigma_reduces_to_bare_scan",

@@ -267,7 +267,7 @@ class TestSpectrum:
 
     def test_noise_averaged_at_100nt_default_probe(self, tmp_path):
         # tau ~ 5.9 ms: Gauss-Hermite failed at its order-640 cap (exit 3);
-        # the rule that resolves sigma_B*tau starts at 1025 nodes
+        # the rule that resolves sigma_B*tau starts at 769 nodes
         code, out = run_to_file(tmp_path, [
             "spectrum", "--sigma-nt", "100", "--points", "101",
             "--format", "json",
@@ -275,12 +275,12 @@ class TestSpectrum:
         assert code == 0
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, OUTPUT_SCHEMA)
-        assert payload["diagnostics"]["quadrature_nodes"] == 1025
+        assert payload["diagnostics"]["quadrature_nodes"] == 769
 
     def test_unresolvable_noise_average_is_numerical_failure(self, capsys):
         assert main(["spectrum", "--sigma-nt", "400", "--Omega0-ratio", "0.01",
                      "--points", "11"]) == 3
-        assert "4097 nodes" in capsys.readouterr().err
+        assert "3073 nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--points", "-5"],             # a numpy traceback, exit 1

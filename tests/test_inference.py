@@ -37,7 +37,7 @@ TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
 TAU = 1.2e-3
 # pi-pulse at Omega0 = 0.01 omega_q (spectrum --Omega0-ratio 0.01): at 400 nT
-# the rule that resolves sigma_B*tau needs more than 4097 nodes
+# the rule that resolves sigma_B*tau needs more than 3073 nodes
 TAU_LONG = math.pi / (0.01 * WQ)
 
 
@@ -68,7 +68,9 @@ def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
                         detunings: np.ndarray, tau: float) -> np.ndarray:
     """Trapezoid sum over b in +-8 sigma_B on 4001 points, normalised by the
     weight sum: its step 0.004 sigma_B is no dyadic fraction of the rule's
-    0.5 sigma_B, so the two share only the nodes at 0 and +-8 sigma_B."""
+    0.5 sigma_B, so of the rule's nodes it shares only the multiples of
+    0.5 sigma_B.  It includes the tails beyond +-6 sigma_B that the rule
+    leaves out."""
     b = np.linspace(-8.0, 8.0, 4001) * noise.sigma_b
     w = np.exp(-0.5 * (b / noise.sigma_b) ** 2)
     w /= w.sum()
@@ -129,9 +131,9 @@ class TestNoiseAveragedSignal:
 
     def test_convergence_check_raises_when_underresolved(self):
         # 400 nT at a 29 ms probe: the step that resolves the features,
-        # pi/(k_D sigma_B tau) = 1.3e-3, needs 16385 nodes
+        # pi/(k_D sigma_B tau) = 1.3e-3, needs 12289 nodes
         grid = default_detuning_grid(WQ, 51)
-        with pytest.raises(QuadratureConvergenceError, match="4097 nodes"):
+        with pytest.raises(QuadratureConvergenceError, match="3073 nodes"):
             noise_averaged_signal(reference_system(tau=TAU_LONG),
                                   NoiseModel(sigma_b=400e-9), grid, TAU_LONG)
 
@@ -143,9 +145,9 @@ class TestNoiseAveragedSignal:
             return np.full(3, 1.0 if new_only else 0.0)   # 0, 1, 1.5, 1.75
 
         with pytest.raises(QuadratureConvergenceError,
-                           match="2.50e-01 .* from 2049 to 4097 nodes"):
-            _converged_order(average, 513)
-        assert calls == [(513, False), (1025, True), (2049, True), (4097, True)]
+                           match="2.50e-01 .* from 1537 to 3073 nodes"):
+            _converged_order(average, 385)
+        assert calls == [(385, False), (769, True), (1537, True), (3073, True)]
 
     def test_order_is_worked_out_at_100nt(self):
         # Gauss-Hermite needed order 640 here; the uniform rule starts at
@@ -185,12 +187,12 @@ class TestNoiseAveragedSignal:
         grid = default_detuning_grid(WQ, 51)
         noise = NoiseModel(sigma_b=100e-9)
         scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
-        assert scan.quadrature_nodes == _start_order(noise, TAU) == 257
-        # the start rule's 257 nodes, then the 256 the halving adds
-        assert points == [51 * 257, 51 * 256]
+        assert scan.quadrature_nodes == _start_order(noise, TAU) == 193
+        # the start rule's 193 nodes, then the 192 the halving adds
+        assert points == [51 * 193, 51 * 192]
 
     def test_simulated_counts_need_a_converged_average(self):
-        # 400 nT at a 29 ms probe needs more than 4097 nodes; counts must
+        # 400 nT at a 29 ms probe needs more than 3073 nodes; counts must
         # not be drawn from an unconverged average
         with pytest.raises(QuadratureConvergenceError):
             simulate_counts(reference_system(tau=TAU_LONG),
@@ -206,30 +208,48 @@ class TestNoiseAveragedSignal:
             noise_averaged_signal(sys, NoiseModel(sigma_b=18e-9),
                                   np.linspace(-WQ, WQ, 11), tau)
 
+    @pytest.mark.parametrize("grid", [
+        np.array([]), np.linspace(-WQ, WQ, 12).reshape(3, 4),
+        np.linspace(WQ, -WQ, 11),
+    ], ids=["empty", "2-d", "decreasing"])
+    def test_bad_grid_is_rejected_before_any_eigh(self, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr("trapquad.inference.transfer_probabilities",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidInputError, match="detuning grid"):
+            noise_averaged_signal(reference_system(), NoiseModel(sigma_b=18e-9),
+                                  grid, TAU)
+        assert calls == []
+
     def test_uniform_rule_is_computed_once_and_read_only(self):
-        nodes, weights = _uniform_rule(129, False)
-        assert _uniform_rule(129, False)[0] is nodes
-        assert nodes[0] == -8.0 and nodes[-1] == 8.0
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
-        new, new_weights = _uniform_rule(257, True)
+        nodes, weights = _uniform_rule(97, False)
+        assert _uniform_rule(97, False)[0] is nodes
+        assert nodes[0] == -6.0 and nodes[-1] == 6.0
+        # the weights are h*phi(x): with the full line's nodes beyond |x| = 6
+        # they sum to 1, and what those nodes hold is below 2*Phi(-6)
+        beyond = np.arange(6.125, 40.0, 0.125)
+        tail = 2 * math.fsum(0.125 * np.exp(-0.5 * beyond ** 2)) / math.sqrt(TWO_PI)
+        assert math.fsum(weights) + tail == pytest.approx(1.0, abs=1e-14)
+        assert 0.0 < tail < math.erfc(6.0 / math.sqrt(2.0))
+        new, new_weights = _uniform_rule(193, True)
         assert np.allclose(new, nodes[:-1] + 0.0625, rtol=0, atol=1e-15)
         assert math.fsum(weights) / 2 + math.fsum(new_weights) == pytest.approx(
-            math.fsum(_uniform_rule(257, False)[1]), abs=1e-15)
+            math.fsum(_uniform_rule(193, False)[1]), abs=1e-15)
         for array in (nodes, weights, new, new_weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     @pytest.mark.parametrize("tau, sigma_b, nodes", [
-        (1.18e-3, 18e-9, 33), (5.9e-3, 18e-9, 129), (5.9e-3, 40e-9, 257),
-        (5.9e-3, 100e-9, 1025), (1.18e-3, 150e-9, 257), (1.18e-3, 400e-9, 513),
+        (1.18e-3, 18e-9, 25), (5.9e-3, 18e-9, 97), (5.9e-3, 40e-9, 193),
+        (5.9e-3, 100e-9, 769), (1.18e-3, 150e-9, 193), (1.18e-3, 400e-9, 385),
     ])
     def test_start_rule_is_the_coarsest_that_resolves(self, tau, sigma_b,
                                                       nodes):
         noise = NoiseModel(sigma_b=sigma_b)
         assert _start_order(noise, tau) == nodes
         width = math.pi / (noise.sensitivity_rf * sigma_b * tau)
-        step = 16.0 / (nodes - 1)
-        assert step <= min(0.5, width) and (nodes == 33 or 2 * step > width)
+        step = 12.0 / (nodes - 1)
+        assert step <= min(0.5, width) and (nodes == 25 or 2 * step > width)
 
     def test_order_doubling_stable_up_to_50nt(self):
         # up to 50 nT the start rule already holds to 1e-6 against the next
@@ -351,7 +371,7 @@ class TestFitSpectrum:
         assert res.nfev <= 15
         assert res.status in (1, 2, 3, 4)
         assert -1.0 < res.correlation < 1.0
-        assert res.quadrature_nodes == 33
+        assert res.quadrature_nodes == 25
         assert 0.0 <= res.quadrature_change <= 1e-6
         assert res.to_dict()["diagnostics"]["nfev"] == res.nfev
 
@@ -401,7 +421,7 @@ class TestFitSpectrum:
         assert res.nfev <= 17
 
     def test_18nt_fit_passes_at_most_20000_pairs(self, monkeypatch):
-        # the seed's 61 x 40 noiseless pairs and 4 x 33 x 40 on the coarsest
+        # the seed's 61 x 40 noiseless pairs and 4 x 25 x 40 on the coarsest
         # rule, then a few residual-and-Jacobian passes and the check
         points = []
 
@@ -476,7 +496,7 @@ class TestFitSpectrum:
         assert np.max(np.abs(exact[:, 1])) <= 1e-12
 
     def test_fit_is_refined_once_at_the_needed_order(self, monkeypatch):
-        # the seed's sigma_B scan stops at 60 nT, whose rule (129 nodes)
+        # the seed's sigma_B scan stops at 60 nT, whose rule (97 nodes)
         # misses the 150 nT optimum; the fit is refined once on the rule the
         # check found
         runs = self.least_squares_runs(monkeypatch)
@@ -485,14 +505,14 @@ class TestFitSpectrum:
                                  self.DELTAS, TAU, 300, rng)
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
         assert len(runs) == 2
-        assert res.quadrature_nodes == 257
+        assert res.quadrature_nodes == 193
         assert res.quadrature_change <= 1e-6
         assert res.chi2_reduced == pytest.approx(
             self.dense_chi2_reduced(res, counts), rel=1e-6)
 
     def test_unconverged_quadrature_at_the_cap_is_a_failure(self, monkeypatch):
         # a 0.59 s probe (Omega0 = 0.0005 omega_q): even the seed scan's
-        # smallest sigma_B, 5 nT, needs more than 4097 nodes, so the fit
+        # smallest sigma_B, 5 nT, needs more than 3073 nodes, so the fit
         # stops before least squares whichever sigma_B the scan picks.
         # simulate_counts refuses that average; the counts come from the
         # 4001-point sum
@@ -502,7 +522,7 @@ class TestFitSpectrum:
         counts = rng.binomial(300, dense_noise_average(
             reference_system(tau=tau), NoiseModel(sigma_b=40e-9), self.DELTAS,
             tau))
-        with pytest.raises(QuadratureConvergenceError, match="4097 nodes"):
+        with pytest.raises(QuadratureConvergenceError, match="3073 nodes"):
             fit_spectrum(self.DELTAS, counts, 300, FitConfig(tau=tau))
         assert runs == []
 
