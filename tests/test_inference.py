@@ -94,6 +94,26 @@ class TestNoiseAveragedSignal:
             bare = transfer_probabilities(WQ, sys.omega_0, delta_rf, grid, TAU)
             assert np.array_equal(avg.transfer, bare)
 
+    def test_mirrored_grid_gives_the_reversed_average(self):
+        # at Delta = 0 the node x at delta mirrors the node -x at -delta, and
+        # each node is summed with its mirror: on the negated, reversed grid
+        # the average and its omega_q and sigma_B columns are reversed, bit
+        # for bit, on whole rules and on the nodes a refinement adds
+        grid = np.linspace(-1.5, 1.5, 40) * WQ
+        noise = NoiseModel(sigma_b=50e-9)
+        for n, new_only in ((1, False), (49, False), (97, True)):
+            p, dp = inference._averaged_transfer(
+                reference_system(), noise, grid, TAU, n, new_only, True)
+            q, dq = inference._averaged_transfer(
+                reference_system(), noise, -grid[::-1], TAU, n, new_only, True)
+            assert np.array_equal(q, p[::-1])
+            assert np.array_equal(dq, dp[::-1])
+        avg = noise_averaged_signal(reference_system(), noise, grid, TAU)
+        mirrored = noise_averaged_signal(reference_system(), noise,
+                                         -grid[::-1], TAU)
+        assert mirrored.quadrature_nodes == avg.quadrature_nodes
+        assert np.array_equal(mirrored.transfer, avg.transfer[::-1])
+
     def test_golden_curve_at_paper_parameters(self):
         # frozen from a quadrature run at order 200; order-independent to 1e-11
         golden = [
@@ -666,6 +686,33 @@ class TestLeastSquares:
         assert sol.status in (1, 2, 3, 4)
         assert np.allclose(sol.x, [1.0, 1.0], rtol=1e-7)
         assert not sol.at_bound
+
+    def test_steps_do_not_depend_on_the_order_of_the_points(self):
+        # the sums over points are correctly rounded, so reordering the rows
+        # of r and J changes no iterate: a spectrum and its mirror image
+        # take the same steps
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0.0, 3.0, 40)
+        y = 2.0 * np.exp(-0.7 * t) + rng.normal(0.0, 0.01, 40)
+
+        def decay(order, calls):
+            def fun(x):
+                calls.append(x)
+                e = np.exp(-x[1] * t[order])
+                return (x[0] * e - y[order],
+                        np.column_stack([e, -x[0] * t[order] * e]))
+            return fun
+
+        orders = (np.arange(40), np.arange(40)[::-1], rng.permutation(40))
+        steps = [[] for _ in orders]
+        sols = [inference._least_squares(decay(o, calls), [1.0, 1.0], 100)
+                for o, calls in zip(orders, steps)]
+        assert sols[0].status in (1, 2, 3, 4)
+        for order, sol, calls in zip(orders[1:], sols[1:], steps[1:]):
+            assert np.array_equal(calls, steps[0])
+            assert np.array_equal(sol.x, sols[0].x)
+            assert (sol.cost, sol.status) == (sols[0].cost, sols[0].status)
+            assert np.array_equal(sol.jac, sols[0].jac[order])
 
     def test_evaluation_limit_returns_status_zero(self):
         calls = []
