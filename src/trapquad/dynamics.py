@@ -128,24 +128,16 @@ def transfer_probabilities(omega_q: float | np.ndarray, omega_0: float,
                            tau: float, derivatives: bool = False):
     """Vectorised 1 - P_S for broadcast arrays of (omega_q, Delta, delta);
     tau > 0.  With derivatives, (p, dp) from the same eigh, where dp stacks
-    dp/d omega_q, dp/d Delta and dp/d delta on a new first axis.  The
-    mirror pair (-Delta, -delta) gives the same p bit for bit, and the
-    negated Delta and delta derivatives.  The pairs are diagonalised in
-    batches of at most 512, which bounds the working memory beyond the flat
-    inputs and the outputs at about 0.3 MB (0.6 MB with derivatives)."""
+    dp/d omega_q, dp/d Delta and dp/d delta on a new first axis.  The pairs
+    are diagonalised in batches of at most 512, which bounds the working
+    memory beyond the flat inputs and the outputs at about 0.3 MB (0.6 MB
+    with derivatives)."""
     check_probe_time(tau)
     shape = np.broadcast_shapes(np.shape(omega_q), np.shape(detuning_rf),
                                 np.shape(detuning_laser))
     flat_wq, flat_rf, flat_l = (
         np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
         for a in (omega_q, detuning_rf, detuning_laser))
-    # p(-Delta, -delta) = p(Delta, delta), since H(-Delta, -delta) =
-    # -G H(Delta, delta) G with G = diag(-1, 1, -1, -1); eigh keeps this only
-    # to rounding (on Delta = 0 p differs by up to 5e-15), so each pair is
-    # diagonalised as its representative with delta > 0 (Delta > 0 when
-    # delta = 0), and the Delta and delta derivatives change sign with it
-    sign = np.where((flat_l < 0) | ((flat_l == 0) & (flat_rf < 0)), -1.0, 1.0)
-    flat_rf, flat_l = sign * flat_rf, sign * flat_l
     out = np.empty(flat_rf.size)
     grad = np.empty((3, flat_rf.size)) if derivatives else None
     for lo in range(0, flat_rf.size, _BATCH):
@@ -160,7 +152,6 @@ def transfer_probabilities(omega_q: float | np.ndarray, omega_0: float,
         if derivatives:
             grad[:, part] = _transfer_gradient(evals, evecs, y, amps, tau)
     if derivatives:
-        grad[1:] *= sign
         return out.reshape(shape), grad.reshape((3,) + shape)
     return out.reshape(shape)
 

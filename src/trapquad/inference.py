@@ -22,10 +22,7 @@ variance, with a projected Levenberg-Marquardt solver in numpy: the module
 needs no scipy.  Its Jacobian is exact: the transfer's derivatives come from the
 eigh that gives the transfer (dynamics.transfer_probabilities), and the
 average's sigma_B derivative is a second weighted sum over the same nodes.
-Each node is summed with its mirror -x, and the solver's sums over the
-points are correctly rounded, so a spectrum and its mirror image
-(detunings negated and reversed, at Delta = 0) give the same fit bit for
-bit.  The seed is the noiseless model on an omega_q grid, in one batched call,
+The seed is the noiseless model on an omega_q grid, in one batched call,
 then a four-value sigma_B scan.  Parameter errors come from (J^T J)^-1 at
 the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1; at the
 sigma_B >= 0 bound the sigma_B error is a one-sided upper limit instead.
@@ -102,28 +99,11 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
     d_rf = sys.detuning_rf - noise.sensitivity_rf * b
     d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
     if not derivatives:
-        return _mirror_sum(
-            transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau), w)
+        return transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau) @ w
     p, (dp_wq, dp_rf, dp_l) = transfer_probabilities(
         sys.omega_q, sys.omega_0, d_rf, d_l, tau, derivatives=True)
     dp_sigma = -(noise.sensitivity_rf * dp_rf + noise.sensitivity_laser * dp_l)
-    return _mirror_sum(p, w), np.stack(
-        [_mirror_sum(dp_wq, w), _mirror_sum(dp_sigma, w * x, odd=True)], axis=-1)
-
-
-def _mirror_sum(values: np.ndarray, weights: np.ndarray,
-                odd: bool = False) -> np.ndarray:
-    """values @ weights on a rule whose nodes are symmetric about x = 0,
-    with each node added to its mirror -x before the weighted sum (minus
-    it with odd weights, which vanish at x = 0).  A spectrum at -delta then
-    averages the same pairs as the one at delta, and the two sums agree bit
-    for bit."""
-    half = values.shape[-1] // 2
-    left, right = values[..., :half], values[..., ::-1][..., :half]
-    total = ((left - right) if odd else (left + right)) @ weights[:half]
-    if values.shape[-1] % 2 and not odd:
-        total = total + values[..., half] * weights[half]
-    return total
+    return p @ w, np.stack([dp_wq @ w, dp_sigma @ (w * x)], axis=-1)
 
 
 def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
@@ -293,7 +273,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
 
     def chi2(x, n: int) -> float:
-        return math.fsum(weighted(model(x, n)) ** 2)
+        return float(np.sum(weighted(model(x, n)) ** 2))
 
     # residuals and Jacobian at one x come from one pass
     def residuals_and_jacobian(x, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,12 +362,11 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
     average is even in sigma_B): an iterate there could not tell a bound
     optimum from a saddle and would stay.  The stopping tests are MINPACK's,
     with gtol = ftol = xtol = _TOL; every call of fun counts towards
-    max_nfev.  Its sums over the residuals are correctly rounded (_gram), so
-    reordering them changes no step.
+    max_nfev.
     """
     x = np.asarray(x, dtype=float)
     r, jac = fun(x)
-    nfev, cost = 1, 0.5 * math.fsum(r * r)
+    nfev, cost = 1, 0.5 * float(r @ r)
     scale, mu, nu = np.zeros(len(x)), 1e-3, 2.0
 
     def stop(status: int) -> _Solution:
@@ -395,10 +374,9 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
                          status=status)
 
     while True:
-        gram = _gram(np.column_stack([jac, r]))
-        g, a = gram[:-1, -1], gram[:-1, :-1]
-        columns = np.sqrt(np.diag(a))
+        columns = np.linalg.norm(jac, axis=0)
         scale = np.maximum(scale, columns)
+        g, a = jac.T @ r, jac.T @ jac
         # gtol: the cosine between r and each column of J
         norms = columns * math.sqrt(2.0 * cost)
         if np.all(np.abs(g) <= _TOL * norms, where=norms > 0):
@@ -419,7 +397,7 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
         predicted = -(g @ step) - 0.5 * (step @ a @ step)
         r_new, jac_new = fun(x_new)
         nfev += 1
-        cost_new = 0.5 * math.fsum(r_new * r_new)
+        cost_new = 0.5 * float(r_new @ r_new)
         rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
         ftol = (abs(cost - cost_new) <= _TOL * cost
                 and predicted <= _TOL * cost and rho <= 2.0)
@@ -434,17 +412,6 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
             return stop(4 if ftol and xtol else 2 if ftol else 3)
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """m^T m with each entry a correctly rounded sum over the rows
-    (math.fsum), so that it does not depend on their order: a spectrum and
-    its mirror image, detunings negated and reversed, take the same steps."""
-    gram = np.empty((m.shape[1], m.shape[1]))
-    for i in range(m.shape[1]):
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = math.fsum(m[:, i] * m[:, j])
-    return gram
-
-
 def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
                 scale: float) -> tuple[float, float, float, bool]:
     """(omega_q error, sigma_B error, correlation, at bound) from J^T J.
@@ -452,7 +419,7 @@ def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
     At the bound the sigma_B error is left as NaN for the caller's upper
     limit, and the omega_q error is taken with sigma_B held fixed.
     """
-    jtj = _gram(jac)
+    jtj = jac.T @ jac
     if jtj[0, 0] <= 0:
         raise FitError("degenerate covariance at the optimum")
     if not bound_active and np.linalg.det(jtj) > 0:

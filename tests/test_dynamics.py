@@ -203,24 +203,6 @@ class TestTransferProbabilities:
         for k in (1, 2):
             assert np.max(np.abs(dq[k] + dp[k])) <= 2e-15 * scale[k]
 
-    def test_mirror_on_the_axes_is_bit_for_bit(self):
-        # eigh alone keeps the mirror only to rounding on Delta = 0 (p to
-        # 5e-15) and on delta = 0 (the derivatives); each pair is
-        # diagonalised as its representative with delta > 0, or Delta > 0
-        # on delta = 0, so p, dp/d omega_q and -dp/dDelta, -dp/ddelta agree
-        d_rf, d_l = self.random_pairs()
-        zero = np.zeros_like(d_rf)
-        tau = 1.2e-3
-        for pairs in ((zero, d_l), (d_rf, zero)):
-            p, dp = transfer_probabilities(WQ, math.pi / tau, *pairs, tau,
-                                           derivatives=True)
-            q, dq = transfer_probabilities(WQ, math.pi / tau,
-                                           *(-a for a in pairs), tau,
-                                           derivatives=True)
-            assert np.array_equal(p, q)
-            assert np.array_equal(dq[0], dp[0])
-            assert np.array_equal(dq[1:], -dp[1:])
-
     def test_even_in_omega_q(self):
         # D = diag(-1, 1, -1, 1) flips both quadrupole couplings and nothing
         # else: p is even in omega_q and dp/d omega_q odd, bit for bit
