@@ -23,9 +23,14 @@ needs no scipy.  Its Jacobian is exact: the transfer's derivatives come from the
 eigh that gives the transfer (dynamics.transfer_probabilities), and the
 average's sigma_B derivative is a second weighted sum over the same nodes.
 The seed is the noiseless model on an omega_q grid, in one batched call,
-then a four-value sigma_B scan.  Parameter errors come from (J^T J)^-1 at
-the optimum and are scaled by sqrt(chi2_nu) when chi2_nu > 1; at the
-sigma_B >= 0 bound the sigma_B error is a one-sided upper limit instead.
+then a four-value sigma_B scan.  The fit runs at Delta = 0, where the mirror
+H(-Delta, -delta) = -G*H*G makes the model even in delta (the rule's nodes
+are symmetric in x), so the fit evaluates it once per distinct |delta|,
+magnitudes within 8 ulps of the largest |delta| counting as one: a scan
+symmetric about the carrier costs half the pairs.  Parameter errors come
+from (J^T J)^-1 at the optimum and are scaled by sqrt(chi2_nu) when
+chi2_nu > 1; at the sigma_B >= 0 bound the sigma_B error is a one-sided
+upper limit instead.
 The noise model and the moment extraction need no numpy and live in trap;
 they are importable from here too.
 """
@@ -210,6 +215,20 @@ class FitResult:
         }
 
 
+def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitudes, where): the sorted distinct |delta| and each point's
+    index into them.  Magnitudes within 8 ulps of the largest |delta| count
+    as one, so magnitudes[where] is |detunings| to within that: np.linspace
+    grids are mirror images only to within 3 ulps of their largest |delta|."""
+    size = np.abs(detunings)
+    order = np.argsort(size)
+    ordered = size[order]
+    starts = np.diff(ordered, prepend=-np.inf) > 8 * np.spacing(ordered[-1])
+    where = np.empty(len(size), dtype=np.intp)
+    where[order] = np.cumsum(starts) - 1
+    return ordered[starts], where
+
+
 def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
     """Per-point variance max(p(1-p), 1/(4N))/N; the floor avoids zero weights."""
     per_shot = np.maximum(p_model * (1.0 - p_model), 1.0 / (4.0 * shots))
@@ -220,7 +239,17 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
                  config: FitConfig) -> FitResult:
     """Bounded least-squares fit of (omega_q, sigma_B) to measured transfer counts.
 
-    Needs at least 8 points.  A projected Levenberg-Marquardt solver
+    Needs at least 8 points and 3 distinct |delta|.  The fit runs at
+    Delta = 0, where H(-Delta, -delta) = -G*H(Delta, delta)*G (G = diag(-1,
+    1, -1, -1)) makes the transfer p(0, delta) even in delta; every rule's
+    nodes are symmetric in x, so the average and both its derivatives are
+    even in delta too.  So the model is evaluated once per distinct |delta|
+    (_distinct_magnitudes, which merges magnitudes within 8 ulps of the
+    largest), and each point takes the value at its own |delta|: a scan
+    symmetric about the carrier costs half the pairs.  With fewer than 3
+    distinct |delta| the two parameters are not determined.
+
+    A projected Levenberg-Marquardt solver
     (_least_squares, omega_q >= 0, sigma_B >= 0, scaled by the Jacobian's
     column norms) minimises the binomial-weighted residuals with their
     exact Jacobian; residuals and Jacobian at one x come from one pass of
@@ -237,8 +266,9 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
-    fixed.  Raises FitError when a refinement reaches _MAX_NFEV or the
-    covariance is degenerate, and QuadratureConvergenceError past 3073 nodes.
+    fixed.  Raises InvalidInputError for fewer than 8 points or 3 distinct
+    |delta|, FitError when a refinement reaches _MAX_NFEV or the covariance
+    is degenerate, and QuadratureConvergenceError past 3073 nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -254,6 +284,11 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("each point needs at least one shot")
     if np.any(counts < 0) or np.any(counts > shots_arr):
         raise InvalidInputError("counts must lie between 0 and shots")
+    magnitudes, where = _distinct_magnitudes(detunings)
+    if len(magnitudes) < 3:
+        raise InvalidInputError(
+            f"need at least 3 distinct |detuning| values, not {len(magnitudes)}: "
+            "the model is even in the detuning and has two parameters")
     fractions = counts / shots_arr
     ndof = len(detunings) - 2
 
@@ -266,8 +301,9 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         nonlocal nfev
         nfev += 1
         sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
-        return _averaged_transfer(sys, NoiseModel(x[1] * 1e-9),
-                                  detunings, config.tau, n, new_only, derivatives)
+        got = _averaged_transfer(sys, NoiseModel(x[1] * 1e-9), magnitudes,
+                                 config.tau, n, new_only, derivatives)
+        return (got[0][where], got[1][where]) if derivatives else got[where]
 
     def weighted(p: np.ndarray) -> np.ndarray:
         return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
@@ -293,7 +329,8 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     nfev += 1
     p_seed = transfer_probabilities(
         omegas, omega_0, 0.0,
-        np.broadcast_to(detunings, (len(omegas), len(detunings))), config.tau)
+        np.broadcast_to(magnitudes, (len(omegas), len(magnitudes))),
+        config.tau)[:, where]
     w_seed = float(omegas[np.argmin(np.sum(weighted(p_seed) ** 2, axis=1)), 0])
     s_seed = min((5.0, 15.0, 30.0, 60.0),
                  key=lambda s: chi2((w_seed, s), _FIRST_NODES))

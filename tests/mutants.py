@@ -1,6 +1,6 @@
-"""Mutation check of the noise-average rule, the transfer kernel and the
-fit's Jacobian: each mutant is one small fault, and the tests named with it
-must fail when it is applied.
+"""Mutation check of the noise-average rule, the transfer kernel, the
+fit's Jacobian and its grouping of the points by |delta|: each mutant is
+one small fault, and the tests named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -94,7 +94,17 @@ MUTANTS = (
     Mutant("sigma-column-weighted-by-w", _INFERENCE,
            "dp_sigma @ (w * x)", "dp_sigma @ w",
            (_TI + "TestFitSpectrum::test_jacobian_matches_central_differences[1.8e-08]",
-            _TI + "TestFitSpectrum::test_mirrored_spectrum_gives_the_same_fit")),
+            _TI + "TestFitSpectrum::test_same_fit_as_evaluating_every_point")),
+    # the fit's grouping of the points by |delta|
+    Mutant("magnitudes-signed", _INFERENCE,
+           "np.abs(detunings)", "detunings",
+           (_TI + "TestFitSpectrum::test_18nt_fit_passes_at_most_10000_pairs",)),
+    # merging within 29 rad/s on the fit's grids: each point still takes the
+    # value at its own group's smallest |delta|, and the fit tests' nearest
+    # magnitudes lie 214 rad/s apart, so only the unit test sees it
+    Mutant("magnitudes-merged", _INFERENCE,
+           "> 8 * np.spacing(", "> 8e12 * np.spacing(",
+           (_TI + "TestDistinctMagnitudes::test_magnitudes_16_ulps_apart_stay_distinct",)),
     Mutant("ddelta-rf-sign-flipped", _DYNAMICS,
            "zsz(2, 2) - zsz(0, 0)", "zsz(0, 0) - zsz(2, 2)",
            (_TD + "TestTransferProbabilities::test_derivatives_match_central_differences",)),

@@ -383,6 +383,18 @@ class TestFitAndExtract:
         path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
 
+    @pytest.mark.parametrize("deltas_hz", [
+        [-800.0, 800.0] * 5,   # exited 0: omega_q = 972 +- 11 Hz
+        [150.0] * 10,          # exited 0: omega_q = 0 +- 3.2e18 Hz
+    ], ids=["two-mirrored", "one-detuning"])
+    def test_fewer_than_three_magnitudes_are_config_error(self, tmp_path,
+                                                          capsys, deltas_hz):
+        path = tmp_path / "degenerate.csv"
+        path.write_text("delta_hz,excited_counts,shots\n"
+                        + "".join(f"{d},150,300\n" for d in deltas_hz))
+        assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
+        assert "3 distinct" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--omega-q-hz", "--omega-q-err-hz",
                                       "--drift-error-hz"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

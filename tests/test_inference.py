@@ -423,9 +423,10 @@ class TestFitSpectrum:
         assert len(runs) == 1
         assert res.nfev <= 17
 
-    def test_18nt_fit_passes_at_most_20000_pairs(self, monkeypatch):
-        # the seed's 61 x 40 noiseless pairs and 4 x 25 x 40 on the coarsest
-        # rule, then a few residual-and-Jacobian passes and the check
+    def test_18nt_fit_passes_at_most_10000_pairs(self, monkeypatch):
+        # the 40 points have 20 distinct |delta|: the seed's 61 x 20
+        # noiseless pairs and 4 x 25 x 20 on the coarsest rule, then a few
+        # residual-and-Jacobian passes and the check
         points = []
 
         def counted(*args, **kwargs):
@@ -440,8 +441,8 @@ class TestFitSpectrum:
         points.clear()
         res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
         assert len(points) == res.nfev
-        assert points[0] == 61 * 40
-        assert sum(points) <= 20000
+        assert points[0] == 61 * 20
+        assert sum(points) <= 10000
 
     class Captured(Exception):
         pass
@@ -578,6 +579,46 @@ class TestFitSpectrum:
             assert res.quadrature_nodes == ref.quadrature_nodes
             assert res.nfev <= ref.nfev
 
+    def test_same_fit_as_evaluating_every_point(self, monkeypatch):
+        # the fit evaluates its model once per distinct |delta|; evaluating
+        # every point instead gives the same fit to rounding: the centre
+        # node sits at Delta = 0, where p(0, delta) and p(0, -delta) differ
+        # by up to 3.1e-15.  The shifted grid has no mirror partners
+        shifted = (np.linspace(-1.5, 1.5, 40) + 0.01) * WQ
+        for sigma_b, seed, deltas in [(18e-9, 0, self.DELTAS),
+                                      (50e-9, 3, self.DELTAS),
+                                      (150e-9, 0, self.DELTAS),
+                                      (0.0, 2, self.DELTAS),
+                                      (18e-9, 0, shifted)]:
+            counts = simulate_counts(reference_system(),
+                                     NoiseModel(sigma_b=sigma_b), deltas,
+                                     TAU, 300, np.random.default_rng(seed))
+            res = fit_spectrum(deltas, counts, 300, self.CONFIG)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_distinct_magnitudes",
+                          lambda d: (d, np.arange(len(d))))
+                ref = fit_spectrum(deltas, counts, 300, self.CONFIG)
+            assert (res.nfev, res.quadrature_nodes) == (
+                ref.nfev, ref.quadrature_nodes)
+            assert abs(res.omega_q - ref.omega_q) <= 1e-9 * ref.omega_q_err
+            assert abs(res.sigma_b - ref.sigma_b) <= 1e-9 * ref.sigma_b_err
+            assert res.chi2_reduced == pytest.approx(ref.chi2_reduced,
+                                                     rel=1e-12, abs=0)
+            for key in ("omega_q_err", "sigma_b_err"):
+                assert getattr(res, key) == pytest.approx(getattr(ref, key),
+                                                          rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("deltas_hz", [
+        np.tile([-800.0, 800.0], 5),    # fitted at 972 +- 11 Hz
+        np.full(10, 150.0),             # fitted at 0 +- 3.2e18 Hz
+    ], ids=["two-mirrored", "one-detuning"])
+    def test_fewer_than_three_magnitudes_are_rejected(self, deltas_hz):
+        # the model is even in delta, so these scans have one distinct
+        # |delta| to determine two parameters
+        counts = np.full(len(deltas_hz), 150)
+        with pytest.raises(InvalidInputError, match="3 distinct"):
+            fit_spectrum(TWO_PI * deltas_hz, counts, 300, self.CONFIG)
+
     @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
     def test_probe_time_must_be_positive(self, tau):
         with pytest.raises(InvalidInputError, match="probe time"):
@@ -629,6 +670,43 @@ class TestFitSpectrum:
         counts = good.copy()
         counts[5], counts[7] = 450, 0
         fit_spectrum(self.DELTAS, counts, shots, self.CONFIG)   # the bounds
+
+
+class TestDistinctMagnitudes:
+    """The |delta| the fit evaluates its model at, and each point's index."""
+
+    @staticmethod
+    def group(deltas):
+        magnitudes, where = inference._distinct_magnitudes(np.asarray(deltas))
+        assert np.all(np.diff(magnitudes) > 0)
+        assert np.max(np.abs(magnitudes[where] - np.abs(deltas))) <= (
+            8 * np.spacing(np.max(np.abs(deltas))))
+        return magnitudes, where
+
+    @pytest.mark.parametrize("points, distinct", [(40, 20), (41, 21),
+                                                  (201, 101)])
+    def test_linspace_grid_is_its_own_mirror(self, points, distinct):
+        deltas = np.linspace(-1.5, 1.5, points) * WQ
+        assert len(self.group(deltas)[0]) == distinct
+        # the CLI's path: written in Hz, read back and multiplied by 2 pi
+        read = TWO_PI * np.array([float(repr(d)) for d in (deltas / TWO_PI).tolist()])
+        assert len(self.group(read)[0]) == distinct
+
+    def test_repeated_point_merges(self):
+        magnitudes, where = self.group(np.array([1.0, -2.0, 1.0, 3.0]) * WQ)
+        assert np.array_equal(magnitudes, np.array([1.0, 2.0, 3.0]) * WQ)
+        assert where.tolist() == [0, 1, 0, 2]
+
+    def test_magnitudes_16_ulps_apart_stay_distinct(self):
+        big = 1.5 * WQ
+        deltas = np.array([-big, big + 16 * np.spacing(big), 0.5 * WQ])
+        assert len(self.group(deltas)[0]) == 3
+
+    def test_grid_without_mirror_partners_keeps_every_point(self):
+        deltas = (np.linspace(-1.5, 1.5, 40) + 0.01) * WQ
+        magnitudes, where = self.group(deltas)
+        assert len(magnitudes) == 40
+        assert sorted(where.tolist()) == list(range(40))
 
 
 class TestLeastSquares:
