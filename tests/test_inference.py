@@ -689,7 +689,8 @@ class TestDistinctMagnitudes:
         deltas = np.linspace(-1.5, 1.5, points) * WQ
         assert len(self.group(deltas)[0]) == distinct
         # the CLI's path: written in Hz, read back and multiplied by 2 pi
-        read = TWO_PI * np.array([float(repr(d)) for d in (deltas / TWO_PI).tolist()])
+        hz = (deltas / TWO_PI).tolist()
+        read = TWO_PI * np.array([float(repr(d)) for d in hz])
         assert len(self.group(read)[0]) == distinct
 
     def test_repeated_point_merges(self):
