@@ -27,7 +27,11 @@ then a four-value sigma_B scan.  The fit runs at Delta = 0, where the mirror
 H(-Delta, -delta) = -G*H*G makes the model even in delta (the rule's nodes
 are symmetric in x), so the fit evaluates it once per distinct |delta|,
 magnitudes within 8 ulps of the largest |delta| counting as one: a scan
-symmetric about the carrier costs half the pairs.  Parameter errors come
+symmetric about the carrier costs half the pairs.  simulate_counts draws
+from the average taken the same way on the carrier.  The fit remembers each
+full pass by its (omega_q, sigma_B) and its rule, so the rule's check at the
+optimum, and at a sigma_B upper limit, starts from the pass that the solver
+or the upper limit's search has just made.  Parameter errors come
 from (J^T J)^-1 at the optimum and are scaled by sqrt(chi2_nu) when
 chi2_nu > 1; at the sigma_B >= 0 bound the sigma_B error is a one-sided
 upper limit instead.
@@ -38,6 +42,7 @@ they are importable from here too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,8 +120,10 @@ def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
     """(n, average(2n - 1), max |average(2n - 1) - average(n)|) for the first
     n from the given one where the two agree to 1e-6 at every point, raising
     past 3073 nodes.  average(n, new_only) is as _averaged_transfer, so each
-    halving of h evaluates only the new nodes.  The 1-node rule is exact
-    (every node is the same at sigma_B = 0) and returns unchecked."""
+    halving of h evaluates only the new nodes; average(n, False), the first
+    call, may return a pass already made (fit_spectrum's model remembers
+    them).  The 1-node rule is exact (every node is the same at sigma_B = 0)
+    and returns unchecked."""
     coarse = average(n, False)
     if n == 1:
         return 1, coarse, 0.0
@@ -160,12 +167,45 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                              quadrature_nodes=n, quadrature_change=change)
 
 
+def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitudes, where): the sorted distinct |delta| and each point's
+    index into them.  Magnitudes within 8 ulps of the largest |delta| count
+    as one, so magnitudes[where] is |detunings| to within that: np.linspace
+    grids are mirror images only to within 3 ulps of their largest |delta|."""
+    size = np.abs(detunings)
+    order = np.argsort(size)
+    ordered = size[order]
+    starts = np.diff(ordered, prepend=-np.inf) > 8 * np.spacing(ordered[-1])
+    where = np.empty(len(size), dtype=np.intp)
+    where[order] = np.cumsum(starts) - 1
+    return ordered[starts], where
+
+
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     tau: float, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Binomial counts drawn from the noise-averaged transfer probability."""
-    scan = noise_averaged_signal(sys, noise, detunings, tau)
-    return rng.binomial(shots, np.clip(scan.transfer, 0.0, 1.0))
+    """Binomial counts of `shots` trials per point, drawn from the
+    noise-averaged transfer probability of noise_averaged_signal.  At
+    Delta = 0 the average is even in delta (see fit_spectrum), so it is
+    evaluated once per distinct |delta| and each point draws from the value
+    at its own |delta|: a scan symmetric about the carrier costs half the
+    pairs.  Off the carrier every point is evaluated.  Raises
+    InvalidInputError, before any transfer is computed, unless shots is a
+    finite whole number of at least 1 and the grid is as
+    noise_averaged_signal needs it."""
+    if not (isinstance(shots, numbers.Real) and math.isfinite(shots)
+            and shots == math.floor(shots) and shots >= 1):
+        raise InvalidInputError(
+            f"shots must be a whole number of at least 1, not {shots!r}")
+    detunings = check_detuning_grid(detunings)
+    if sys.detuning_rf == 0.0:
+        magnitudes, where = _distinct_magnitudes(detunings)
+    else:
+        magnitudes, where = detunings, slice(None)
+    _, transfer, _ = _converged_order(
+        lambda m, new: _averaged_transfer(sys, noise, magnitudes, tau, m, new),
+        _start_order(noise, tau))
+    return rng.binomial(shots, np.clip(transfer[where], 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -215,20 +255,6 @@ class FitResult:
         }
 
 
-def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(magnitudes, where): the sorted distinct |delta| and each point's
-    index into them.  Magnitudes within 8 ulps of the largest |delta| count
-    as one, so magnitudes[where] is |detunings| to within that: np.linspace
-    grids are mirror images only to within 3 ulps of their largest |delta|."""
-    size = np.abs(detunings)
-    order = np.argsort(size)
-    ordered = size[order]
-    starts = np.diff(ordered, prepend=-np.inf) > 8 * np.spacing(ordered[-1])
-    where = np.empty(len(size), dtype=np.intp)
-    where[order] = np.cumsum(starts) - 1
-    return ordered[starts], where
-
-
 def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
     """Per-point variance max(p(1-p), 1/(4N))/N; the floor avoids zero weights."""
     per_shot = np.maximum(p_model * (1.0 - p_model), 1.0 / (4.0 * shots))
@@ -259,8 +285,13 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     at that omega_q on the 25-node rule.  The fit runs on the coarsest rule
     that resolves the seed's sigma_B*tau; at the optimum the rule is checked
     as in noise_averaged_signal, and the fit is refined once on a finer rule
-    when the check needs one.  Errors are the square roots of the diagonal
-    of (J^T J)^-1, multiplied by sqrt(chi2_nu) when chi2_nu exceeds 1.
+    when the check needs one.  The model remembers each full pass, keyed by
+    x and the rule, and a pass with derivatives gives the same transfer bit
+    for bit as one without: the check's first average, at the optimum and
+    at the upper limit below, is the solver's or _upper_limit's last pass
+    and costs no eigh.  nfev counts the transfer_probabilities calls made.
+    Errors are the square roots of the diagonal of (J^T J)^-1, multiplied
+    by sqrt(chi2_nu) when chi2_nu exceeds 1.
 
     When the sigma_B bound is active, or sigma_B is smaller than its own
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
@@ -294,16 +325,24 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
 
     omega_0 = math.pi / config.tau
     nfev = 0
+    passes = {}     # (omega_q, sigma_B, n) -> (p, dp or None) of each full pass
 
     # x = (omega_q in rad/s, sigma_B in nT): nT are the units of the seed
     # values and of the upper limit's 1 nT bracket
     def model(x, n: int, new_only: bool = False, derivatives: bool = False):
         nonlocal nfev
-        nfev += 1
-        sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
-        got = _averaged_transfer(sys, NoiseModel(x[1] * 1e-9), magnitudes,
-                                 config.tau, n, new_only, derivatives)
-        return (got[0][where], got[1][where]) if derivatives else got[where]
+        key = (float(x[0]), float(x[1]), n)
+        p, dp = passes.get(key, (None, None))
+        if new_only or p is None or (derivatives and dp is None):
+            nfev += 1
+            sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
+            got = _averaged_transfer(sys, NoiseModel(x[1] * 1e-9), magnitudes,
+                                     config.tau, n, new_only, derivatives)
+            p, dp = ((got[0][where], got[1][where]) if derivatives
+                     else (got[where], None))
+            if not new_only:
+                passes[key] = p, dp
+        return (p, dp) if derivatives else p
 
     def weighted(p: np.ndarray) -> np.ndarray:
         return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))

@@ -1,6 +1,8 @@
 """Mutation check of the noise-average rule, the transfer kernel, the
-fit's Jacobian and its grouping of the points by |delta|: each mutant is
-one small fault, and the tests named with it must fail when it is applied.
+fit's Jacobian, the grouping of the points by |delta| in the fit and in
+simulate_counts, the fit's memory of its passes, the solver's gtol test and
+the peak search: each mutant is one small fault, and the tests named with
+it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -105,6 +107,22 @@ MUTANTS = (
     Mutant("magnitudes-merged", _INFERENCE,
            "> 8 * np.spacing(", "> 8e12 * np.spacing(",
            (_TI + "TestDistinctMagnitudes::test_magnitudes_16_ulps_apart_stay_distinct",)),
+    Mutant("counts-grouped-off-the-carrier", _INFERENCE,
+           "if sys.detuning_rf == 0.0:", "if True:",
+           (_TI + "TestSimulateCounts::test_passes_each_distinct_magnitude_once_on_the"
+            "_carrier[off-carrier]",
+            _TI + "TestSimulateCounts::test_counts_are_drawn_from_the_noise_averaged"
+            "_signal[1.8e-08-off-carrier]")),
+    # the fit's memory of its passes: keyed on x alone, the refined solver's
+    # first pass would return the pass on the coarser rule
+    Mutant("memo-keyed-on-x-alone", _INFERENCE,
+           "key = (float(x[0]), float(x[1]), n)", "key = (float(x[0]), float(x[1]))",
+           (_TI + "TestFitSpectrum::test_each_refinement_starts_with_a_pass_on_its_rule",)),
+    # the solver's stopping tests
+    Mutant("gtol-test-dropped", _INFERENCE,
+           "        if np.all(np.abs(g) <= _TOL * norms, where=norms > 0):\n"
+           "            return stop(1)\n", "",
+           (_TI + "TestLeastSquares::test_zero_residual_at_the_start_stops_on_gtol",)),
     Mutant("ddelta-rf-sign-flipped", _DYNAMICS,
            "zsz(2, 2) - zsz(0, 0)", "zsz(0, 0) - zsz(2, 2)",
            (_TD + "TestTransferProbabilities::test_derivatives_match_central_differences",)),
@@ -116,6 +134,14 @@ MUTANTS = (
            "2.0 * _B_COEFF * zsz(1, 2)", "2.0 * _B_COEFF * zsz(1, 1)",
            (_TD + "TestTransferProbabilities::test_mirror_of_both_detunings",
             _TD + "TestTransferProbabilities::test_even_in_omega_q")),
+    # the peak search
+    Mutant("prominence-from-the-lower-base", _DYNAMICS,
+           "max(y[lo:i + 1].min(), y[i:hi].min())",
+           "min(y[lo:i + 1].min(), y[i:hi].min())",
+           (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
+    Mutant("height-strict", _DYNAMICS,
+           "if y[i] >= height and", "if y[i] > height and",
+           (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
 )
 
 

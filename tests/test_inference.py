@@ -266,6 +266,65 @@ class TestNoiseAveragedSignal:
             assert np.max(np.abs(a - b)) < 1e-6
 
 
+def count_pairs(monkeypatch) -> list:
+    """The pairs of every transfer_probabilities call inference makes."""
+    points = []
+
+    def counted(*args, **kwargs):
+        points.append(np.size(args[3]))
+        return transfer_probabilities(*args, **kwargs)
+
+    monkeypatch.setattr("trapquad.inference.transfer_probabilities", counted)
+    return points
+
+
+class TestSimulateCounts:
+    DELTAS = np.linspace(-1.5, 1.5, 40) * WQ
+
+    @pytest.mark.parametrize("delta_rf, distinct", [(0.0, 20), (0.3 * WQ, 40)],
+                             ids=["carrier", "off-carrier"])
+    def test_passes_each_distinct_magnitude_once_on_the_carrier(
+            self, monkeypatch, delta_rf, distinct):
+        # at Delta = 0 the average is even in delta: the 40 points have 20
+        # distinct |delta|.  Off the carrier every point is evaluated
+        points = count_pairs(monkeypatch)
+        sys = RwaSystem(WQ, math.pi / TAU, delta_rf, 0.0)
+        simulate_counts(sys, NoiseModel(sigma_b=18e-9), self.DELTAS, TAU, 300,
+                        np.random.default_rng(0))
+        assert points == [distinct * 25, distinct * 24]
+
+    @pytest.mark.parametrize("delta_rf", [0.0, 0.3 * WQ],
+                             ids=["carrier", "off-carrier"])
+    @pytest.mark.parametrize("sigma_b", [0.0, 18e-9, 50e-9, 150e-9])
+    def test_counts_are_drawn_from_the_noise_averaged_signal(self, sigma_b,
+                                                             delta_rf):
+        sys = RwaSystem(WQ, math.pi / TAU, delta_rf, 0.0)
+        noise = NoiseModel(sigma_b=sigma_b)
+        for seed in (0, 1):
+            counts = simulate_counts(sys, noise, self.DELTAS, TAU, 300,
+                                     np.random.default_rng(seed))
+            p = noise_averaged_signal(sys, noise, self.DELTAS, TAU).transfer
+            want = np.random.default_rng(seed).binomial(300, np.clip(p, 0.0, 1.0))
+            assert np.array_equal(counts, want)
+
+    @pytest.mark.parametrize("shots", [2.5, 0, -1, math.nan])
+    def test_shots_must_be_a_whole_number_of_at_least_one(self, monkeypatch,
+                                                          shots):
+        # 2.5 drew from 2 trials, 0 gave all-zero counts, and -1 and NaN
+        # raised numpy's ValueError
+        points = count_pairs(monkeypatch)
+        with pytest.raises(InvalidInputError, match="shots"):
+            simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                            self.DELTAS, TAU, shots, np.random.default_rng(0))
+        assert points == []
+
+    def test_whole_numbered_shots_are_accepted(self):
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                 self.DELTAS, TAU, np.int64(1),
+                                 np.random.default_rng(0))
+        assert set(counts.tolist()) <= {0, 1}
+
+
 class TestFitSpectrum:
     DELTAS = np.linspace(-1.5, 1.5, 40) * WQ
     CONFIG = FitConfig(tau=TAU)
@@ -444,6 +503,73 @@ class TestFitSpectrum:
         assert points[0] == 61 * 20
         assert sum(points) <= 10000
 
+    @staticmethod
+    def record_passes(monkeypatch) -> list:
+        """(omega_q, Delta, pairs, derivatives) of every pass the fit makes;
+        omega_q and the Delta of the nodes as bytes, which tell the x and
+        the nodes of a pass apart."""
+        passes = []
+
+        def counted(*args, **kwargs):
+            derivatives = kwargs.get("derivatives", False)
+            passes.append((np.asarray(args[0]).tobytes(),
+                           np.asarray(args[2]).tobytes(), np.size(args[3]),
+                           derivatives))
+            return transfer_probabilities(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "transfer_probabilities", counted)
+        return passes
+
+    @staticmethod
+    def repeats(passes) -> list:
+        """Indices of the passes whose (x, nodes) an earlier pass had."""
+        keys = [p[:2] for p in passes]
+        return [i for i, key in enumerate(keys) if key in keys[:i]]
+
+    def fit_recording(self, monkeypatch, sigma_b, seed):
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=sigma_b),
+                                 self.DELTAS, TAU, 300,
+                                 np.random.default_rng(seed))
+        passes = self.record_passes(monkeypatch)
+        res = fit_spectrum(self.DELTAS, counts, 300, self.CONFIG)
+        assert len(passes) == res.nfev
+        return res, passes
+
+    def test_check_reuses_the_solvers_last_pass(self, monkeypatch):
+        # the check's 25-node average at the optimum is the solver's pass
+        # there: its only pass is the nodes the halving adds, 24 x 20 pairs.
+        # The one (x, nodes) passed twice is the seed, where the solver's
+        # first pass adds the derivatives the sigma_B scan did not take
+        res, passes = self.fit_recording(monkeypatch, 18e-9, 0)
+        assert res.quadrature_nodes == 25
+        assert passes[-1][2:] == (24 * 20, False)
+        assert self.repeats(passes) == [5]
+        assert passes[5][3] and not passes[0][3]
+        assert [p[3] for p in passes[:5]] == [False] * 5
+
+    def test_upper_limit_point_is_not_evaluated_again(self, monkeypatch):
+        # at the bound the check also takes the average at the upper limit,
+        # which _upper_limit has just evaluated: the check passes only the
+        # new nodes at the optimum and at the limit
+        res, passes = self.fit_recording(monkeypatch, 0.0, 2)
+        assert res.sigma_b_at_bound and res.quadrature_nodes == 25
+        assert [p[2:] for p in passes[-2:]] == [(24 * 20, False)] * 2
+        assert self.repeats(passes) == [5]
+        assert passes[5][3]
+
+    def test_each_refinement_starts_with_a_pass_on_its_rule(self,
+                                                            monkeypatch):
+        # at 150 nT the fit is refined from 97 to 193 nodes; the refined
+        # solver's first pass, at the optimum on 97 nodes, is a new pass on
+        # 193: a pass is remembered by its x and its rule together
+        runs = self.least_squares_runs(monkeypatch)
+        res, passes = self.fit_recording(monkeypatch, 150e-9, 0)
+        assert len(runs) == 2 and res.quadrature_nodes == 193
+        start = np.asarray(runs[1][0]).tobytes()
+        on_rule = [p[2] for p in passes if p[0] == start and p[3]]
+        assert on_rule == [97 * 20, 193 * 20]
+        assert self.repeats(passes) == []
+
     class Captured(Exception):
         pass
 
@@ -470,13 +596,6 @@ class TestFitSpectrum:
     def test_jacobian_matches_central_differences(self, monkeypatch, sigma_b):
         fun = self.residual_function(monkeypatch, sigma_b)
         x = np.array([WQ, sigma_b * 1e9])        # (rad/s, nT)
-        exact = fun(x)[1]
-        for col in (0, 1):
-            step = np.zeros(2)
-            step[col] = 1e-5 * x[col]
-            central = (fun(x + step)[0] - fun(x - step)[0]) / (2 * step[col])
-            assert np.max(np.abs(central - exact[:, col])) <= (
-                1e-6 * np.max(np.abs(exact[:, col])))
         # residuals and Jacobian at one x come from one pass
         passes = []
 
@@ -485,8 +604,17 @@ class TestFitSpectrum:
             return transfer_probabilities(*args, **kwargs)
 
         monkeypatch.setattr(inference, "transfer_probabilities", counted)
-        assert np.array_equal(fun(x)[1], exact)
+        exact = fun(x)[1]
         assert passes == [True]
+        for col in (0, 1):
+            step = np.zeros(2)
+            step[col] = 1e-5 * x[col]
+            central = (fun(x + step)[0] - fun(x - step)[0]) / (2 * step[col])
+            assert np.max(np.abs(central - exact[:, col])) <= (
+                1e-6 * np.max(np.abs(exact[:, col])))
+        # a second call at x is the pass the model remembers
+        assert np.array_equal(fun(x)[1], exact)
+        assert passes == [True] * 5
 
     def test_jacobian_at_zero_sigma_b(self, monkeypatch):
         fun = self.residual_function(monkeypatch, 0.0)
