@@ -167,20 +167,6 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                              quadrature_nodes=n, quadrature_change=change)
 
 
-def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(magnitudes, where): the sorted distinct |delta| and each point's
-    index into them.  Magnitudes within 8 ulps of the largest |delta| count
-    as one, so magnitudes[where] is |detunings| to within that: np.linspace
-    grids are mirror images only to within 3 ulps of their largest |delta|."""
-    size = np.abs(detunings)
-    order = np.argsort(size)
-    ordered = size[order]
-    starts = np.diff(ordered, prepend=-np.inf) > 8 * np.spacing(ordered[-1])
-    where = np.empty(len(size), dtype=np.intp)
-    where[order] = np.cumsum(starts) - 1
-    return ordered[starts], where
-
-
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     tau: float, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
@@ -253,6 +239,20 @@ class FitResult:
                 "nfev", "status", "correlation", "quadrature_nodes",
                 "quadrature_change", "sigma_b_at_bound")},
         }
+
+
+def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitudes, where): the sorted distinct |delta| and each point's
+    index into them.  Magnitudes within 8 ulps of the largest |delta| count
+    as one, so magnitudes[where] is |detunings| to within that: np.linspace
+    grids are mirror images only to within 3 ulps of their largest |delta|."""
+    size = np.abs(detunings)
+    order = np.argsort(size)
+    ordered = size[order]
+    starts = np.diff(ordered, prepend=-np.inf) > 8 * np.spacing(ordered[-1])
+    where = np.empty(len(size), dtype=np.intp)
+    where[order] = np.cumsum(starts) - 1
+    return ordered[starts], where
 
 
 def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
