@@ -107,12 +107,20 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
+def _triangle_coefficient(a: int, b: int, c: int) -> Fraction:
+    """Delta(abc)^2 = (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of twice-values, exact."""
+    fac = math.factorial
+    return Fraction(fac((a + b - c) // 2) * fac((a - b + c) // 2)
+                    * fac((-a + b + c) // 2), fac((a + b + c) // 2 + 1))
+
+
 def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
               m1: Momentum, m2: Momentum, m3: Momentum) -> float:
     """Wigner 3j symbol (j1 j2 j3 / m1 m2 m3).
 
     Returns exactly 0.0 when the triangle rule or m1+m2+m3=0 fails; raises
-    InvalidInputError for malformed quantum numbers.
+    InvalidInputError for malformed quantum numbers.  The squared prefactor
+    is the triangle coefficient Delta(j1 j2 j3) times the six (j +- m)!.
     """
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
     m1, m2, m3 = HalfInt(m1), HalfInt(m2), HalfInt(m3)
@@ -126,10 +134,6 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     fac = math.factorial
     # factorial arguments, all guaranteed non-negative integers here
     a1 = (j1.twice + j2.twice - j3.twice) // 2
-    a2 = (j1.twice - j2.twice + j3.twice) // 2
-    a3 = (-j1.twice + j2.twice + j3.twice) // 2
-    peri = (j1.twice + j2.twice + j3.twice) // 2
-
     jm = [
         (j1.twice + m1.twice) // 2, (j1.twice - m1.twice) // 2,
         (j2.twice + m2.twice) // 2, (j2.twice - m2.twice) // 2,
@@ -137,7 +141,7 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     ]
 
     # squared prefactor as an exact rational, converted once
-    pref2 = Fraction(fac(a1) * fac(a2) * fac(a3), fac(peri + 1))
+    pref2 = _triangle_coefficient(j1.twice, j2.twice, j3.twice)
     for f in jm:
         pref2 *= fac(f)
 
@@ -163,7 +167,8 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
               j4: Momentum, j5: Momentum, j6: Momentum) -> float:
     """Wigner 6j symbol {j1 j2 j3 / j4 j5 j6}.
 
-    Returns 0.0 when any of the four triads violates the triangle rules.
+    Returns 0.0 when any of the four triads violates the triangle rules;
+    the squared prefactor is the product of their triangle coefficients.
     """
     js = [HalfInt(j) for j in (j1, j2, j3, j4, j5, j6)]
     for j in js:
@@ -176,16 +181,9 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
         return 0.0
 
     fac = math.factorial
-
-    def delta2(a: int, b: int, c: int) -> Fraction:
-        return Fraction(
-            fac((a + b - c) // 2) * fac((a - b + c) // 2) * fac((-a + b + c) // 2),
-            fac((a + b + c) // 2 + 1),
-        )
-
     pref2 = Fraction(1)
     for tri in triads:
-        pref2 *= delta2(*tri)
+        pref2 *= _triangle_coefficient(*tri)
 
     sums = [(t1 + t2 + t3) // 2, (t1 + t5 + t6) // 2,
             (t4 + t2 + t6) // 2, (t4 + t5 + t3) // 2]

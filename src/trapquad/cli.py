@@ -138,8 +138,6 @@ def cmd_matrix_elements(args) -> int:
     level = species.level(args.level)
     trap = trap_from_config(config, species.mass_kg)
     manifold = [parse_half_int(f) for f in args.manifold.split(",") if f.strip()]
-    if not manifold:
-        raise InvalidInputError("empty manifold")
     mat = hq_matrix(level, trap, manifold)
 
     rows = []
@@ -197,6 +195,8 @@ def cmd_spectrum(args) -> int:
     from .dynamics import RwaSystem, default_detuning_grid
     from .inference import noise_averaged_signal
     omega_q = TWO_PI * args.omega_q_hz
+    if omega_q == 0:
+        raise InvalidInputError("--omega-q-hz must be nonzero")
     omega_0 = args.omega0_ratio * abs(omega_q)
     if omega_0 <= 0:
         raise InvalidInputError("Omega0 ratio must be positive")

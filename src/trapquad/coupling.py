@@ -60,8 +60,8 @@ class LevelSpec:
     """An atomic fine-structure level with quadrupole moment Theta(J).
 
     theta_e_a02 is Theta(J) in units of e*a0^2.  hyperfine_energies_hz, when
-    given, maps every F of the level, and no other, to a distinct energy in
-    Hz (times h); clock-shift sums need it for I > 0 levels.
+    given, maps every F of the level, and no other (per_f), to a distinct
+    energy in Hz (times h); clock-shift sums need it for I > 0 levels.
     """
 
     nuclear_spin: HalfInt
@@ -82,22 +82,14 @@ class LevelSpec:
         object.__setattr__(self, "nuclear_spin", nuclear_spin)
         object.__setattr__(self, "electronic_j", electronic_j)
         object.__setattr__(self, "theta_e_a02", float(theta_e_a02))
+        object.__setattr__(self, "label", label)
+        energies = None
         if hyperfine_energies_hz is not None:
-            energies = {HalfInt(f): float(e) for f, e in hyperfine_energies_hz.items()}
-            fs = self._f_range(nuclear_spin, electronic_j)
-            missing = [f for f in fs if f not in energies]
-            extra = [f for f in energies if f not in fs]
-            if missing or extra:
-                raise InvalidInputError(
-                    f"level {label or '?'} needs a hyperfine energy for each F in "
-                    f"{fs} and no other; missing F={missing}, extra F={extra}")
+            energies = self.per_f(hyperfine_energies_hz, "a hyperfine energy")
             if not (all(map(math.isfinite, energies.values()))
                     and len(set(energies.values())) == len(energies)):
                 raise InvalidInputError("hyperfine energies must be finite and unique")
-            object.__setattr__(self, "hyperfine_energies_hz", energies)
-        else:
-            object.__setattr__(self, "hyperfine_energies_hz", None)
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "hyperfine_energies_hz", energies)
 
     @staticmethod
     def _f_range(i: HalfInt, j: HalfInt) -> list[HalfInt]:
@@ -106,6 +98,19 @@ class LevelSpec:
 
     def f_values(self) -> list[HalfInt]:
         return self._f_range(self.nuclear_spin, self.electronic_j)
+
+    def per_f(self, values: Mapping[Momentum, float], what: str) -> dict[HalfInt, float]:
+        """`values` as {F: float}; raises InvalidInputError, naming the missing
+        and the extra F, unless it has one entry for every F of the level and no other."""
+        by_f = {HalfInt(f): float(v) for f, v in values.items()}
+        fs = self.f_values()
+        missing = [f for f in fs if f not in by_f]
+        extra = [f for f in by_f if f not in fs]
+        if missing or extra:
+            raise InvalidInputError(
+                f"level {self.label or '?'} needs {what} for each F in {fs} "
+                f"and no other; missing F={missing}, extra F={extra}")
+        return by_f
 
     def validate_f(self, F: Momentum) -> HalfInt:
         F = HalfInt(F)
@@ -259,7 +264,7 @@ def hq_matrix(level: LevelSpec, trap: TrapConfig,
     """Assemble H_Q/hbar (rad/s) over the given hyperfine levels F.
 
     Basis states are ordered by (F ascending, m ascending); each F may be
-    listed once.
+    listed once, and an empty manifold raises InvalidInputError.
     """
     fs = sorted((level.validate_f(F) for F in manifold), key=lambda f: f.twice)
     if not fs:

@@ -157,25 +157,20 @@ def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
 
     With equal weights over the 2J+1 hyperfine levels (I >= J), the dm = 0
     contributions cancel pairwise because each (F, F') pair enters twice with
-    opposite-sign denominators.
+    opposite-sign denominators.  The shifts must cover every F of the level
+    and no other (LevelSpec.per_f), and they are summed in f_values() order.
     """
-    shifts = {HalfInt(f): float(v) for f, v in per_f_shifts.items()}
-    expected = level.f_values()
-    missing = [f for f in expected if f not in shifts]
-    if missing:
-        raise InvalidInputError(
-            f"shifts missing for F={missing} of level {level.label or '?'}"
-        )
-    if len(shifts) > len(expected):
-        extra = [f for f in shifts if f not in expected]
-        raise InvalidInputError(
-            f"shifts given for F={extra}, not in level {level.label or '?'}"
-        )
-    if len(expected) != level.electronic_j.twice + 1:
-        raise InvalidInputError(
-            "equal-weight averaging assumes I >= J (2J+1 hyperfine levels)"
-        )
-    return sum(shifts[f] for f in expected) / len(expected)
+    shifts = level.per_f(per_f_shifts, "a shift")
+    fs = _equal_weight_levels(level)
+    return sum(shifts[f] for f in fs) / len(fs)
+
+
+def _equal_weight_levels(level: LevelSpec) -> list[HalfInt]:
+    """The level's F values; raises unless there are 2J + 1 of them (I >= J)."""
+    fs = level.f_values()
+    if len(fs) != level.electronic_j.twice + 1:
+        raise InvalidInputError("equal-weight averaging assumes I >= J (2J+1 F levels)")
+    return fs
 
 
 @dataclass(frozen=True)
@@ -212,15 +207,14 @@ def shift_decomposition(transition: ClockTransition,
     Only the |dm| = 1 and |dm| = 2 channels survive hyperfine averaging; their
     orientation dependence factors into f1 and f2, so the average shift is
     a*nu*(f2 + eta*f1) for every trap orientation.  Requires A = 0 and
-    epsilon != 0 (a linear trap, where f1, f2 are defined) and I >= J.
+    epsilon != 0 (a linear trap, where f1, f2 are defined) and, as
+    hyperfine_average does, I >= J.
     """
     if trap.A != 0.0 or trap.epsilon == 0.0:
         raise InvalidInputError("shift decomposition into (f1, f2) applies to "
                                 "traps with A = 0 and epsilon != 0 only")
     level = transition.level
-    fs = level.f_values()
-    if len(fs) != level.electronic_j.twice + 1:
-        raise InvalidInputError("hyperfine averaging assumes I >= J")
+    fs = _equal_weight_levels(level)
 
     # |coupling|^2 in Hz^2 with the orientation factor, whose squared modulus
     # is f1 or f2, divided out: (reduced * Theta*eps*sqrt(2/3)*e*a0^2/hbar)^2

@@ -42,7 +42,6 @@ they are importable from here too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,10 +154,13 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
     2n - 1 nodes agree to 1e-6 at every point; at sigma_B = 0, the noiseless
     spectrum on the single node n = 1.  The nodes lie on x in [-6, 6], from
     25 (h = 0.5) to 3073 (h = 1/256); those beyond |x| = 6 would move the
-    average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError for a
-    grid that is not 1-D, non-empty and strictly increasing, before any
-    transfer is computed, and QuadratureConvergenceError past 3073 nodes
-    (sigma_B*tau near 1.9 nT*s)."""
+    average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError, before
+    any transfer is computed, for a nonzero sys.detuning_laser (the grid is
+    the laser detuning) or a grid that is not 1-D, non-empty and strictly
+    increasing, and QuadratureConvergenceError past 3073 nodes (sigma_B*tau
+    near 1.9 nT*s)."""
+    if sys.detuning_laser != 0.0:
+        raise InvalidInputError("detuning_laser must be 0: the grid is the laser detuning")
     detunings = check_detuning_grid(detunings)
     n, transfer, change = _converged_order(
         lambda m, new: _averaged_transfer(sys, noise, detunings, tau, m, new),
@@ -170,28 +172,34 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     tau: float, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Binomial counts of `shots` trials per point, drawn from the
-    noise-averaged transfer probability of noise_averaged_signal.  At
-    Delta = 0 the average is even in delta (see fit_spectrum), so it is
-    evaluated once per distinct |delta| and each point draws from the value
-    at its own |delta|: a scan symmetric about the carrier costs half the
-    pairs.  Off the carrier every point is evaluated.  Raises
-    InvalidInputError, before any transfer is computed, unless shots is a
-    finite whole number of at least 1 and the grid is as
-    noise_averaged_signal needs it."""
-    if not (isinstance(shots, numbers.Real) and math.isfinite(shots)
-            and shots == math.floor(shots) and shots >= 1):
-        raise InvalidInputError(
-            f"shots must be a whole number of at least 1, not {shots!r}")
+    """Binomial counts of `shots` trials per point, drawn from
+    noise_averaged_signal.  At Delta = 0 the average is even in delta (see
+    fit_spectrum), so it is taken on the sorted distinct |delta| and each
+    point draws from the value at its own |delta|: a scan symmetric about
+    the carrier costs half the pairs.  Off the carrier it is taken on the
+    grid.  Raises InvalidInputError before any transfer is computed unless
+    shots pass _check_shots and sys and the grid pass noise_averaged_signal's."""
+    _check_shots(shots, np.shape(detunings))
     detunings = check_detuning_grid(detunings)
-    if sys.detuning_rf == 0.0:
-        magnitudes, where = _distinct_magnitudes(detunings)
-    else:
-        magnitudes, where = detunings, slice(None)
-    _, transfer, _ = _converged_order(
-        lambda m, new: _averaged_transfer(sys, noise, magnitudes, tau, m, new),
-        _start_order(noise, tau))
+    points, where = (_distinct_magnitudes(detunings) if sys.detuning_rf == 0.0
+                     else (detunings, slice(None)))
+    transfer = noise_averaged_signal(sys, noise, points, tau).transfer
     return rng.binomial(shots, np.clip(transfer[where], 0.0, 1.0))
+
+
+def _check_shots(shots, shape: tuple) -> np.ndarray:
+    """shots, one number or one per point, as a float array of the points'
+    shape; raises InvalidInputError unless each is a finite whole number of
+    at least 1 and there is one, or one per point."""
+    arr = np.asarray(shots)
+    bad = (arr if arr.dtype.kind not in "iuf"
+           else arr[~(np.isfinite(arr) & (arr >= 1) & (arr == np.floor(arr)))])
+    if bad.size:
+        raise InvalidInputError("shots must be whole numbers of at least 1, "
+                                f"not {bad.ravel().tolist()[0]!r}")
+    if arr.ndim and arr.shape != shape:
+        raise InvalidInputError(f"need one shots value per point, not {arr.shape}")
+    return np.broadcast_to(arr.astype(float), shape)
 
 
 @dataclass(frozen=True)
@@ -303,16 +311,13 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    shots_arr = np.broadcast_to(np.asarray(shots, dtype=float), counts.shape).copy()
+    shots_arr = _check_shots(shots, counts.shape)
     if detunings.shape != counts.shape:
         raise InvalidInputError("detunings and counts must have the same length")
     if len(detunings) < 8:
         raise InvalidInputError("need at least 8 data points")
-    if not (np.all(np.isfinite(detunings)) and np.all(np.isfinite(counts))
-            and np.all(np.isfinite(shots_arr))):
-        raise InvalidInputError("detunings, counts and shots must be finite")
-    if np.any(shots_arr < 1):
-        raise InvalidInputError("each point needs at least one shot")
+    if not (np.all(np.isfinite(detunings)) and np.all(np.isfinite(counts))):
+        raise InvalidInputError("detunings and counts must be finite")
     if np.any(counts < 0) or np.any(counts > shots_arr):
         raise InvalidInputError("counts must lie between 0 and shots")
     magnitudes, where = _distinct_magnitudes(detunings)
@@ -402,7 +407,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         omega_q=float(x[0]), omega_q_err=float(omega_q_err),
         sigma_b=float(x[1]) * 1e-9, sigma_b_err=float(sigma_b_err) * 1e-9,
         chi2_reduced=chi2_min / ndof, n_points=len(detunings),
-        shots=int(round(float(np.max(shots_arr)))),
+        shots=int(np.max(shots_arr)),
         nfev=nfev, status=int(fit.status), correlation=float(correlation),
         quadrature_nodes=n, quadrature_change=change,
         sigma_b_at_bound=bool(at_bound),

@@ -45,22 +45,18 @@ class Species:
     transitions: dict[str, ClockTransition]
 
     def level(self, term: str) -> LevelSpec:
-        try:
-            return self.levels[term]
-        except KeyError:
-            raise InvalidInputError(
-                f"species {self.name} has no level {term!r}; "
-                f"available: {sorted(self.levels)}"
-            ) from None
+        return self._lookup(self.levels, term, "level")
 
     def transition(self, label: str) -> ClockTransition:
+        return self._lookup(self.transitions, label, "transition")
+
+    def _lookup(self, table: dict, key: str, what: str):
+        """table[key], or an InvalidInputError that lists the keys there are."""
         try:
-            return self.transitions[label]
+            return table[key]
         except KeyError:
-            raise InvalidInputError(
-                f"species {self.name} has no transition {label!r}; "
-                f"available: {sorted(self.transitions)}"
-            ) from None
+            raise InvalidInputError(f"species {self.name} has no {what} {key!r}; "
+                                    f"available: {sorted(table)}") from None
 
 
 def _bundled_path(name: str):

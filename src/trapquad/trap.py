@@ -120,12 +120,10 @@ class TrapConfig:
     def ideal_quadrupole(cls, mass: float, omega_rf: float, omega_s: float,
                          omega_s_unc: float = 0.0,
                          orientation: EulerAngles = EulerAngles()) -> "TrapConfig":
-        """Ideal quadrupole (endcap) trap preset: eps = 0, A derived."""
-        return cls(
-            omega_rf=omega_rf, mass=mass,
-            A=epsilon_from_secular(mass, omega_rf, omega_s), epsilon=0.0,
-            omega_s=omega_s, omega_s_unc=omega_s_unc, orientation=orientation,
-        )
+        """Ideal quadrupole (endcap) trap preset: the linear preset with A
+        and eps swapped, so eps = 0 and A is derived from omega_s."""
+        linear = cls.ideal_linear(mass, omega_rf, omega_s, omega_s_unc, orientation)
+        return replace(linear, A=linear.epsilon, epsilon=0.0)
 
     def with_orientation(self, orientation: EulerAngles) -> "TrapConfig":
         return replace(self, orientation=orientation)

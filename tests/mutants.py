@@ -1,8 +1,10 @@
 """Mutation check of the noise-average rule, the transfer kernel, the
 fit's Jacobian, the grouping of the points by |delta| in the fit and in
-simulate_counts, the fit's memory of its passes, the solver's gtol test and
-the peak search: each mutant is one small fault, and the tests named with
-it must fail when it is applied.
+simulate_counts, the fit's memory of its passes, the solver's stopping
+tests and its step back from the bound, the peak search, the explicit-drive
+oracle, the schema checker, the CLI's and the trap config's own checks, and
+the code that each rule written once shares: each mutant is one small
+fault, and the tests named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -40,8 +42,19 @@ class Mutant(NamedTuple):
 
 _INFERENCE = "src/trapquad/inference.py"
 _DYNAMICS = "src/trapquad/dynamics.py"
+_ANGULAR = "src/trapquad/angular.py"
+_COUPLING = "src/trapquad/coupling.py"
+_EFFECTS = "src/trapquad/effects.py"
+_SPECIES = "src/trapquad/species.py"
+_TRAP = "src/trapquad/trap.py"
+_ERRORS = "src/trapquad/errors.py"
+_CLI = "src/trapquad/cli.py"
 _TI = "tests/test_inference.py::"
 _TD = "tests/test_dynamics.py::"
+_TA = "tests/test_angular.py::"
+_TCP = "tests/test_coupling.py::"
+_TE = "tests/test_effects.py::"
+_TC = "tests/test_cli.py::"
 
 MUTANTS = (
     # the noise-average rule
@@ -108,7 +121,7 @@ MUTANTS = (
            "> 8 * np.spacing(", "> 8e12 * np.spacing(",
            (_TI + "TestDistinctMagnitudes::test_magnitudes_16_ulps_apart_stay_distinct",)),
     Mutant("counts-grouped-off-the-carrier", _INFERENCE,
-           "if sys.detuning_rf == 0.0:", "if True:",
+           "if sys.detuning_rf == 0.0", "if True",
            (_TI + "TestSimulateCounts::test_passes_each_distinct_magnitude_once_on_the"
             "_carrier[off-carrier]",
             _TI + "TestSimulateCounts::test_counts_are_drawn_from_the_noise_averaged"
@@ -142,6 +155,132 @@ MUTANTS = (
     Mutant("height-strict", _DYNAMICS,
            "if y[i] >= height and", "if y[i] > height and",
            (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
+    Mutant("plateau-peak-at-its-start", _DYNAMICS,
+           "(starts[top] + ends[top]) // 2", "starts[top]",
+           (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
+    # the explicit-drive oracle: the rotating-wave factor 1/2 applied twice,
+    # the convergence test loosened, the Floquet states taken at the edge of
+    # the harmonic space (a shift by one zone is a symmetry, not a fault),
+    # and the sign of the harmonics' phase
+    Mutant("oracle-couplings-halved-twice", _DYNAMICS,
+           "= 0.5 * q_a, 0.5 * q_b", "= 0.25 * q_a, 0.25 * q_b",
+           (_TD + "TestFloquetOracle::test_agrees_with_rwa_across_detuning_grid",
+            _TD + "TestFloquetOracle::test_time_reversal")),
+    Mutant("harmonic-tol-loosened", _DYNAMICS,
+           "_HARMONIC_TOL = 1e-10", "_HARMONIC_TOL = 1e-6",
+           (_TD + "TestFloquetOracle::test_doubles_the_harmonics_until_two_agree_to_1e_10",)),
+    Mutant("floquet-states-off-centre", _DYNAMICS,
+           "np.sum(vecs[k::size] ** 2, axis=0)", "np.sum(vecs[0::size] ** 2, axis=0)",
+           (_TD + "TestFloquetOracle::test_agrees_with_direct_integration[300.37-fracs0]",)),
+    Mutant("harmonic-phase-sign-flipped", _DYNAMICS,
+           "np.exp(1j * harmonics * tau)", "np.exp(-1j * harmonics * tau)",
+           (_TD + "TestFloquetOracle::test_agrees_with_direct_integration[300.37-fracs0]",)),
+    # the solver's ftol and xtol tests, and its step back from the bound
+    Mutant("ftol-test-dropped", _INFERENCE,
+           "ftol = (abs(cost - cost_new)", "ftol = False and (abs(cost - cost_new)",
+           (_TI + "TestLeastSquares::test_interior_optimum_is_the_normal_equations",)),
+    Mutant("xtol-test-dropped", _INFERENCE,
+           "xtol = np.linalg.norm(d * step)", "xtol = False and np.linalg.norm(d * step)",
+           (_TI + "TestLeastSquares::test_interior_optimum_is_the_normal_equations",
+            _TI + "TestLeastSquares::test_interior_optimum_past_a_vanishing_column")),
+    Mutant("step-back-to-the-bound", _INFERENCE,
+           "_BACK = 0.005", "_BACK = 0.0",
+           (_TI + "TestLeastSquares::test_bound_holds_the_second_parameter_at_zero",
+            _TI + "TestLeastSquares::test_interior_optimum_past_a_vanishing_column")),
+    # the schema checker
+    Mutant("unknown-keys-allowed", _ERRORS,
+           "if extra is False:", "if False:",
+           ("tests/test_errors.py::test_agrees_with_jsonschema_on_single_field_edits",
+            _TC + "TestConfigHandling::test_misspelt_trap_key_is_config_error")),
+    Mutant("required-keys-unchecked", _ERRORS,
+           "            if key not in value:\n", "            if False:\n",
+           ("tests/test_errors.py::test_agrees_with_jsonschema_on_single_field_edits",)),
+    Mutant("exclusive-minimum-inclusive", _ERRORS,
+           'value <= schema["exclusiveMinimum"]', 'value < schema["exclusiveMinimum"]',
+           ("tests/test_errors.py::test_agrees_with_jsonschema_on_single_field_edits",)),
+    # the CLI's and the trap config's own checks
+    Mutant("mass-mismatch-accepted", _CLI,
+           'if not math.isclose(block["mass_u"], species_u, rel_tol=1e-6):', "if False:",
+           (_TC + "TestConfigHandling::test_mass_u_disagreeing_with_species_is_config_error",)),
+    Mutant("two-trap-descriptions-accepted", _CLI,
+           '+ has_fields != 1:', '+ has_fields > 2:',
+           (_TC + "TestConfigHandling::test_both_secular_and_fields_rejected",
+            _TC + "TestConfigHandling::test_secular_block_and_omega_s_rejected")),
+    Mutant("uncertainty-without-omega-s-accepted", _CLI,
+           'if "omega_s_unc_hz" in block and "omega_s_hz" not in block:', "if False:",
+           (_TC + "TestConfigHandling::test_secular_uncertainty_without_omega_s_is_config"
+            "_error[secular_hz]",
+            _TC + "TestConfigHandling::test_secular_uncertainty_without_omega_s_is_config"
+            "_error[A-epsilon]")),
+    Mutant("preset-with-fields-accepted", _CLI,
+           'if "preset" in block and has_fields:', "if False:",
+           (_TC + "TestConfigHandling::test_preset_with_explicit_fields_is_config_error",)),
+    Mutant("no-mass-unchecked", _CLI,
+           'if "mass_u" not in block:', "if False:",
+           (_TC + "TestConfigErrorMessages::test_exits_2_with_message[no-mass]",)),
+    Mutant("negative-grid-accepted", _CLI,
+           "if args.grid < 0:", "if False:",
+           (_TC + "TestClockShift::test_negative_grid_is_config_error",)),
+    Mutant("zero-ratio-unchecked", _CLI,
+           "if omega_0 <= 0:", "if False:",
+           (_TC + "TestConfigErrorMessages::test_exits_2_with_message[zero-ratio]",)),
+    Mutant("zero-omega-q-unchecked", _CLI,
+           "if omega_q == 0:", "if False:",
+           (_TC + "TestConfigErrorMessages::test_exits_2_with_message[zero-omega-q]",)),
+    Mutant("points-and-span-unchecked", _CLI,
+           "if args.points < 1 or not 0.0 < args.span < math.inf:", "if False:",
+           (_TC + "TestSpectrum::test_bad_number_is_config_error[points]",
+            _TC + "TestConfigErrorMessages::test_exits_2_with_message[zero-span]")),
+    Mutant("error-count-unchecked", _CLI,
+           "if len(values) != len(errors):", "if False:",
+           (_TC + "TestConfigErrorMessages::test_exits_2_with_message[error-count]",)),
+    # each rule written once: a fault in the shared code that no exception
+    # would show
+    Mutant("counts-from-the-whole-grid", _INFERENCE,
+           "noise_averaged_signal(sys, noise, points, tau)",
+           "noise_averaged_signal(sys, noise, detunings, tau)",
+           (_TI + "TestSimulateCounts::test_passes_each_distinct_magnitude_once_on_the"
+            "_carrier[carrier]",
+            _TI + "TestSimulateCounts::test_counts_are_drawn_from_the_noise_averaged"
+            "_signal[1.8e-08-carrier]")),
+    Mutant("triangle-coefficient-without-plus-1", _ANGULAR,
+           "fac((a + b + c) // 2 + 1))", "fac((a + b + c) // 2))",
+           (_TA + "TestWigner3j::test_agrees_with_exact_oracle_j_up_to_10",
+            _TA + "TestWigner6j::test_agrees_with_exact_oracle_j_up_to_10")),
+    Mutant("extra-f-ignored", _COUPLING,
+           "if missing or extra:", "if missing:",
+           (_TCP + "TestLevelSpec::test_extra_energy_named_in_error",
+            _TE + "TestHyperfineAverage::test_f_outside_the_level_rejected[42-42]")),
+    Mutant("equal-weight-check-dropped", _EFFECTS,
+           "if len(fs) != level.electronic_j.twice + 1:", "if False:",
+           (_TE + "TestHyperfineAverage::test_level_with_i_below_j_rejected",
+            _TC + "TestClockShift::test_missing_hyperfine_energies_named")),
+    Mutant("lookup-lists-the-levels", _SPECIES,
+           "available: {sorted(table)}", "available: {sorted(self.levels)}",
+           ("tests/test_species.py::TestParsing::test_unknown_level_or_transition_lists"
+            "_what_there_is",)),
+    Mutant("quadrupole-preset-keeps-epsilon", _TRAP,
+           "replace(linear, A=linear.epsilon, epsilon=0.0)",
+           "replace(linear, A=linear.epsilon)",
+           ("tests/test_trap.py::TestTrapConfig::test_ideal_quadrupole_preset",
+            _TE + "TestHyperfineAverage::test_dm0_only_couplings_average_to_zero")),
+    Mutant("empty-manifold-accepted", _COUPLING,
+           "if not fs:", "if False:",
+           (_TCP + "TestHqMatrix::test_empty_manifold_rejected",
+            _TC + "TestMatrixElements::test_empty_manifold_is_config_error")),
+    # the satellites' checks
+    Mutant("laser-detuning-unchecked", _INFERENCE,
+           "if sys.detuning_laser != 0.0:", "if False:",
+           (_TI + "TestNoiseAveragedSignal::test_laser_detuning_is_the_grid",)),
+    Mutant("fractional-shots-accepted", _INFERENCE,
+           " & (arr == np.floor(arr))", "",
+           (_TI + "TestFitSpectrum::test_shots_follow_the_rule_of_simulate_counts[300.6]",
+            _TI + "TestSimulateCounts::test_shots_must_be_a_whole_number_of_at_least_one"
+            "[2.5]",
+            _TC + "TestFitAndExtract::test_fractional_shots_are_config_error")),
+    Mutant("shots-length-unchecked", _INFERENCE,
+           "if arr.ndim and arr.shape != shape:", "if False:",
+           (_TI + "TestFitSpectrum::test_shots_of_the_wrong_length_are_rejected",)),
 )
 
 

@@ -383,6 +383,17 @@ class TestFitAndExtract:
         path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
 
+    def test_fractional_shots_are_config_error(self, tmp_path, synthetic_csv,
+                                               capsys):
+        # exited 0 with a fit, as simulate_counts would not draw 300.5 trials
+        lines = Path(synthetic_csv).read_text().splitlines()
+        delta, count, _ = lines[6].split(",")
+        lines[6] = f"{delta},{count},300.5"
+        path = tmp_path / "fractional.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
+        assert "not 300.5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("deltas_hz", [
         [-800.0, 800.0] * 5,   # exited 0: omega_q = 972 +- 11 Hz
         [150.0] * 10,          # exited 0: omega_q = 0 +- 3.2e18 Hz
@@ -480,16 +491,18 @@ class TestConfigHandling:
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
 
-    def test_both_secular_and_fields_rejected(self, tmp_path):
+    def test_both_secular_and_fields_rejected(self, tmp_path, capsys):
+        # mass_u 100 against the species' 175.94 u made this exit 2 before
+        # the two descriptions were looked at
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "schema_version": 1,
-            "trap": {"omega_rf_hz": 1e7, "mass_u": 100.0,
-                     "omega_s_hz": 1e6, "epsilon_v_m2": 1e9},
+            "trap": {"omega_rf_hz": 1e7, "omega_s_hz": 1e6, "epsilon_v_m2": 1e9},
         }))
         code = main(["clock-shift", "--species", "lu176",
                      "--transition", "1S0-3D2", "--config", str(path)])
         assert code == 2
+        assert "exactly one of" in capsys.readouterr().err
 
     def test_preset_with_explicit_fields_is_config_error(self, tmp_path, capsys):
         # exited 0 with A = 0 and eps = 1e7: the preset was dropped unread
@@ -645,8 +658,11 @@ class TestConfigErrorMessages:
           "--omega-q-hz", "1700", "--omega-q-err-hz", "35"],
          "need one --omega-q-err-hz per --omega-q-hz"),
         (["spectrum", "--Omega0-ratio", "0"], "Omega0 ratio must be positive"),
+        # named the Omega0 ratio, which was not at fault
+        (["spectrum", "--omega-q-hz", "0"], "--omega-q-hz must be nonzero"),
+        (["spectrum", "--span", "0"], "--points and --span must be positive"),
     ], ids=["no-mass", "short-row", "no-rows", "no-coupling", "error-count",
-            "zero-ratio"])
+            "zero-ratio", "zero-omega-q", "zero-span"])
     def test_exits_2_with_message(self, tmp_path, capsys, ba_config, lu_config,
                                   argv, message):
         files = {"ba": ba_config, "no_mass": lu_config}

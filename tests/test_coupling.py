@@ -384,6 +384,10 @@ class TestLevelSpec:
         with pytest.raises(InvalidInputError, match="finite"):
             LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: energy, 7: 0.0, 8: 1e9})
 
+    def test_extra_energy_named_in_error(self):
+        with pytest.raises(InvalidInputError, match=r"missing F=\[\], extra F=\[9\]"):
+            LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 1e9, 8: 2e9, 9: 3e9})
+
     def test_missing_energy_named_in_error(self):
         # was accepted, and failed only when a clock-shift sum read F = 8
         with pytest.raises(InvalidInputError, match=r"partial .*missing F=\[8\]"):

@@ -410,6 +410,21 @@ class TestFloquetOracle:
         with pytest.raises(IntegrationError, match="unitarity"):
             floquet_oracle_from_rwa(sys, self.OMEGA_RF, 10.5 * self.PERIOD)
 
+    def test_doubles_the_harmonics_until_two_agree_to_1e_10(self, monkeypatch):
+        # at drive ratio 150 the populations move by 1.3e-7 from 1 to 2
+        # harmonics and by 1e-12 from 2 to 4
+        harmonics = []
+        populations = dynamics._floquet_populations
+
+        def counted(static, upper, omega, tau, k):
+            harmonics.append(k)
+            return populations(static, upper, omega, tau, k)
+
+        monkeypatch.setattr(dynamics, "_floquet_populations", counted)
+        sys = RwaSystem(self.WQ_TEST, 0.35 * self.WQ_TEST, 0.0, 0.3 * self.WQ_TEST)
+        floquet_oracle_from_rwa(sys, 150 * self.WQ_TEST, math.pi / sys.omega_0)
+        assert harmonics == [1, 2, 4]
+
     def test_failed_integration_is_a_failure(self, monkeypatch):
         # at drive ratio 150 the populations move by 1.3e-7 from 1 to 2
         # harmonics and by 1e-12 from 2 to 4, so 4 harmonics converge

@@ -202,6 +202,19 @@ class TestNoiseAveragedSignal:
                             NoiseModel(sigma_b=400e-9), TestFitSpectrum.DELTAS,
                             TAU_LONG, 300, np.random.default_rng(0))
 
+    def test_laser_detuning_is_the_grid(self, monkeypatch):
+        # a nonzero sys.detuning_laser was ignored: 5 omega_q gave the
+        # spectrum and the counts of 0
+        points = count_pairs(monkeypatch)
+        sys = RwaSystem(WQ, math.pi / TAU, 0.0, 5 * WQ)
+        grid = default_detuning_grid(WQ, 51)
+        with pytest.raises(InvalidInputError, match="detuning_laser"):
+            noise_averaged_signal(sys, NoiseModel(sigma_b=18e-9), grid, TAU)
+        with pytest.raises(InvalidInputError, match="detuning_laser"):
+            simulate_counts(sys, NoiseModel(sigma_b=18e-9), grid, TAU, 300,
+                            np.random.default_rng(0))
+        assert points == []
+
     @pytest.mark.parametrize("tau", [0.0, -1.2e-3, math.nan, math.inf])
     def test_probe_time_must_be_positive(self, tau):
         sys = reference_system()
@@ -782,6 +795,31 @@ class TestFitSpectrum:
             fit_spectrum(self.DELTAS, np.where(self.DELTAS > 0, np.nan, 0.0),
                          300, self.CONFIG)
 
+    @pytest.mark.parametrize("shots", [300.6, 0, -1, math.nan])
+    def test_shots_follow_the_rule_of_simulate_counts(self, monkeypatch, shots):
+        # the fit took 300.6, reporting shots: 301, where simulate_counts
+        # rejects it; each point is checked, before any eigh
+        per_point = np.full(40, 300.0)
+        per_point[5] = shots
+        points = count_pairs(monkeypatch)
+        for value in (shots, per_point):
+            with pytest.raises(InvalidInputError, match="shots"):
+                fit_spectrum(self.DELTAS, np.full(40, 150), value, self.CONFIG)
+            with pytest.raises(InvalidInputError, match="shots"):
+                simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                self.DELTAS, TAU, value, np.random.default_rng(0))
+        assert points == []
+
+    def test_shots_of_the_wrong_length_are_rejected(self, monkeypatch):
+        # the fit raised numpy's ValueError from broadcasting 39 values to 40
+        points = count_pairs(monkeypatch)
+        with pytest.raises(InvalidInputError, match="one shots value per point"):
+            fit_spectrum(self.DELTAS, np.full(40, 150), np.full(39, 300), self.CONFIG)
+        with pytest.raises(InvalidInputError, match="one shots value per point"):
+            simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                            self.DELTAS, TAU, np.full(39, 300), np.random.default_rng(0))
+        assert points == []
+
     def test_counts_outside_zero_to_shots_are_rejected(self):
         # 450/300 and -20/300 "fitted" at 1.30 omega_q with chi2_nu = 166
         rng = np.random.default_rng(0)
@@ -850,7 +888,7 @@ class TestLeastSquares:
         b = np.array([1.0, 3.0, 5.2, 6.9])
         sol = inference._least_squares(self.linear(b), [10.0, 10.0], 50)
         exact = np.linalg.solve(self.A.T @ self.A, self.A.T @ b)
-        assert sol.status in (1, 2, 3, 4)
+        assert sol.status == 4      # ftol and xtol on the same step
         assert np.allclose(sol.x, exact, rtol=1e-7)
         assert not sol.at_bound
         assert np.array_equal(sol.jac, self.A)
@@ -875,7 +913,7 @@ class TestLeastSquares:
                     np.array([[1.0, 0.0], [0.0, 4.0 * x[1] / (u + 1.0) ** 2]]))
 
         sol = inference._least_squares(fun, [3.0, 5.0], 50)
-        assert sol.status in (1, 2, 3, 4)
+        assert sol.status == 3      # xtol alone
         assert np.allclose(sol.x, [1.0, 1.0], rtol=1e-7)
         assert not sol.at_bound
 

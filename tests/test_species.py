@@ -55,6 +55,15 @@ class TestParsing:
         with pytest.raises(InvalidInputError):
             load_species("unobtainium")
 
+    def test_unknown_level_or_transition_lists_what_there_is(self):
+        lu = load_species("lu176")
+        with pytest.raises(InvalidInputError, match=r"no level '3D3'; available: "
+                           r"\['1D2', '1S0', '3D1', '3D2'\]"):
+            lu.level("3D3")
+        with pytest.raises(InvalidInputError, match=r"no transition '3D2'; available: "
+                           r"\['1S0-1D2', '1S0-3D1', '1S0-3D2'\]"):
+            lu.transition("3D2")
+
     def test_malformed_file_is_invalid_input(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("not json")
