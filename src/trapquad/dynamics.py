@@ -106,13 +106,13 @@ class SpectrumScan:
 
 def check_detuning_grid(detunings) -> np.ndarray:
     """The grid as a float array; raises InvalidInputError unless it is
-    one-dimensional, non-empty and strictly increasing."""
+    one-dimensional, non-empty, finite and strictly increasing."""
     grid = np.asarray(detunings, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidInputError(
             f"detuning grid must be a non-empty 1-D array, not shape {grid.shape}")
-    if not np.all(np.diff(grid) > 0):
-        raise InvalidInputError("detuning grid must be strictly increasing")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise InvalidInputError("detuning grid must be finite and strictly increasing")
     return grid
 
 

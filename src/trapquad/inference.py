@@ -16,25 +16,13 @@ point, up to 3073 nodes (h = 1/256).  At sigma_B = 0 every node is the same,
 and the rule is the single node x = 0 with weight 1: the noiseless spectrum.
 g_D and g_S are the Ba+ constants trap.G_D and trap.G_S.
 
-The (omega_q, sigma_B) pair is recovered from measured transfer fractions by
-a bounded least-squares fit of the residuals weighted by per-point binomial
-variance, with a projected Levenberg-Marquardt solver in numpy: the module
-needs no scipy.  Its Jacobian is exact: the transfer's derivatives come from the
-eigh that gives the transfer (dynamics.transfer_probabilities), and the
-average's sigma_B derivative is a second weighted sum over the same nodes.
-The seed is the noiseless model on an omega_q grid, in one batched call,
-then a four-value sigma_B scan.  The fit runs at Delta = 0, where the mirror
-H(-Delta, -delta) = -G*H*G makes the model even in delta (the rule's nodes
-are symmetric in x), so the fit evaluates it once per distinct |delta|,
-magnitudes within 8 ulps of the largest |delta| counting as one: a scan
-symmetric about the carrier costs half the pairs.  simulate_counts draws
-from the average taken the same way on the carrier.  The fit remembers each
-full pass by its (omega_q, sigma_B) and its rule, so the rule's check at the
-optimum, and at a sigma_B upper limit, starts from the pass that the solver
-or the upper limit's search has just made.  Parameter errors come
-from (J^T J)^-1 at the optimum and are scaled by sqrt(chi2_nu) when
-chi2_nu > 1; at the sigma_B >= 0 bound the sigma_B error is a one-sided
-upper limit instead.
+fit_spectrum recovers (omega_q, sigma_B) from measured transfer fractions
+with a projected Levenberg-Marquardt solver in numpy (the module needs no
+scipy) on the binomial-weighted residuals of _Objective, which also holds
+the fit's grouping by |delta|, its memory of passes and its seed.  The
+Jacobian is exact: the transfer's derivatives come from the eigh that gives
+the transfer (dynamics.transfer_probabilities), and the average's sigma_B
+derivative is a second weighted sum over the same nodes.
 The noise model and the moment extraction need no numpy and live in trap;
 they are importable from here too.
 """
@@ -101,7 +89,7 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
     """The average of the transfer probability over field noise on the
     n-node rule; with new_only, the share of the nodes it adds.  With
     derivatives, also the average's d/d omega_q and d/d sigma_B (per tesla)
-    as two columns: a node at b = sigma_B*x moves with sigma_B as
+    as two rows: a node at b = sigma_B*x moves with sigma_B as
     x*(-k_D d/dDelta - k_d d/ddelta)."""
     x, w = _uniform_rule(n, new_only)
     b = noise.sigma_b * x                        # field samples, tesla
@@ -112,7 +100,7 @@ def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
     p, (dp_wq, dp_rf, dp_l) = transfer_probabilities(
         sys.omega_q, sys.omega_0, d_rf, d_l, tau, derivatives=True)
     dp_sigma = -(noise.sensitivity_rf * dp_rf + noise.sensitivity_laser * dp_l)
-    return p @ w, np.stack([dp_wq @ w, dp_sigma @ (w * x)], axis=-1)
+    return p @ w, np.stack([dp_wq @ w, dp_sigma @ (w * x)])
 
 
 def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
@@ -120,9 +108,8 @@ def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
     n from the given one where the two agree to 1e-6 at every point, raising
     past 3073 nodes.  average(n, new_only) is as _averaged_transfer, so each
     halving of h evaluates only the new nodes; average(n, False), the first
-    call, may return a pass already made (fit_spectrum's model remembers
-    them).  The 1-node rule is exact (every node is the same at sigma_B = 0)
-    and returns unchecked."""
+    call, may return a pass already made (_Objective.p).  The 1-node rule
+    is exact (every node is the same at sigma_B = 0) and returns unchecked."""
     coarse = average(n, False)
     if n == 1:
         return 1, coarse, 0.0
@@ -156,9 +143,9 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
     25 (h = 0.5) to 3073 (h = 1/256); those beyond |x| = 6 would move the
     average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError, before
     any transfer is computed, for a nonzero sys.detuning_laser (the grid is
-    the laser detuning) or a grid that is not 1-D, non-empty and strictly
-    increasing, and QuadratureConvergenceError past 3073 nodes (sigma_B*tau
-    near 1.9 nT*s)."""
+    the laser detuning) or a grid that is not 1-D, non-empty, finite and
+    strictly increasing, and QuadratureConvergenceError past 3073 nodes
+    (sigma_B*tau near 1.9 nT*s)."""
     if sys.detuning_laser != 0.0:
         raise InvalidInputError("detuning_laser must be 0: the grid is the laser detuning")
     detunings = check_detuning_grid(detunings)
@@ -174,7 +161,7 @@ def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """Binomial counts of `shots` trials per point, drawn from
     noise_averaged_signal.  At Delta = 0 the average is even in delta (see
-    fit_spectrum), so it is taken on the sorted distinct |delta| and each
+    _Objective), so it is taken on the sorted distinct |delta| and each
     point draws from the value at its own |delta|: a scan symmetric about
     the carrier costs half the pairs.  Off the carrier it is taken on the
     grid.  Raises InvalidInputError before any transfer is computed unless
@@ -263,51 +250,114 @@ def _distinct_magnitudes(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ordered[starts], where
 
 
-def _binomial_variance(p_model: np.ndarray, shots: np.ndarray) -> np.ndarray:
-    """Per-point variance max(p(1-p), 1/(4N))/N; the floor avoids zero weights."""
-    per_shot = np.maximum(p_model * (1.0 - p_model), 1.0 / (4.0 * shots))
-    return per_shot / shots
+class _Objective:
+    """What fit_spectrum minimises: the residuals (f - p)/sqrt(var) of the
+    measured fractions f against the model p, weighted by the binomial
+    variance var = max(p(1 - p), 1/(4N))/N (the floor avoids zero weights),
+    at x = (omega_q in rad/s, sigma_B in nT) on the n-node rule; nT are the
+    units of the seed values and of the upper limit's 1 nT bracket.
+
+    The model runs at Delta = 0, where H(-Delta, -delta) = -G*H(Delta,
+    delta)*G (G = diag(-1, 1, -1, -1)) makes the transfer p(0, delta) even
+    in delta; every rule's nodes are symmetric in x, so the average and both
+    its derivatives are even in delta too.  So each pass evaluates it once
+    per distinct |delta| (_distinct_magnitudes, which merges magnitudes
+    within 8 ulps of the largest), and each point takes the value at its own
+    |delta|: a scan symmetric about the carrier costs half the pairs.  Each
+    full pass is remembered by x and the rule, and a pass with derivatives
+    gives the same transfer bit for bit as one without: the rule check's
+    first average, at the optimum and at the upper limit, is the solver's or
+    _upper_limit's last pass and costs no eigh.  nfev counts the
+    transfer_probabilities calls made, the seed's included.
+    """
+
+    def __init__(self, detunings: np.ndarray, fractions: np.ndarray,
+                 shots: np.ndarray, tau: float):
+        self.magnitudes, self.where = _distinct_magnitudes(detunings)
+        self.span = float(detunings.max() - detunings.min())
+        self.fractions, self.shots, self.tau = fractions, shots, tau
+        self.omega_0 = math.pi / tau
+        self.floor = 1.0 / (4.0 * shots)
+        self.passes = {}    # (omega_q, sigma_B, n) -> [p] or [p, dp] of a full pass
+        self.nfev = 0
+
+    def _at_points(self, *per_magnitude: np.ndarray) -> list:
+        """The values of one transfer_probabilities call, per distinct
+        |delta| along their last axis, taken at each point."""
+        self.nfev += 1
+        return [values[..., self.where] for values in per_magnitude]
+
+    def seed(self) -> np.ndarray:
+        """x away from wrong peak assignments: the best of 61 omega_q over
+        0.2..1.2 times the scan's span for the noiseless model, in one
+        batched call, then the best sigma_B of 5, 15, 30 and 60 nT at that
+        omega_q on the 25-node rule."""
+        omegas = np.linspace(0.2 * self.span, 1.2 * self.span, 61)[:, None]
+        grid, = self._at_points(transfer_probabilities(
+            omegas, self.omega_0, 0.0,
+            np.broadcast_to(self.magnitudes, (len(omegas), len(self.magnitudes))),
+            self.tau))
+        omega_q = float(omegas[np.argmin(self.chi2(grid)), 0])
+        sigma_b = min((5.0, 15.0, 30.0, 60.0), key=lambda s: self.chi2(
+            self.p((omega_q, s), _FIRST_NODES)))
+        return np.array([omega_q, sigma_b])
+
+    def p(self, x, n: int, new_only: bool = False, derivatives: bool = False):
+        """The model at each point, as _averaged_transfer; with derivatives,
+        [p, dp] with d/d omega_q and d/d sigma_B (per tesla) as dp's rows."""
+        key = (float(x[0]), float(x[1]), n)
+        got = self.passes.get(key, [])
+        if new_only or len(got) < 1 + derivatives:
+            got = _averaged_transfer(
+                RwaSystem(x[0], self.omega_0, 0.0, 0.0), NoiseModel(x[1] * 1e-9),
+                self.magnitudes, self.tau, n, new_only, derivatives)
+            got = self._at_points(*got) if derivatives else self._at_points(got)
+            if not new_only:
+                self.passes[key] = got
+        return got if derivatives else got[0]
+
+    def _weighted(self, p: np.ndarray) -> tuple:
+        """(residuals, var, sqrt(var)) of model values p."""
+        var = np.maximum(p * (1.0 - p), self.floor) / self.shots
+        sd = np.sqrt(var)
+        return (self.fractions - p) / sd, var, sd
+
+    def chi2(self, p: np.ndarray):
+        """chi^2 of model values p at the points, summed over the last axis."""
+        return np.sum(self._weighted(p)[0] ** 2, axis=-1)
+
+    def residuals(self, x, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(r, J) at x on the n-node rule, from one pass with derivatives."""
+        p, dp = self.p(x, n, derivatives=True)
+        r, var, sd = self._weighted(p)
+        # d var/dp is (1 - 2p)/N above the floor and 0 on it
+        slope = np.where(p * (1.0 - p) > self.floor, (1.0 - 2.0 * p) / self.shots, 0.0)
+        dr_dp = -(1.0 + 0.5 * (self.fractions - p) * slope / var) / sd
+        return r, np.stack(dr_dp * dp * [[1.0], [1e-9]], axis=-1)
 
 
 def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
                  config: FitConfig) -> FitResult:
     """Bounded least-squares fit of (omega_q, sigma_B) to measured transfer counts.
 
-    Needs at least 8 points and 3 distinct |delta|.  The fit runs at
-    Delta = 0, where H(-Delta, -delta) = -G*H(Delta, delta)*G (G = diag(-1,
-    1, -1, -1)) makes the transfer p(0, delta) even in delta; every rule's
-    nodes are symmetric in x, so the average and both its derivatives are
-    even in delta too.  So the model is evaluated once per distinct |delta|
-    (_distinct_magnitudes, which merges magnitudes within 8 ulps of the
-    largest), and each point takes the value at its own |delta|: a scan
-    symmetric about the carrier costs half the pairs.  With fewer than 3
-    distinct |delta| the two parameters are not determined.
-
-    A projected Levenberg-Marquardt solver
-    (_least_squares, omega_q >= 0, sigma_B >= 0, scaled by the Jacobian's
-    column norms) minimises the binomial-weighted residuals with their
-    exact Jacobian; residuals and Jacobian at one x come from one pass of
-    transfer_probabilities with derivatives.  The seed is the best of 61
-    omega_q values over 0.2..1.2 times the scan's span for the noiseless
-    model (one batched call), then the best sigma_B of 5, 15, 30 and 60 nT
-    at that omega_q on the 25-node rule.  The fit runs on the coarsest rule
-    that resolves the seed's sigma_B*tau; at the optimum the rule is checked
-    as in noise_averaged_signal, and the fit is refined once on a finer rule
-    when the check needs one.  The model remembers each full pass, keyed by
-    x and the rule, and a pass with derivatives gives the same transfer bit
-    for bit as one without: the check's first average, at the optimum and
-    at the upper limit below, is the solver's or _upper_limit's last pass
-    and costs no eigh.  nfev counts the transfer_probabilities calls made.
-    Errors are the square roots of the diagonal of (J^T J)^-1, multiplied
-    by sqrt(chi2_nu) when chi2_nu exceeds 1.
+    A projected Levenberg-Marquardt solver (_least_squares, omega_q >= 0,
+    sigma_B >= 0, scaled by the Jacobian's column norms) minimises
+    _Objective's residuals, with their exact Jacobian, from _Objective.seed.
+    The fit runs on the coarsest rule that resolves the seed's sigma_B*tau;
+    at the optimum the rule is checked as in noise_averaged_signal, and the
+    fit is refined once on a finer rule when the check needs one.  Errors
+    are the square roots of the diagonal of (J^T J)^-1, multiplied by
+    sqrt(chi2_nu) when chi2_nu exceeds 1.
 
     When the sigma_B bound is active, or sigma_B is smaller than its own
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
     fixed.  Raises InvalidInputError for fewer than 8 points or 3 distinct
-    |delta|, FitError when a refinement reaches _MAX_NFEV or the covariance
-    is degenerate, and QuadratureConvergenceError past 3073 nodes.
+    |delta| (the model is even in delta: two parameters are not determined
+    by fewer), FitError when a refinement reaches _MAX_NFEV or the
+    covariance is degenerate, and QuadratureConvergenceError past 3073
+    nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -320,70 +370,17 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         raise InvalidInputError("detunings and counts must be finite")
     if np.any(counts < 0) or np.any(counts > shots_arr):
         raise InvalidInputError("counts must lie between 0 and shots")
-    magnitudes, where = _distinct_magnitudes(detunings)
-    if len(magnitudes) < 3:
+    objective = _Objective(detunings, counts / shots_arr, shots_arr, config.tau)
+    if (distinct := len(objective.magnitudes)) < 3:
         raise InvalidInputError(
-            f"need at least 3 distinct |detuning| values, not {len(magnitudes)}: "
+            f"need at least 3 distinct |detuning| values, not {distinct}: "
             "the model is even in the detuning and has two parameters")
-    fractions = counts / shots_arr
     ndof = len(detunings) - 2
-
-    omega_0 = math.pi / config.tau
-    nfev = 0
-    passes = {}     # (omega_q, sigma_B, n) -> (p, dp or None) of each full pass
-
-    # x = (omega_q in rad/s, sigma_B in nT): nT are the units of the seed
-    # values and of the upper limit's 1 nT bracket
-    def model(x, n: int, new_only: bool = False, derivatives: bool = False):
-        nonlocal nfev
-        key = (float(x[0]), float(x[1]), n)
-        p, dp = passes.get(key, (None, None))
-        if new_only or p is None or (derivatives and dp is None):
-            nfev += 1
-            sys = RwaSystem(x[0], omega_0, 0.0, 0.0)
-            got = _averaged_transfer(sys, NoiseModel(x[1] * 1e-9), magnitudes,
-                                     config.tau, n, new_only, derivatives)
-            p, dp = ((got[0][where], got[1][where]) if derivatives
-                     else (got[where], None))
-            if not new_only:
-                passes[key] = p, dp
-        return (p, dp) if derivatives else p
-
-    def weighted(p: np.ndarray) -> np.ndarray:
-        return (fractions - p) / np.sqrt(_binomial_variance(p, shots_arr))
-
-    def chi2(x, n: int) -> float:
-        return float(np.sum(weighted(model(x, n)) ** 2))
-
-    # residuals and Jacobian at one x come from one pass
-    def residuals_and_jacobian(x, n: int) -> tuple[np.ndarray, np.ndarray]:
-        p, dp = model(x, n, derivatives=True)
-        var = _binomial_variance(p, shots_arr)
-        # d var/dp is (1 - 2p)/N above the floor and 0 on it
-        slope = np.where(p * (1.0 - p) > 1.0 / (4.0 * shots_arr),
-                         (1.0 - 2.0 * p) / shots_arr, 0.0)
-        dr_dp = -(1.0 + 0.5 * (fractions - p) * slope / var) / np.sqrt(var)
-        return weighted(p), dr_dp[:, None] * dp * [1.0, 1e-9]
-
-    # the seed keeps the optimiser away from wrong peak assignments: the
-    # noiseless model on an omega_q grid, in one batched call, then sigma_B
-    # on the coarsest rule
-    span = float(detunings.max() - detunings.min())
-    omegas = np.linspace(0.2 * span, 1.2 * span, 61)[:, None]
-    nfev += 1
-    p_seed = transfer_probabilities(
-        omegas, omega_0, 0.0,
-        np.broadcast_to(magnitudes, (len(omegas), len(magnitudes))),
-        config.tau)[:, where]
-    w_seed = float(omegas[np.argmin(np.sum(weighted(p_seed) ** 2, axis=1)), 0])
-    s_seed = min((5.0, 15.0, 30.0, 60.0),
-                 key=lambda s: chi2((w_seed, s), _FIRST_NODES))
-    x = np.array([w_seed, s_seed])
-    n = _start_order(NoiseModel(s_seed * 1e-9), config.tau)
+    x = objective.seed()
+    n = _start_order(NoiseModel(x[1] * 1e-9), config.tau)
 
     while True:
-        fit = _least_squares(lambda x: residuals_and_jacobian(x, n), x,
-                             _MAX_NFEV)
+        fit = _least_squares(lambda x: objective.residuals(x, n), x, _MAX_NFEV)
         if fit.status == 0:
             raise FitError(f"no convergence within {_MAX_NFEV} "
                            f"evaluations on {n} quadrature nodes")
@@ -394,11 +391,12 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
             fit.jac, x[1], fit.at_bound, scale)
         checked = [x]
         if at_bound:
-            sigma_b_err = _upper_limit(lambda s: chi2((x[0], s), n) - chi2_min,
-                                       x[1], scale ** 2)
+            sigma_b_err = _upper_limit(
+                lambda s: objective.chi2(objective.p((x[0], s), n)) - chi2_min,
+                x[1], scale ** 2)
             checked.append((x[0], sigma_b_err))
-        needed, _, change = _converged_order(
-            lambda m, new: np.concatenate([model(p, m, new) for p in checked]), n)
+        needed, _, change = _converged_order(lambda m, new: np.concatenate(
+            [objective.p(at, m, new) for at in checked]), n)
         if needed == n:
             break
         n = needed
@@ -408,7 +406,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         sigma_b=float(x[1]) * 1e-9, sigma_b_err=float(sigma_b_err) * 1e-9,
         chi2_reduced=chi2_min / ndof, n_points=len(detunings),
         shots=int(np.max(shots_arr)),
-        nfev=nfev, status=int(fit.status), correlation=float(correlation),
+        nfev=objective.nfev, status=int(fit.status), correlation=float(correlation),
         quadrature_nodes=n, quadrature_change=change,
         sigma_b_at_bound=bool(at_bound),
     )

@@ -1,9 +1,10 @@
 """Mutation check of the noise-average rule, the transfer kernel, the
 fit's Jacobian, the grouping of the points by |delta| in the fit and in
-simulate_counts, the fit's memory of its passes, the solver's stopping
-tests and its step back from the bound, the peak search, the explicit-drive
-oracle, the schema checker, the CLI's and the trap config's own checks, and
-the code that each rule written once shares: each mutant is one small
+simulate_counts, the fit's memory of its passes, the weights and the chi^2
+that the fit's objective shares, the solver's stopping tests and its step
+back from the bound, the peak search, the explicit-drive oracle, the schema
+checker, the detuning grid's, the CLI's and the trap config's own checks,
+and the code that each rule written once shares: each mutant is one small
 fault, and the tests named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
@@ -103,8 +104,8 @@ MUTANTS = (
            (_TI + "TestNoiseAveragedSignal::test_zero_sigma_reduces_to_bare_scan",)),
     # the transfer kernel's derivatives and the fit's Jacobian
     Mutant("variance-term-dropped", _INFERENCE,
-           "dr_dp = -(1.0 + 0.5 * (fractions - p) * slope / var) / np.sqrt(var)",
-           "dr_dp = -1.0 / np.sqrt(var)",
+           "dr_dp = -(1.0 + 0.5 * (self.fractions - p) * slope / var) / sd",
+           "dr_dp = -1.0 / sd",
            (_TI + "TestFitSpectrum::test_jacobian_matches_central_differences[1.8e-08]",)),
     Mutant("sigma-column-weighted-by-w", _INFERENCE,
            "dp_sigma @ (w * x)", "dp_sigma @ w",
@@ -281,6 +282,25 @@ MUTANTS = (
     Mutant("shots-length-unchecked", _INFERENCE,
            "if arr.ndim and arr.shape != shape:", "if False:",
            (_TI + "TestFitSpectrum::test_shots_of_the_wrong_length_are_rejected",)),
+    Mutant("non-finite-grid-accepted", _DYNAMICS,
+           "np.all(np.isfinite(grid)) and ", "",
+           (_TI + "TestNoiseAveragedSignal::test_bad_grid_is_rejected_before_any_eigh[inf]",
+            _TI + "TestNoiseAveragedSignal::test_bad_grid_is_rejected_before_any_eigh"
+            "[minus-inf]")),
+    # the fit objective: the variance floor that chi^2 and the Jacobian's
+    # variance term share, and the one chi^2 of the seed's omega_q grid, its
+    # sigma_B scan and the upper limit
+    Mutant("variance-floor-doubled", _INFERENCE,
+           "self.floor = 1.0 / (4.0 * shots)", "self.floor = 1.0 / (2.0 * shots)",
+           (_TI + "TestObjective::test_variance_floor_holds_in_chi2_and_in_the_jacobian",)),
+    Mutant("slope-ignores-the-floor", _INFERENCE,
+           "np.where(p * (1.0 - p) > self.floor,", "np.where(True,",
+           (_TI + "TestObjective::test_variance_floor_holds_in_chi2_and_in_the_jacobian",)),
+    Mutant("chi2-unweighted", _INFERENCE,
+           "np.sum(self._weighted(p)[0] ** 2, axis=-1)",
+           "np.sum((self.fractions - p) ** 2, axis=-1)",
+           (_TI + "TestObjective::test_variance_floor_holds_in_chi2_and_in_the_jacobian",
+            _TI + "TestFitSpectrum::test_sigma_b_at_bound_reports_upper_limit")),
 )
 
 

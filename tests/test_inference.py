@@ -226,15 +226,24 @@ class TestNoiseAveragedSignal:
 
     @pytest.mark.parametrize("grid", [
         np.array([]), np.linspace(-WQ, WQ, 12).reshape(3, 4),
-        np.linspace(WQ, -WQ, 11),
-    ], ids=["empty", "2-d", "decreasing"])
+        np.linspace(WQ, -WQ, 11), [0.0, math.inf], [-math.inf, 0.0],
+        [0.0, math.nan],
+    ], ids=["empty", "2-d", "decreasing", "inf", "minus-inf", "nan"])
     def test_bad_grid_is_rejected_before_any_eigh(self, grid, monkeypatch):
+        # an infinite detuning passed the check: at 18 nT [0, inf] raised
+        # "changes by nan" at the 3073-node cap, at sigma_B = 0 [-inf, 0]
+        # gave a NaN transfer, and simulate_counts on [-inf, 0] kept no
+        # magnitude and named an empty grid
         calls = []
         monkeypatch.setattr("trapquad.inference.transfer_probabilities",
                             lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(InvalidInputError, match="detuning grid"):
-            noise_averaged_signal(reference_system(), NoiseModel(sigma_b=18e-9),
-                                  grid, TAU)
+        for sigma_b in (0.0, 18e-9):
+            noise = NoiseModel(sigma_b=sigma_b)
+            with pytest.raises(InvalidInputError, match="detuning grid"):
+                noise_averaged_signal(reference_system(), noise, grid, TAU)
+            with pytest.raises(InvalidInputError, match="detuning grid"):
+                simulate_counts(reference_system(), noise, grid, TAU, 300,
+                                np.random.default_rng(0))
         assert calls == []
 
     def test_uniform_rule_is_computed_once_and_read_only(self):
@@ -836,6 +845,36 @@ class TestFitSpectrum:
         counts = good.copy()
         counts[5], counts[7] = 450, 0
         fit_spectrum(self.DELTAS, counts, shots, self.CONFIG)   # the bounds
+
+
+class TestObjective:
+    """The weights of the fit's residuals, which chi^2 and the Jacobian share."""
+
+    def test_variance_floor_holds_in_chi2_and_in_the_jacobian(self):
+        # with 4 shots the floor 1/(4N) = 1/16 holds the variance of 14 of
+        # the 40 points, those off the lines; chi^2 weights them by the
+        # floor, and the Jacobian's variance term vanishes on it
+        deltas, shots = TestFitSpectrum.DELTAS, np.full(40, 4.0)
+        counts = simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
+                                 deltas, TAU, 4, np.random.default_rng(0))
+        objective = inference._Objective(deltas, counts / shots, shots, TAU)
+        x = np.array([WQ, 18.0])
+        p = objective.p(x, 25)
+        per_shot = p * (1.0 - p)
+        assert np.sum(per_shot < 0.0625) == 14
+        want = np.sum((counts / 4 - p) ** 2 / (np.maximum(per_shot, 0.0625) / 4))
+        assert objective.chi2(p) == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(objective.chi2(np.stack([p, 1.0 - p])),
+                              [objective.chi2(p), objective.chi2(1.0 - p)])
+        r, jac = objective.residuals(x, 25)
+        assert np.sum(r ** 2) == pytest.approx(want, rel=1e-12)
+        for col in (0, 1):
+            step = np.zeros(2)
+            step[col] = 1e-5 * x[col]
+            central = (objective.residuals(x + step, 25)[0]
+                       - objective.residuals(x - step, 25)[0]) / (2 * step[col])
+            assert np.max(np.abs(central - jac[:, col])) <= (
+                1e-6 * np.max(np.abs(jac[:, col])))
 
 
 class TestDistinctMagnitudes:
