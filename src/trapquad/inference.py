@@ -14,7 +14,8 @@ h is worked out, never set: from the coarsest 0.5/2**k that resolves them
 (25 nodes at h = 0.5), it halves until two sums agree to 1e-6 at every
 point, up to 3073 nodes (h = 1/256).  At sigma_B = 0 every node is the same,
 and the rule is the single node x = 0 with weight 1: the noiseless spectrum.
-g_D and g_S are the Ba+ constants trap.G_D and trap.G_S.
+k_D and k_d are the constants trap.SENSITIVITY_RF and SENSITIVITY_LASER,
+set by the Ba+ g-factors trap.G_D and trap.G_S.
 
 fit_spectrum recovers (omega_q, sigma_B) from measured transfer fractions
 with a projected Levenberg-Marquardt solver in numpy (the module needs no
@@ -38,7 +39,7 @@ import numpy as np
 from .dynamics import (RwaSystem, SpectrumScan, check_detuning_grid,
                        check_probe_time, transfer_probabilities)
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
-from .trap import NoiseModel
+from .trap import SENSITIVITY_LASER, SENSITIVITY_RF, NoiseModel
 from .trap import ThetaEstimate, combine_runs, extract_theta  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
@@ -65,12 +66,13 @@ def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _start_order(noise: NoiseModel, tau: float) -> int:
+def _start_order(sigma_b: float, tau: float) -> int:
     """Nodes of the coarsest rule with h <= min(0.5, pi/(k_D*sigma_B*tau)),
-    1 when sigma_B = 0, else from 25 nodes (h = 0.5) on x in [-6, 6]; raises
-    QuadratureConvergenceError when its check would pass 3073 nodes."""
+    sigma_B = sigma_b in tesla: 1 when sigma_B = 0, else from 25 nodes (h =
+    0.5) on x in [-6, 6]; raises QuadratureConvergenceError when its check
+    would pass 3073 nodes."""
     check_probe_time(tau)
-    spread = abs(noise.sensitivity_rf) * noise.sigma_b * tau
+    spread = abs(SENSITIVITY_RF) * sigma_b * tau
     if spread == 0.0:
         return 1
     n = _FIRST_NODES
@@ -78,28 +80,33 @@ def _start_order(noise: NoiseModel, tau: float) -> int:
         n = 2 * n - 1
         if 2 * n - 1 > _MAX_NODES:
             raise QuadratureConvergenceError(
-                f"sigma_B*tau = {noise.sigma_b * tau:.3g} T*s needs more than "
+                f"sigma_B*tau = {sigma_b * tau:.3g} T*s needs more than "
                 f"{_MAX_NODES} nodes")
     return n
 
 
-def _averaged_transfer(sys: RwaSystem, noise: NoiseModel,
+def _averaged_transfer(omega_q, omega_0: float, detuning_rf: float, sigma_b: float,
                        detunings: np.ndarray, tau: float, n: int,
                        new_only: bool = False, derivatives: bool = False):
-    """The average of the transfer probability over field noise on the
-    n-node rule; with new_only, the share of the nodes it adds.  With
-    derivatives, also the average's d/d omega_q and d/d sigma_B (per tesla)
-    as two rows: a node at b = sigma_B*x moves with sigma_B as
+    """The average of the transfer at each laser detuning over field noise
+    of rms sigma_b (tesla) on the n-node rule; with new_only, the share of
+    the nodes it adds.  For a vector of omega_q, one row per value.  Every
+    pass of the model, the noiseless one (sigma_b = 0, n = 1) included, is
+    one transfer_probabilities call here, with one laser detuning per pair.
+    With derivatives, also the average's d/d omega_q and d/d sigma_B (per
+    tesla) as two rows: a node at b = sigma_B*x moves with sigma_B as
     x*(-k_D d/dDelta - k_d d/ddelta)."""
     x, w = _uniform_rule(n, new_only)
-    b = noise.sigma_b * x                        # field samples, tesla
-    d_rf = sys.detuning_rf - noise.sensitivity_rf * b
-    d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
+    b = sigma_b * x                              # field samples, tesla
+    omega_q = np.asarray(omega_q, dtype=float)[..., None, None]
+    d_rf = detuning_rf - SENSITIVITY_RF * b
+    d_l = np.broadcast_to(detunings[:, None] - SENSITIVITY_LASER * b[None, :],
+                          omega_q.shape[:-2] + (len(detunings), len(b)))
     if not derivatives:
-        return transfer_probabilities(sys.omega_q, sys.omega_0, d_rf, d_l, tau) @ w
+        return transfer_probabilities(omega_q, omega_0, d_rf, d_l, tau) @ w
     p, (dp_wq, dp_rf, dp_l) = transfer_probabilities(
-        sys.omega_q, sys.omega_0, d_rf, d_l, tau, derivatives=True)
-    dp_sigma = -(noise.sensitivity_rf * dp_rf + noise.sensitivity_laser * dp_l)
+        omega_q, omega_0, d_rf, d_l, tau, derivatives=True)
+    dp_sigma = -(SENSITIVITY_RF * dp_rf + SENSITIVITY_LASER * dp_l)
     return p @ w, np.stack([dp_wq @ w, dp_sigma @ (w * x)])
 
 
@@ -125,35 +132,28 @@ def _converged_order(average, n: int) -> tuple[int, np.ndarray, float]:
         n, coarse = 2 * n - 1, fine
 
 
-@dataclass(frozen=True)
-class NoiseAveragedScan(SpectrumScan):
-    """A noise-averaged spectrum, taken on 2n - 1 nodes, and how it converged."""
-
-    quadrature_nodes: int           # n: the averages on n and 2n - 1 nodes agree
-    quadrature_change: float        # max |p(2n - 1) - p(n)|, at most 1e-6; 0 at n = 1
-
-
 def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                           detunings: np.ndarray,
-                          tau: float) -> NoiseAveragedScan:
-    """Noise-averaged transfer spectrum on 2n - 1 nodes, for the first n from
-    the coarsest rule that resolves sigma_B*tau where the averages on n and
-    2n - 1 nodes agree to 1e-6 at every point; at sigma_B = 0, the noiseless
-    spectrum on the single node n = 1.  The nodes lie on x in [-6, 6], from
-    25 (h = 0.5) to 3073 (h = 1/256); those beyond |x| = 6 would move the
-    average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError, before
-    any transfer is computed, for a nonzero sys.detuning_laser (the grid is
-    the laser detuning) or a grid that is not 1-D, non-empty, finite and
-    strictly increasing, and QuadratureConvergenceError past 3073 nodes
-    (sigma_B*tau near 1.9 nT*s)."""
+                          tau: float) -> SpectrumScan:
+    """Noise-averaged transfer spectrum on 2n - 1 nodes, with n and the
+    change, for the first n from the coarsest rule that resolves sigma_B*tau
+    where the averages on n and 2n - 1 nodes agree to 1e-6 at every point;
+    at sigma_B = 0, the transfer on the grid bit for bit (n = 1).  The nodes
+    lie on x in [-6, 6], from 25 (h = 0.5) to 3073 (h = 1/256); those beyond
+    |x| = 6 would move the average by at most 2*Phi(-6) = 2.0e-9.  Raises
+    InvalidInputError, before any transfer is computed, for a nonzero
+    sys.detuning_laser (the grid is the laser detuning) or a grid that is not
+    1-D, non-empty, finite and strictly increasing, and
+    QuadratureConvergenceError past 3073 nodes (sigma_B*tau near 1.9 nT*s)."""
     if sys.detuning_laser != 0.0:
         raise InvalidInputError("detuning_laser must be 0: the grid is the laser detuning")
     detunings = check_detuning_grid(detunings)
     n, transfer, change = _converged_order(
-        lambda m, new: _averaged_transfer(sys, noise, detunings, tau, m, new),
-        _start_order(noise, tau))
-    return NoiseAveragedScan(detunings=detunings, transfer=transfer, tau=tau,
-                             quadrature_nodes=n, quadrature_change=change)
+        lambda m, new: _averaged_transfer(sys.omega_q, sys.omega_0, sys.detuning_rf,
+                                          noise.sigma_b, detunings, tau, m, new),
+        _start_order(noise.sigma_b, tau))
+    return SpectrumScan(detunings=detunings, transfer=transfer, tau=tau,
+                        quadrature_nodes=n, quadrature_change=change)
 
 
 def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
@@ -289,15 +289,13 @@ class _Objective:
 
     def seed(self) -> np.ndarray:
         """x away from wrong peak assignments: the best of 61 omega_q over
-        0.2..1.2 times the scan's span for the noiseless model, in one
-        batched call, then the best sigma_B of 5, 15, 30 and 60 nT at that
-        omega_q on the 25-node rule."""
-        omegas = np.linspace(0.2 * self.span, 1.2 * self.span, 61)[:, None]
-        grid, = self._at_points(transfer_probabilities(
-            omegas, self.omega_0, 0.0,
-            np.broadcast_to(self.magnitudes, (len(omegas), len(self.magnitudes))),
-            self.tau))
-        omega_q = float(omegas[np.argmin(self.chi2(grid)), 0])
+        0.2..1.2 times the scan's span for the noiseless model (the 1-node
+        rule at sigma_B = 0), in one call, then the best sigma_B of 5, 15,
+        30 and 60 nT at that omega_q on the 25-node rule."""
+        omegas = np.linspace(0.2 * self.span, 1.2 * self.span, 61)
+        grid, = self._at_points(_averaged_transfer(
+            omegas, self.omega_0, 0.0, 0.0, self.magnitudes, self.tau, 1))
+        omega_q = float(omegas[np.argmin(self.chi2(grid))])
         sigma_b = min((5.0, 15.0, 30.0, 60.0), key=lambda s: self.chi2(
             self.p((omega_q, s), _FIRST_NODES)))
         return np.array([omega_q, sigma_b])
@@ -308,9 +306,9 @@ class _Objective:
         key = (float(x[0]), float(x[1]), n)
         got = self.passes.get(key, [])
         if new_only or len(got) < 1 + derivatives:
-            got = _averaged_transfer(
-                RwaSystem(x[0], self.omega_0, 0.0, 0.0), NoiseModel(x[1] * 1e-9),
-                self.magnitudes, self.tau, n, new_only, derivatives)
+            got = _averaged_transfer(x[0], self.omega_0, 0.0, x[1] * 1e-9,
+                                     self.magnitudes, self.tau, n, new_only,
+                                     derivatives)
             got = self._at_points(*got) if derivatives else self._at_points(got)
             if not new_only:
                 self.passes[key] = got
@@ -353,17 +351,18 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
     where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
     when that exceeds 1), and the omega_q error is taken with sigma_B held
-    fixed.  Raises InvalidInputError for fewer than 8 points or 3 distinct
-    |delta| (the model is even in delta: two parameters are not determined
-    by fewer), FitError when a refinement reaches _MAX_NFEV or the
-    covariance is degenerate, and QuadratureConvergenceError past 3073
-    nodes.
+    fixed.  Raises InvalidInputError for detunings and counts that are not
+    1-D of one shape, for fewer than 8 points or 3 distinct |delta| (the
+    model is even in delta: two parameters are not determined by fewer),
+    FitError when a refinement reaches _MAX_NFEV or the covariance is
+    degenerate, and QuadratureConvergenceError past 3073 nodes.
     """
     detunings = np.asarray(detunings, dtype=float)
     counts = np.asarray(counts, dtype=float)
+    if detunings.ndim != 1 or detunings.shape != counts.shape:
+        raise InvalidInputError("detunings and counts must be 1-D and of one shape, "
+                                f"not {detunings.shape} and {counts.shape}")
     shots_arr = _check_shots(shots, counts.shape)
-    if detunings.shape != counts.shape:
-        raise InvalidInputError("detunings and counts must have the same length")
     if len(detunings) < 8:
         raise InvalidInputError("need at least 8 data points")
     if not (np.all(np.isfinite(detunings)) and np.all(np.isfinite(counts))):
@@ -377,7 +376,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
             "the model is even in the detuning and has two parameters")
     ndof = len(detunings) - 2
     x = objective.seed()
-    n = _start_order(NoiseModel(x[1] * 1e-9), config.tau)
+    n = _start_order(x[1] * 1e-9, config.tau)
 
     while True:
         fit = _least_squares(lambda x: objective.residuals(x, n), x, _MAX_NFEV)

@@ -6,8 +6,8 @@ An ideal linear rf trap has A = 0 with eps = m*Omega_rf*omega_s/(e*sqrt(2)),
 where omega_s is the pseudo-potential confinement frequency; the ideal
 quadrupole trap has eps = 0 with the same expression for A.  The field's
 quasi-static noise model, whose one setting is sigma_B (the Ba+ g-factors
-G_D and G_S are constants), and the Theta extraction from fitted couplings
-are here too: all of this is plain arithmetic and needs no numpy.
+G_D and G_S and the field sensitivities they fix are constants), and the
+Theta extraction are here too: plain arithmetic that needs no numpy.
 """
 
 from __future__ import annotations
@@ -131,29 +131,23 @@ class TrapConfig:
 
 G_D = 6.0 / 5.0      # Lande g-factor of Ba+ D5/2
 G_S = 2.0025         # and of S1/2
+# d(Delta)/d(-b) and d(delta)/d(-b), rad/s per tesla: how a field excursion b
+# moves the rf resonance and the probe line
+SENSITIVITY_RF = 2.0 * G_D * CODATA2018.bohr_magneton / CODATA2018.hbar
+SENSITIVITY_LASER = (G_D - G_S) * CODATA2018.bohr_magneton / (2.0 * CODATA2018.hbar)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean Gaussian quasi-static field noise of rms sigma_b: a field
+    """Zero-mean Gaussian quasi-static field noise of rms sigma_b.  A field
     excursion moves the rf resonance and the probe line together, by the
-    two sensitivities below, fixed by the Ba+ g-factors G_D and G_S."""
+    constants SENSITIVITY_RF and SENSITIVITY_LASER."""
 
     sigma_b: float                 # tesla, rms deviation
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_b < math.inf:
             raise InvalidInputError("sigma_b must be finite and non-negative")
-
-    @property
-    def sensitivity_rf(self) -> float:
-        """d(Delta)/d(-b): 2 g_D mu_B / hbar, rad/s per tesla."""
-        return 2.0 * G_D * CODATA2018.bohr_magneton / CODATA2018.hbar
-
-    @property
-    def sensitivity_laser(self) -> float:
-        """d(delta)/d(-b): (g_D - g_S) mu_B / (2 hbar), rad/s per tesla."""
-        return (G_D - G_S) * CODATA2018.bohr_magneton / (2.0 * CODATA2018.hbar)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-"""Mutation check of the noise-average rule, the transfer kernel, the
-fit's Jacobian, the grouping of the points by |delta| in the fit and in
-simulate_counts, the fit's memory of its passes, the weights and the chi^2
-that the fit's objective shares, the solver's stopping tests and its step
-back from the bound, the peak search, the explicit-drive oracle, the schema
-checker, the detuning grid's, the CLI's and the trap config's own checks,
-and the code that each rule written once shares: each mutant is one small
-fault, and the tests named with it must fail when it is applied.
+"""Mutation check of the noise-average rule, the transfer kernel and its
+agreement with the single-matrix propagator, the fit's Jacobian, the
+grouping of the points by |delta| in the fit and in simulate_counts, the
+fit's memory of its passes, the weights and the chi^2 that the fit's
+objective shares, the seed's one-node omega_q grid and the one laser
+detuning per pair of every model pass, the solver's stopping tests and its
+step back from the bound, the peak search, the explicit-drive oracle, the
+schema checker, the detuning grid's, the fit's input-shape, the CLI's and
+the trap config's own checks, and the code that each rule written once
+shares: each mutant is one small fault, and the tests named with it must
+fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -301,6 +304,25 @@ MUTANTS = (
            "np.sum((self.fractions - p) ** 2, axis=-1)",
            (_TI + "TestObjective::test_variance_floor_holds_in_chi2_and_in_the_jacobian",
             _TI + "TestFitSpectrum::test_sigma_b_at_bound_reports_upper_limit")),
+    # one model function: the seed's noiseless grid is the 1-node rule, and
+    # every pass hands the kernel one laser detuning per pair
+    Mutant("seed-grid-on-25-nodes", _INFERENCE,
+           "omegas, self.omega_0, 0.0, 0.0, self.magnitudes, self.tau, 1))",
+           "omegas, self.omega_0, 0.0, 0.0, self.magnitudes, self.tau, 25))",
+           (_TI + "TestFitSpectrum::test_18nt_fit_passes_at_most_10000_pairs",)),
+    Mutant("laser-detuning-not-broadcast", _INFERENCE,
+           "    d_l = np.broadcast_to(detunings[:, None] - SENSITIVITY_LASER * b[None, :],\n"
+           "                          omega_q.shape[:-2] + (len(detunings), len(b)))\n",
+           "    d_l = detunings[:, None] - SENSITIVITY_LASER * b[None, :]\n",
+           (_TI + "TestFitSpectrum::test_18nt_fit_passes_at_most_10000_pairs",)),
+    Mutant("one-dimensional-check-dropped", _INFERENCE,
+           "if detunings.ndim != 1 or detunings.shape", "if detunings.shape",
+           (_TI + "TestFitSpectrum::test_inputs_must_be_one_dimensional_of_one_shape[0-D]",
+            _TI + "TestFitSpectrum::test_inputs_must_be_one_dimensional_of_one_shape[2-D]")),
+    # the kernel against the single-matrix propagator
+    Mutant("kernel-phase-halved", _DYNAMICS,
+           "np.exp(-0.5j * tau * evals)", "np.exp(-0.25j * tau * evals)",
+           (_TD + "TestTransferProbabilities::test_agrees_with_propagate_on_random_draws",)),
 )
 
 

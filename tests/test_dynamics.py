@@ -161,6 +161,20 @@ class TestScanSpectrum:
 
 
 class TestTransferProbabilities:
+    def test_agrees_with_propagate_on_random_draws(self):
+        # the kernel of every spectrum, count and fit against the
+        # single-matrix path that the Floquet oracle checks
+        rng = np.random.default_rng(2022)
+        worst = 0.0
+        for _ in range(500):
+            omega_q, omega_0, d_rf, d_l = rng.uniform(-1.0, 1.0, 4) * 2.0 * WQ
+            tau = rng.uniform(1e-4, 6e-3)
+            sys = RwaSystem(omega_q, omega_0, d_rf, d_l)
+            want = 1.0 - propagate(build_rwa_hamiltonian(sys), tau)[IDX_S]
+            got = transfer_probabilities(omega_q, omega_0, d_rf, d_l, tau)
+            worst = max(worst, abs(float(got) - want))
+        assert worst <= 1e-13
+
     def test_large_input_is_diagonalised_in_batches(self):
         # 3 x 23000 pairs: 135 batches of at most 512, stitched in order
         rng = np.random.default_rng(1)

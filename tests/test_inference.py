@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from trapquad.inference import (
     noise_averaged_signal,
     simulate_counts,
 )
-from trapquad.trap import CODATA2018, TrapConfig
+from trapquad.trap import (CODATA2018, SENSITIVITY_LASER, SENSITIVITY_RF,
+                           TrapConfig)
 
 TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
@@ -48,10 +50,9 @@ def reference_system(omega_q: float = WQ, tau: float = TAU) -> RwaSystem:
 class TestNoiseModel:
     def test_sensitivities(self):
         # the Ba+ g-factors g_D = 6/5 and g_S = 2.0025 are the model's constants
-        noise = NoiseModel(sigma_b=18e-9)
         mu_over_hbar = CODATA2018.bohr_magneton / CODATA2018.hbar
-        assert noise.sensitivity_rf == pytest.approx(2.4 * mu_over_hbar)
-        assert noise.sensitivity_laser == pytest.approx(
+        assert SENSITIVITY_RF == pytest.approx(2.4 * mu_over_hbar)
+        assert SENSITIVITY_LASER == pytest.approx(
             (1.2 - 2.0025) / 2 * mu_over_hbar
         )
 
@@ -77,8 +78,8 @@ def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
     b = np.linspace(-8.0, 8.0, 4001) * noise.sigma_b
     w = np.exp(-0.5 * (b / noise.sigma_b) ** 2)
     w /= w.sum()
-    d_rf = sys.detuning_rf - noise.sensitivity_rf * b
-    d_l = detunings[:, None] - noise.sensitivity_laser * b[None, :]
+    d_rf = sys.detuning_rf - SENSITIVITY_RF * b
+    d_l = detunings[:, None] - SENSITIVITY_LASER * b[None, :]
     probs = transfer_probabilities(sys.omega_q, sys.omega_0,
                                    np.broadcast_to(d_rf, d_l.shape), d_l, tau)
     return probs @ w
@@ -190,7 +191,7 @@ class TestNoiseAveragedSignal:
         grid = default_detuning_grid(WQ, 51)
         noise = NoiseModel(sigma_b=100e-9)
         scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
-        assert scan.quadrature_nodes == _start_order(noise, TAU) == 193
+        assert scan.quadrature_nodes == _start_order(noise.sigma_b, TAU) == 193
         # the start rule's 193 nodes, then the 192 the halving adds
         assert points == [51 * 193, 51 * 192]
 
@@ -270,9 +271,8 @@ class TestNoiseAveragedSignal:
     ])
     def test_start_rule_is_the_coarsest_that_resolves(self, tau, sigma_b,
                                                       nodes):
-        noise = NoiseModel(sigma_b=sigma_b)
-        assert _start_order(noise, tau) == nodes
-        width = math.pi / (noise.sensitivity_rf * sigma_b * tau)
+        assert _start_order(sigma_b, tau) == nodes
+        width = math.pi / (SENSITIVITY_RF * sigma_b * tau)
         step = 12.0 / (nodes - 1)
         assert step <= min(0.5, width) and (nodes == 25 or 2 * step > width)
 
@@ -280,10 +280,9 @@ class TestNoiseAveragedSignal:
         # up to 50 nT the start rule already holds to 1e-6 against the next
         grid = default_detuning_grid(WQ, 101)
         for sigma in (10e-9, 30e-9, 50e-9):
-            noise = NoiseModel(sigma_b=sigma)
-            n = _start_order(noise, TAU)
-            a = _averaged_transfer(reference_system(), noise, grid, TAU, n)
-            b = _averaged_transfer(reference_system(), noise, grid, TAU,
+            n = _start_order(sigma, TAU)
+            a = _averaged_transfer(WQ, math.pi / TAU, 0.0, sigma, grid, TAU, n)
+            b = _averaged_transfer(WQ, math.pi / TAU, 0.0, sigma, grid, TAU,
                                    2 * n - 1)
             assert np.max(np.abs(a - b)) < 1e-6
 
@@ -827,6 +826,20 @@ class TestFitSpectrum:
         with pytest.raises(InvalidInputError, match="one shots value per point"):
             simulate_counts(reference_system(), NoiseModel(sigma_b=18e-9),
                             self.DELTAS, TAU, np.full(39, 300), np.random.default_rng(0))
+        assert points == []
+
+    @pytest.mark.parametrize("detunings, counts", [
+        (1.0, 3.0), (np.zeros((2, 40)), np.zeros((2, 40))),
+        (np.zeros(40), np.zeros(39)),
+    ], ids=["0-D", "2-D", "mismatched"])
+    def test_inputs_must_be_one_dimensional_of_one_shape(self, monkeypatch,
+                                                         detunings, counts):
+        # 0-D raised a bare TypeError, and the 80 points of the 2-D scan
+        # were rejected as "need at least 8 data points"
+        points = count_pairs(monkeypatch)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"not {np.shape(detunings)} and {np.shape(counts)}")):
+            fit_spectrum(detunings, counts, 300, self.CONFIG)
         assert points == []
 
     def test_counts_outside_zero_to_shots_are_rejected(self):

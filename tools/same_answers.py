@@ -8,8 +8,9 @@ that tree's src/ on PYTHONPATH and BLAS on one thread:
 
 - cli/...: the six steps of perfbench's cli_session and its typo step, then
   readme/...: each `trapquad` line of README's sh blocks, run in the
-  session's directory with its lu.json as trap.json and its counts.csv as
-  scan.csv; exit code, stdout, stderr and output file;
+  session's directory with its ba.json as ba-trap.json, its lu.json as
+  lu-trap.json and its counts.csv as scan.csv; exit code, stdout, stderr
+  and output file;
 - demo/...: each demo's exit code, stderr and stdout, with demo 06's
   "(... ms)" timings removed;
 - counts/... and fit/...: simulate_counts and FitResult.to_dict() at
@@ -121,7 +122,8 @@ def cli_entries(tree: Path, workdir: Path) -> dict:
     session = workloads.CliSession(
         SimpleNamespace(root=tree, out_dir=workdir), seed=0)
     cwd = session.cli.workdir
-    (cwd / "trap.json").write_text((cwd / "lu.json").read_text())
+    (cwd / "ba-trap.json").write_text((cwd / "ba.json").read_text())
+    (cwd / "lu-trap.json").write_text((cwd / "lu.json").read_text())
     (cwd / "scan.csv").write_text((cwd / "counts.csv").read_text())
     readme = readme_commands((ROOT / "README.md").read_text())
     runs = [(f"cli/{name.replace(' ', '-')}", argv) for name, argv in session.steps]
