@@ -24,7 +24,9 @@ Momentum = Union["HalfInt", int, float]
 
 @total_ordering
 class HalfInt:
-    """An exact integer or half-integer, stored as twice its value."""
+    """An exact integer or half-integer, stored as twice its value.  Any other
+    value, NaN and infinities included, raises InvalidInputError, compares
+    unequal and cannot be ordered against one."""
 
     __slots__ = ("twice",)
 
@@ -33,7 +35,10 @@ class HalfInt:
             self.twice = value.twice
             return
         doubled = 2 * value
-        rounded = round(doubled)
+        try:
+            rounded = round(doubled)
+        except (ValueError, OverflowError):  # NaN; an infinite doubled value
+            raise InvalidInputError(f"{value!r} is NaN, infinite or too large") from None
         if abs(doubled - rounded) > 1e-9:
             raise InvalidInputError(
                 f"{value!r} is not an integer or half-integer"
@@ -62,6 +67,8 @@ class HalfInt:
         return HalfInt.from_twice(-self.twice)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
         try:
             return self.twice == HalfInt(other).twice
         except (InvalidInputError, TypeError):

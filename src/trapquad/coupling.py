@@ -15,10 +15,12 @@ with dmu = mu' - mu.  All but Theta(J) and D2 depends on (I, J) alone and
 is computed once per (I, J) into a cached ReducedTable, which also maps
 each state to its row.  A trap adds five channel factors
 c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, and
-H_Q/hbar = Theta * reduced * c[dmu] elementwise.  `amplitudes` reads any
-block of that product at table indices; every H_Q amplitude in the package,
-one element or a whole matrix, is read through it.  Amplitudes are in rad/s,
-the coefficient of cos(Omega_rf t); no rotating-wave factor is applied here.
+H_Q/hbar = Theta * reduced * c[dmu] elementwise.  That product is cached
+whole, read-only, for the last few (I, J, Theta, trap) combinations, and
+`amplitudes` indexes it; every H_Q amplitude in the package, one element, a
+state's column or a whole matrix, is read through it.  Amplitudes are in
+rad/s, the coefficient of cos(Omega_rf t); no rotating-wave factor is
+applied here.
 """
 
 from __future__ import annotations
@@ -114,7 +116,9 @@ class LevelSpec:
 
     def validate_f(self, F: Momentum) -> HalfInt:
         F = HalfInt(F)
-        if F not in self.f_values():
+        two_i, two_j = self.nuclear_spin.twice, self.electronic_j.twice
+        if not (abs(two_i - two_j) <= F.twice <= two_i + two_j
+                and (F.twice + two_i + two_j) % 2 == 0):
             raise InvalidInputError(
                 f"F={F!r} invalid for I={self.nuclear_spin!r}, "
                 f"J={self.electronic_j!r}"
@@ -149,12 +153,12 @@ def gradient_components(A: float, epsilon: float) -> dict[int, float]:
 class ReducedTable:
     """The orientation-free part of H_Q over every |F,m> of a level, in units
     of Theta(J), states ordered by (F ascending, m ascending); rows maps each
-    state to its position.  reduced[i, k] couples states[k] to states[i]
-    through dmu = m_i - m_k, held in channel[i, k] as dmu + 2 (as 0 where
-    |dmu| > 2 and reduced is 0).  All arrays are read-only."""
+    state's (2F, 2m) to its position.  reduced[i, k] couples states[k] to
+    states[i] through dmu = m_i - m_k, held in channel[i, k] as dmu + 2 (as 0
+    where |dmu| > 2 and reduced is 0).  All arrays are read-only."""
 
     states: tuple[HyperfineState, ...]
-    rows: Mapping[HyperfineState, int]
+    rows: Mapping[tuple[int, int], int]
     f_twice: np.ndarray
     m_twice: np.ndarray
     reduced: np.ndarray
@@ -166,11 +170,13 @@ def reduced_table(level: LevelSpec) -> ReducedTable:
     return _build_table(level.nuclear_spin.twice, level.electronic_j.twice)
 
 
-def table_index(level: LevelSpec, state: HyperfineState) -> int:
-    """Position of a state of `level` in reduced_table(level)."""
-    row = reduced_table(level).rows.get(state)
+def table_index(level: LevelSpec, F: Momentum, m: Momentum) -> int:
+    """Position of the state |F, m> of `level` in reduced_table(level)."""
+    F, m = HalfInt(F), HalfInt(m)
+    row = reduced_table(level).rows.get((F.twice, m.twice))
     if row is None:  # every |F,m> of a valid F is in the table
-        level.validate_f(state.F)
+        HyperfineState(F, m)   # raises for an m that F cannot have
+        level.validate_f(F)
     return row
 
 
@@ -204,28 +210,36 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
         reduced += np.tril(reduced, -1).T * (-1.0) ** (dmu2 // 2)
     for array in (f2, m2, reduced, channel):
         array.flags.writeable = False
-    return ReducedTable(tuple(states), {s: row for row, s in enumerate(states)},
+    return ReducedTable(tuple(states),
+                        {(s.F.twice, s.m.twice): row for row, s in enumerate(states)},
                         f2, m2, reduced, channel)
 
 
-@lru_cache(maxsize=64)
-def _channel_factors(A: float, epsilon: float,
-                     orientation: EulerAngles) -> np.ndarray:
-    """c[dmu + 2] = sum_q grad_q D2_{dmu,q}(alpha, beta) e*a0^2/hbar, read-only."""
+@lru_cache(maxsize=8)   # for Lu+, 75 x 75 complex (90 kB) each
+def _level_matrix(two_i: int, two_j: int, theta: float, A: float, epsilon: float,
+                  orientation: EulerAngles) -> np.ndarray:
+    """H_Q/hbar (rad/s) = Theta * reduced * c[channel] over the whole (I, J)
+    table, read-only; c[dmu + 2] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar."""
     grads = gradient_components(A, epsilon)
     c = np.array([sum(grads[q] * wigner_D2(dmu, q, orientation)
                       for q in (-2, 0, 2) if grads[q] != 0.0)
                   for dmu in range(-2, 3)], dtype=complex)
     c *= CODATA2018.e_a0_squared / CODATA2018.hbar
-    c.flags.writeable = False
-    return c
+    table = _build_table(two_i, two_j)
+    matrix = theta * table.reduced * c[table.channel]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def amplitudes(level: LevelSpec, trap: TrapConfig, key) -> np.ndarray:
-    """New array of H_Q/hbar (rad/s) at the `key` entries of the level's table."""
-    table = reduced_table(level)
-    c = _channel_factors(trap.A, trap.epsilon, trap.orientation)
-    return level.theta_e_a02 * table.reduced[key] * c[table.channel[key]]
+    """H_Q/hbar (rad/s) at the `key` entries of the level's table.
+
+    `key` indexes the level's cached, read-only matrix: integers give a
+    number, slices a read-only view, and index arrays a new array.
+    """
+    return _level_matrix(level.nuclear_spin.twice, level.electronic_j.twice,
+                         level.theta_e_a02, trap.A, trap.epsilon,
+                         trap.orientation)[key]
 
 
 def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
@@ -234,7 +248,7 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
     """<bra|Tq|ket> of the principal-frame rank-2 component, in units of e*a0^2."""
     if q not in (-2, -1, 0, 1, 2):
         raise InvalidInputError(f"rank-2 component q={q} out of range")
-    i, k = table_index(level, bra), table_index(level, ket)
+    i, k = table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m)
     pref = reduced_table(level).reduced[i, k]
     if pref == 0.0:  # also every |dmu| > 2, where D2 is undefined
         return 0.0j
@@ -269,12 +283,14 @@ def hq_matrix(level: LevelSpec, trap: TrapConfig,
     fs = sorted((level.validate_f(F) for F in manifold), key=lambda f: f.twice)
     if not fs:
         raise InvalidInputError("manifold must contain at least one F level")
-    if len({f.twice for f in fs}) != len(fs):
+    wanted = {f.twice for f in fs}
+    if len(wanted) != len(fs):
         raise InvalidInputError(f"manifold lists an F level more than once: {fs}")
     table = reduced_table(level)
-    idx = np.flatnonzero(np.isin(table.f_twice, [f.twice for f in fs]))
+    idx = [row for row, s in enumerate(table.states) if s.F.twice in wanted]
+    # rows, then columns: a new array, and faster than one np.ix_ read
     return QuadCouplingMatrix(basis=tuple(table.states[i] for i in idx),
-                              amplitude=amplitudes(level, trap, np.ix_(idx, idx)))
+                              amplitude=amplitudes(level, trap, idx)[:, idx])
 
 
 def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
@@ -283,5 +299,5 @@ def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
     C2_{F,m} = (-1)^(2F+I+J+m) (2F+1) {F F 2; J J I} (F 2 F; m 0 -m)
                / (J 2 J; -J 0 J).
     """
-    k = table_index(level, HyperfineState(F, m))
+    k = table_index(level, F, m)
     return float(reduced_table(level).reduced[k, k])

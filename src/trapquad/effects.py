@@ -7,8 +7,11 @@ decomposition  dnu/nu = a*(f2(alpha,beta) + eta*f1(alpha,beta))  after
 hyperfine averaging, where f1 and f2 are the squared moduli of the |dm|=1 and
 |dm|=2 orientation factors of a linear (A=0) trap.  Every coupling is read
 with coupling.amplitudes at the level's table indices from table_index: one
-element, or a whole column for the sums over a state's partners.  The
-decomposition takes its orientation-free weights from that table directly.
+element; the whole column of a state for the clock shift's sum over the other
+F; and for the off-resonant shift only table rows k-2..k+2 around the state's
+row k, which hold every partner it has within its F, because the table
+orders states by (F, m).  The decomposition takes its orientation-free
+weights from that table directly.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def sideband_index(level: LevelSpec, F: Momentum, m: Momentum,
     The peak time-varying shift of |F,m> divided by the drive frequency; it
     sets the strength of rf sidebands on transitions involving the state.
     """
-    k = table_index(level, HyperfineState(F, m))
+    k = table_index(level, F, m)
     return float(amplitudes(level, trap, (k, k)).real) / trap.omega_rf
 
 
@@ -91,7 +94,7 @@ def resonant_coupling(level: LevelSpec, bra: HyperfineState,
             "resonant coupling requires |dm| of 1 or 2, got "
             f"{HalfInt.from_twice(dm)!r}"
         )
-    key = (table_index(level, bra), table_index(level, ket))
+    key = (table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m))
     return complex(amplitudes(level, trap, key))
 
 
@@ -103,15 +106,17 @@ def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
                      * omega_z*dm / ((omega_z*dm)^2 - Omega_rf^2)
 
     The partners are the states of the same F with dm != 0 and a nonzero
-    coupling, read from the state's column of the level's table (|dm| <= 2).
+    coupling.  H_Q has |dm| <= 2 and the table orders states by (F, m), so
+    they lie in rows k-2..k+2 of the state's column k, the only rows read.
     Raises ResonanceError when a partner's Zeeman interval is within
     1e-3*Omega_rf of the drive; the perturbative formula diverges there.
     """
     table = reduced_table(level)
-    k = table_index(level, HyperfineState(F, m))
-    mod2 = np.abs(amplitudes(level, trap, (slice(None), k))) ** 2
-    dm = (table.m_twice - table.m_twice[k]) // 2
-    partner = (table.f_twice == table.f_twice[k]) & (dm != 0) & (mod2 != 0.0)
+    k = table_index(level, F, m)
+    rows = slice(max(k - 2, 0), k + 3)
+    mod2 = np.abs(amplitudes(level, trap, (rows, k))) ** 2
+    dm = (table.m_twice[rows] - table.m_twice[k]) // 2
+    partner = (table.f_twice[rows] == table.f_twice[k]) & (dm != 0) & (mod2 != 0.0)
     mod2, dm = mod2[partner], dm[partner]
     split = zeeman.omega_z * dm
     near = np.abs(np.abs(split) - trap.omega_rf) < _GUARD * trap.omega_rf
@@ -144,9 +149,9 @@ def _clock_weights(level: LevelSpec, f_clock: HalfInt) -> tuple[int, np.ndarray]
     """The table index k of |F,0>, and 1/(2*(E_F' - E_F)) in 1/Hz for every
     state of the level's coupling table (0 within F itself)."""
     table = reduced_table(level)
-    energy = {f.twice: level.hyperfine_energy(f) for f in level.f_values()}
-    e_hz = np.array([energy[f2] for f2 in table.f_twice])
-    k = table_index(level, HyperfineState(f_clock, 0))
+    energy = np.array([level.hyperfine_energy(f) for f in level.f_values()])
+    e_hz = energy[(table.f_twice - table.f_twice[0]) // 2]
+    k = table_index(level, f_clock, 0)
     split = np.where(table.f_twice == table.f_twice[k], np.inf, e_hz - e_hz[k])
     return k, 0.5 / split
 

@@ -6,9 +6,10 @@ objective shares, the seed's one-node omega_q grid and the one laser
 detuning per pair of every model pass, the solver's stopping tests and its
 step back from the bound, the peak search, the explicit-drive oracle, the
 schema checker, the detuning grid's, the fit's input-shape, the CLI's and
-the trap config's own checks, and the code that each rule written once
-shares: each mutant is one small fault, and the tests named with it must
-fail when it is applied.
+the trap config's own checks, the code that each rule written once
+shares, the key of the cached H_Q matrix, the off-resonant partner window,
+validate_f's parity and HalfInt's non-finite values: each mutant is one
+small fault, and the tests named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -323,6 +324,32 @@ MUTANTS = (
     Mutant("kernel-phase-halved", _DYNAMICS,
            "np.exp(-0.5j * tau * evals)", "np.exp(-0.25j * tau * evals)",
            (_TD + "TestTransferProbabilities::test_agrees_with_propagate_on_random_draws",)),
+    # the cached H_Q matrix: a key without Theta or without the orientation
+    # (written as the first value seen standing in for every later one, as a
+    # cache keyed without it would hand back the first matrix built), the
+    # off-resonant partner window, and the checks the per-state reads rest on
+    Mutant("theta-not-in-matrix-key", _COUPLING,
+           "level.theta_e_a02, trap.A, trap.epsilon,",
+           "amplitudes.__dict__.setdefault((level.nuclear_spin.twice, "
+           "level.electronic_j.twice), level.theta_e_a02), trap.A, trap.epsilon,",
+           (_TCP + "TestReducedTable::test_levels_of_one_i_and_j_keep_their_own_theta",)),
+    Mutant("orientation-not-in-matrix-key", _COUPLING,
+           "trap.orientation)[key]",
+           "amplitudes.__dict__.setdefault('orientation', trap.orientation))[key]",
+           (_TCP + "TestReducedTable::test_orientations_keep_their_own_matrix",)),
+    Mutant("partner-window-one-row", _EFFECTS,
+           "rows = slice(max(k - 2, 0), k + 3)", "rows = slice(max(k - 1, 0), k + 2)",
+           (_TE + "TestPerStateReadsMatchHqMatrix::test_offresonant_shift_is_the_column_sum"
+            "[3D2]",
+            _TE + "TestOffResonantShift::test_matches_explicit_second_order_sum"
+            "[Ba+ D5/2-angles0]")),
+    Mutant("validate-f-parity-dropped", _COUPLING,
+           "\n                and (F.twice + two_i + two_j) % 2 == 0):", "):",
+           (_TCP + "TestLevelSpec::test_validate_f_checks_range_and_parity",)),
+    Mutant("half-int-overflow-uncaught", _ANGULAR,
+           "except (ValueError, OverflowError):", "except ValueError:",
+           (_TA + "TestHalfInt::test_non_finite_values[inf]",
+            _TA + "TestHalfInt::test_non_finite_values[1e308]")),
 )
 
 

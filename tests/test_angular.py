@@ -35,6 +35,18 @@ class TestHalfInt:
         assert HalfInt(0.5) < HalfInt(1) <= 1 <= HalfInt(1.5) > 0.5
         assert HalfInt(2) >= HalfInt(2) and not HalfInt(2) >= 2.5
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
+                             ids=["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_values(self, value):
+        # NaN raised a bare ValueError and the others an OverflowError,
+        # from == and < too
+        with pytest.raises(InvalidInputError, match="NaN, infinite or too large"):
+            HalfInt(value)
+        assert not HalfInt(1) == value
+        assert HalfInt(1) != value
+        with pytest.raises(InvalidInputError):
+            HalfInt(1) < value
+
     def test_hashes_like_value(self):
         assert len({HalfInt(1), HalfInt(1.0), HalfInt.from_twice(2)}) == 1
 

@@ -9,6 +9,7 @@ from trapquad.angular import EulerAngles, HalfInt, wigner_D2
 from trapquad.coupling import (
     HyperfineState,
     LevelSpec,
+    amplitudes,
     c2_coefficient,
     gradient_components,
     hq_matrix,
@@ -357,6 +358,49 @@ class TestReducedTable:
         with pytest.raises(ValueError):
             table.reduced[0, 0] = 1.0
 
+    def test_levels_of_one_i_and_j_keep_their_own_theta(self):
+        # Lu+ 3D2 and 1D2 share (I, J) = (7, 2); read in turn, each level's
+        # couplings scale with its own Theta, and a read repeats bit for bit
+        levels = [paper_levels()["Lu+ 3D2"], load_species("lu176").level("1D2"),
+                  LevelSpec(7, 2, 0.5)]
+        trap = random_trap(random.Random(31))
+        first = [hq_matrix(level, trap, level.f_values()).amplitude for level in levels]
+        for level, h in zip(levels, first):
+            ratio = level.theta_e_a02 / levels[0].theta_e_a02
+            assert np.max(np.abs(h - ratio * first[0])) <= 1e-12 * np.max(np.abs(h))
+            k = len(h) - 1
+            assert amplitudes(level, trap, (k, k - 2)) == h[k, k - 2]
+        for level, h in zip(levels, first):
+            assert np.array_equal(hq_matrix(level, trap, level.f_values()).amplitude, h)
+
+    def test_orientations_keep_their_own_matrix(self, lu_3d2_bare):
+        # read at a tilt, then untilted, then tilted again: the untilted
+        # matrix is the rotated one turned back, and a linear trap's
+        # diagonal vanishes there
+        tilted = EulerAngles(0.7, 1.2)
+        upright = TrapConfig(omega_rf=2 * math.pi * 20e6, mass=2.9e-25, epsilon=4e8)
+        trap = upright.with_orientation(tilted)
+        fs = lu_3d2_bare.f_values()
+        h_tilted = hq_matrix(lu_3d2_bare, trap, fs).amplitude
+        h_upright = hq_matrix(lu_3d2_bare, upright, fs).amplitude
+        assert all(amplitudes(lu_3d2_bare, upright, (k, k)) == 0.0
+                   for k in range(len(h_upright)))
+        u = rotation(lu_3d2_bare, tilted)
+        want = u @ h_upright @ u.conj().T
+        assert np.max(np.abs(h_tilted - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(hq_matrix(lu_3d2_bare, trap, fs).amplitude, h_tilted)
+
+    def test_writes_never_reach_a_later_read(self, lu_3d2_bare):
+        trap = random_trap(random.Random(37))
+        column = amplitudes(lu_3d2_bare, trap, (slice(None), 4))
+        kept = column.copy()
+        with pytest.raises(ValueError):
+            column[0] = 7.0
+        rows = amplitudes(lu_3d2_bare, trap, [3, 4])
+        rows[:] = 7.0
+        assert np.array_equal(amplitudes(lu_3d2_bare, trap, (slice(None), 4)), kept)
+        assert np.array_equal(amplitudes(lu_3d2_bare, trap, [3, 4])[:, 4], kept[3:5])
+
     def test_repeated_f_rejected(self, ba_d52, lu_3d2_bare):
         trap = random_trap(random.Random(1))
         with pytest.raises(InvalidInputError, match="more than once"):
@@ -368,6 +412,15 @@ class TestReducedTable:
 class TestLevelSpec:
     def test_f_values(self, lu_3d2_bare):
         assert [f.twice for f in lu_3d2_bare.f_values()] == [10, 12, 14, 16, 18]
+
+    def test_validate_f_checks_range_and_parity(self, lu_3d2_bare, ba_d52):
+        assert [lu_3d2_bare.validate_f(f).twice for f in (5, 7.0, 9)] == [10, 14, 18]
+        assert ba_d52.validate_f(2.5).twice == 5
+        for level, bad in ((lu_3d2_bare, 4), (lu_3d2_bare, 10), (lu_3d2_bare, 5.5),
+                           (lu_3d2_bare, 8.5), (ba_d52, 1.5), (ba_d52, 2),
+                           (ba_d52, 3.5)):
+            with pytest.raises(InvalidInputError, match="invalid for I="):
+                level.validate_f(bad)
 
     def test_rejects_out_of_range_f_energy(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,74 @@ class TestOffResonantShift:
                 got = offresonant_zeeman_shift(level, f, ket.m, trap, zee)
                 assert got == pytest.approx(
                     want, rel=1e-12, abs=1e-12 * max(map(abs, terms)))
+
+
+def seeded_traps(lu_trap) -> list[TrapConfig]:
+    """The linear trap at three seeded orientations, and at the first of them
+    with A != 0."""
+    rng = np.random.default_rng(41)
+    traps = [lu_trap.with_orientation(EulerAngles(float(rng.uniform(0, TWO_PI)),
+                                                  float(rng.uniform(0, math.pi))))
+             for _ in range(3)]
+    return [*traps, replace(traps[0], A=0.4 * lu_trap.epsilon)]
+
+
+class TestPerStateReadsMatchHqMatrix:
+    # every per-state result is its formula over the whole hq_matrix, to the
+    # last bit, whatever a cached matrix holds or a read leaves behind
+    @pytest.fixture(params=["Ba+ D5/2", "3D1", "3D2", "1D2"])
+    def level(self, request, lu, ba_d52):
+        return ba_d52 if request.param == "Ba+ D5/2" else lu.level(request.param)
+
+    @staticmethod
+    def whole(level, trap):
+        mat = hq_matrix(level, trap, level.f_values())
+        return mat.basis, mat.amplitude
+
+    def test_sideband_index_is_the_diagonal(self, level, lu_trap):
+        for trap in seeded_traps(lu_trap):
+            basis, h = self.whole(level, trap)
+            got = [sideband_index(level, s.F, s.m, trap) for s in basis]
+            assert got == [float(h[k, k].real) / trap.omega_rf
+                           for k in range(len(basis))]
+
+    def test_resonant_coupling_is_the_element(self, level, lu_trap):
+        for trap in seeded_traps(lu_trap):
+            basis, h = self.whole(level, trap)
+            for i, bra in enumerate(basis):
+                for k, ket in enumerate(basis):
+                    if abs(bra.m.twice - ket.m.twice) in (2, 4):
+                        assert resonant_coupling(level, bra, ket, trap) == complex(h[i, k])
+
+    @pytest.mark.parametrize("term", ["3D1", "3D2", "1D2"])
+    def test_clock_shift_is_the_column_sum(self, lu, lu_trap, term):
+        level = lu.level(term)
+        energy = level.hyperfine_energies_hz
+        for trap in seeded_traps(lu_trap):
+            basis, h = self.whole(level, trap)
+            for f in level.f_values():
+                k = basis.index(HyperfineState(f, 0))
+                weight = np.array([0.0 if s.F == f else 0.5 / (energy[s.F] - energy[f])
+                                   for s in basis])
+                want = -float(np.sum(np.abs(h[:, k] / TWO_PI) ** 2 * weight))
+                assert clock_shift(level, f, trap) == want
+
+    def test_offresonant_shift_is_the_column_sum(self, level, lu_trap):
+        # the whole column, masked to the partners: the rows outside k-2..k+2
+        # the shift reads must add nothing
+        zee = ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)
+        for trap in seeded_traps(lu_trap):
+            basis, h = self.whole(level, trap)
+            for k, ket in enumerate(basis):
+                mod2 = np.abs(h[:, k]) ** 2
+                dm = np.array([(s.m.twice - ket.m.twice) // 2 for s in basis])
+                same_f = np.array([s.F == ket.F for s in basis])
+                partner = same_f & (dm != 0) & (mod2 != 0.0)
+                split = zee.omega_z * dm[partner]
+                want = float(np.sum(-0.5 * mod2[partner] * split
+                                    / (split**2 - trap.omega_rf**2)))
+                got = offresonant_zeeman_shift(level, ket.F, ket.m, trap, zee)
+                assert got == want, (ket, trap.orientation)
 
 
 @pytest.mark.parametrize("term", ["Lu+ 3D2", "Ba+ D5/2"])

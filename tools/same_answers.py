@@ -19,6 +19,11 @@ that tree's src/ on PYTHONPATH and BLAS on one thread:
   shots); a fit that raises gives its error;
 - round/...: the outputs of one ba_theta_measurement round (seed 9) and the
   (pairs, derivatives) of each transfer_probabilities call it makes;
+- lu/clock-budget: for the Lu+ levels 3D1, 3D2 and 1D2 at three orientations
+  from default_rng(23) in lu_clock_budget's trap, H_Q over the level, the
+  clock shift of each F, their hyperfine average, and the sideband index
+  and the off-resonant shift (g_F = 1.2, omega_z = 2*pi*100 kHz) of every
+  state;
 - wigner/3j-6j: every 3j symbol with all 2j <= 12 and every 6j symbol with
   all 2j <= 6.
 
@@ -212,6 +217,37 @@ def round_entries() -> dict:
             "round/transfer-pairs": pairs}
 
 
+def lu_entries() -> dict:
+    import numpy as np
+    from trapquad import coupling, effects, trap
+    from trapquad.angular import EulerAngles
+    from trapquad.species import load_species
+    two_pi = 2.0 * math.pi
+    lu = load_species("lu176")
+    base = trap.TrapConfig.ideal_linear(lu.mass_kg, two_pi * 33e6, two_pi * 1e6)
+    zeeman = effects.ZeemanConfig.from_splitting(1.2, two_pi * 100e3)
+    rng = np.random.default_rng(23)
+    budget = []
+    for _ in range(3):
+        angles = float(rng.uniform(0.0, two_pi)), float(rng.uniform(0.0, math.pi))
+        trap_ = base.with_orientation(EulerAngles(*angles))
+        for term in ("3D1", "3D2", "1D2"):
+            level = lu.level(term)
+            fs = level.f_values()
+            h = coupling.hq_matrix(level, trap_, fs)
+            clock = {f: effects.clock_shift(level, f, trap_) for f in fs}
+            budget.append({
+                "angles": angles, "term": term,
+                "H": [h.amplitude.real, h.amplitude.imag],
+                "clock": list(clock.values()),
+                "average": effects.hyperfine_average(clock, level),
+                "sideband": [effects.sideband_index(level, s.F, s.m, trap_)
+                             for s in h.basis],
+                "offresonant": [effects.offresonant_zeeman_shift(
+                    level, s.F, s.m, trap_, zeeman) for s in h.basis]})
+    return {"lu/clock-budget": budget}
+
+
 def wigner_entries() -> dict:
     import itertools
 
@@ -233,7 +269,8 @@ def collect(tree: Path) -> dict:
     with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
         workdir = Path(tmp)
         return {**cli_entries(tree, workdir), **demo_entries(tree, workdir),
-                **fit_entries(), **round_entries(), **wigner_entries()}
+                **fit_entries(), **round_entries(), **lu_entries(),
+                **wigner_entries()}
 
 
 def run_collect(tree: Path, out: Path) -> dict:
