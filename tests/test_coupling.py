@@ -350,6 +350,7 @@ class TestReducedTable:
     def test_returned_amplitude_is_a_copy(self, lu_3d2_bare):
         trap = random_trap(random.Random(9))
         first = hq_matrix(lu_3d2_bare, trap, lu_3d2_bare.f_values())
+        assert first.amplitude.flags.c_contiguous
         kept = first.amplitude.copy()
         first.amplitude[:] = 7.0
         again = hq_matrix(lu_3d2_bare, trap, lu_3d2_bare.f_values())
