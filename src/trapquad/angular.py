@@ -51,10 +51,6 @@ class HalfInt:
         obj.twice = int(twice)
         return obj
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
 
@@ -88,7 +84,8 @@ class HalfInt:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """Passive z-y-z Euler rotation (alpha about z first, then beta; gamma = 0)."""
+    """Passive z-y-z Euler rotation (alpha about z first, then beta; gamma = 0).
+    A -0.0 angle is stored as +0.0, so equal angles are equal bit for bit."""
 
     alpha: float = 0.0
     beta: float = 0.0
@@ -96,9 +93,12 @@ class EulerAngles:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise InvalidInputError("Euler angles must be finite")
+        object.__setattr__(self, "alpha", self.alpha + 0.0)
+        object.__setattr__(self, "beta", self.beta + 0.0)
 
 
-def _validate_jm(j: HalfInt, m: HalfInt, name: str) -> None:
+def check_projection(j: HalfInt, m: HalfInt, name: str) -> None:
+    """Raise InvalidInputError unless j >= 0, |m| <= j and j - m is an integer."""
     if j.twice < 0:
         raise InvalidInputError(f"negative angular momentum {name}={j!r}")
     if abs(m.twice) > j.twice:
@@ -109,8 +109,8 @@ def _validate_jm(j: HalfInt, m: HalfInt, name: str) -> None:
         )
 
 
-def _triangle_ok(a: int, b: int, c: int) -> bool:
-    # arguments are twice-values; also requires an integer perimeter
+def triangle_ok(a: int, b: int, c: int) -> bool:
+    """|a - b| <= c <= a + b with an integer perimeter a + b + c, on twice-values."""
     return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
@@ -119,6 +119,14 @@ def _triangle_coefficient(a: int, b: int, c: int) -> Fraction:
     fac = math.factorial
     return Fraction(fac((a + b - c) // 2) * fac((a - b + c) // 2)
                     * fac((-a + b + c) // 2), fac((a + b + c) // 2 + 1))
+
+
+def _racah_close(pref2: Fraction, terms: list[float]) -> float:
+    """sqrt(pref2) * fsum(terms), and exactly +0.0 when the sum is zero."""
+    total = math.fsum(terms)
+    if total == 0.0:
+        return 0.0
+    return math.sqrt(float(pref2)) * total
 
 
 def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
@@ -132,10 +140,10 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
     m1, m2, m3 = HalfInt(m1), HalfInt(m2), HalfInt(m3)
     for j, m, name in ((j1, m1, "j1"), (j2, m2, "j2"), (j3, m3, "j3")):
-        _validate_jm(j, m, name)
+        check_projection(j, m, name)
     if m1.twice + m2.twice + m3.twice != 0:
         return 0.0
-    if not _triangle_ok(j1.twice, j2.twice, j3.twice):
+    if not triangle_ok(j1.twice, j2.twice, j3.twice):
         return 0.0
 
     fac = math.factorial
@@ -157,17 +165,14 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     tmin = max(0, t1, t2)
     tmax = min(a1, jm[1], jm[2])
 
+    # the phase (-1)^(j1-j2-m3) rides on each term: fsum(-x) is -fsum(x) exactly
+    phase = (j1.twice - j2.twice - m3.twice) // 2
     terms = []
     for t in range(tmin, tmax + 1):
         denom = (fac(t) * fac(t - t1) * fac(t - t2)
                  * fac(a1 - t) * fac(jm[1] - t) * fac(jm[2] - t))
-        terms.append((-1.0) ** t * float(Fraction(1, denom)))
-    total = math.fsum(terms)
-    if total == 0.0:
-        return 0.0
-
-    sign = -1.0 if ((j1.twice - j2.twice - m3.twice) // 2) % 2 else 1.0
-    return sign * math.sqrt(float(pref2)) * total
+        terms.append((-1.0) ** (t + phase) * float(Fraction(1, denom)))
+    return _racah_close(pref2, terms)
 
 
 def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
@@ -184,7 +189,7 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
     t1, t2, t3, t4, t5, t6 = (j.twice for j in js)
 
     triads = ((t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))
-    if not all(_triangle_ok(*tri) for tri in triads):
+    if not all(triangle_ok(*tri) for tri in triads):
         return 0.0
 
     fac = math.factorial
@@ -207,10 +212,10 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
         for q in quads:
             denom *= fac(q - k)
         terms.append((-1.0) ** k * float(Fraction(fac(k + 1), denom)))
-    total = math.fsum(terms)
-    if total == 0.0:
-        return 0.0
-    return math.sqrt(float(pref2)) * total
+    return _racah_close(pref2, terms)
+
+
+_RANK = HalfInt(2)
 
 
 def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
@@ -222,10 +227,8 @@ def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
                 / ((2+mp-k)! k! (2-k-m)! (k-mp+m)!) c^(4-2k+mp-m) s^(2k-mp+m).
     """
     mp, m = HalfInt(mp), HalfInt(m)
-    if not (mp.is_integer and m.is_integer):
-        raise InvalidInputError("rank-2 projections must be integers")
-    if abs(mp.twice) > 4 or abs(m.twice) > 4:
-        raise InvalidInputError("rank-2 projections must satisfy |m| <= 2")
+    check_projection(_RANK, mp, "rank")
+    check_projection(_RANK, m, "rank")
     if not math.isfinite(beta):
         raise InvalidInputError(f"beta must be finite, not {beta!r}")
     mp, m = int(mp), int(m)

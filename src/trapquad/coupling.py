@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .angular import EulerAngles, HalfInt, Momentum, wigner_3j, wigner_6j, wigner_D2
+from .angular import (EulerAngles, HalfInt, Momentum, check_projection, triangle_ok,
+                      wigner_3j, wigner_6j, wigner_D2)
 from .errors import InvalidInputError
 from .trap import CODATA2018, TrapConfig
 
@@ -48,8 +49,7 @@ class HyperfineState:
 
     def __init__(self, F: Momentum, m: Momentum):
         F, m = HalfInt(F), HalfInt(m)
-        if F.twice < 0 or abs(m.twice) > F.twice or (F.twice - m.twice) % 2:
-            raise InvalidInputError(f"invalid hyperfine state F={F!r}, m={m!r}")
+        check_projection(F, m, "F")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "m", m)
 
@@ -61,7 +61,8 @@ class HyperfineState:
 class LevelSpec:
     """An atomic fine-structure level with quadrupole moment Theta(J).
 
-    theta_e_a02 is Theta(J) in units of e*a0^2.  hyperfine_energies_hz, when
+    theta_e_a02 is Theta(J) in units of e*a0^2, stored as +0.0 when it is
+    -0.0, so equal values are equal bit for bit.  hyperfine_energies_hz, when
     given, maps every F of the level, and no other (per_f), to a distinct
     energy in Hz (times h); clock-shift sums need it for I > 0 levels.
     """
@@ -83,7 +84,7 @@ class LevelSpec:
             raise InvalidInputError("Theta(J) must be finite")
         object.__setattr__(self, "nuclear_spin", nuclear_spin)
         object.__setattr__(self, "electronic_j", electronic_j)
-        object.__setattr__(self, "theta_e_a02", float(theta_e_a02))
+        object.__setattr__(self, "theta_e_a02", float(theta_e_a02) + 0.0)
         object.__setattr__(self, "label", label)
         energies = None
         if hyperfine_energies_hz is not None:
@@ -93,13 +94,10 @@ class LevelSpec:
                 raise InvalidInputError("hyperfine energies must be finite and unique")
         object.__setattr__(self, "hyperfine_energies_hz", energies)
 
-    @staticmethod
-    def _f_range(i: HalfInt, j: HalfInt) -> list[HalfInt]:
-        lo, hi = abs(i.twice - j.twice), i.twice + j.twice
-        return [HalfInt.from_twice(t) for t in range(lo, hi + 1, 2)]
-
     def f_values(self) -> list[HalfInt]:
-        return self._f_range(self.nuclear_spin, self.electronic_j)
+        lo = abs(self.nuclear_spin.twice - self.electronic_j.twice)
+        hi = self.nuclear_spin.twice + self.electronic_j.twice
+        return [HalfInt.from_twice(t) for t in range(lo, hi + 1, 2)]
 
     def per_f(self, values: Mapping[Momentum, float], what: str) -> dict[HalfInt, float]:
         """`values` as {F: float}; raises InvalidInputError, naming the missing
@@ -116,9 +114,7 @@ class LevelSpec:
 
     def validate_f(self, F: Momentum) -> HalfInt:
         F = HalfInt(F)
-        two_i, two_j = self.nuclear_spin.twice, self.electronic_j.twice
-        if not (abs(two_i - two_j) <= F.twice <= two_i + two_j
-                and (F.twice + two_i + two_j) % 2 == 0):
+        if not triangle_ok(self.nuclear_spin.twice, self.electronic_j.twice, F.twice):
             raise InvalidInputError(
                 f"F={F!r} invalid for I={self.nuclear_spin!r}, "
                 f"J={self.electronic_j!r}"
@@ -182,10 +178,9 @@ def table_index(level: LevelSpec, F: Momentum, m: Momentum) -> int:
 
 @lru_cache(maxsize=None)
 def _build_table(two_i: int, two_j: int) -> ReducedTable:
-    i, j = HalfInt.from_twice(two_i), HalfInt.from_twice(two_j)
-    fs = LevelSpec._f_range(i, j)
-    states = [HyperfineState(f, HalfInt.from_twice(tm))
-              for f in fs for tm in range(-f.twice, f.twice + 1, 2)]
+    level = LevelSpec(HalfInt.from_twice(two_i), HalfInt.from_twice(two_j), 1.0)
+    i, j, fs = level.nuclear_spin, level.electronic_j, level.f_values()
+    states = [s for f in fs for s in level.manifold(f)]
     f2 = np.array([s.F.twice for s in states])
     m2 = np.array([s.m.twice for s in states])
     dmu2 = m2[:, None] - m2[None, :]
@@ -246,8 +241,7 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
                          ket: HyperfineState, q: int,
                          angles: EulerAngles) -> complex:
     """<bra|Tq|ket> of the principal-frame rank-2 component, in units of e*a0^2."""
-    if q not in (-2, -1, 0, 1, 2):
-        raise InvalidInputError(f"rank-2 component q={q} out of range")
+    check_projection(HalfInt(2), HalfInt(q), "rank")
     i, k = table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m)
     pref = reduced_table(level).reduced[i, k]
     if pref == 0.0:  # also every |dmu| > 2, where D2 is undefined

@@ -167,7 +167,7 @@ def extract_theta(omega_q: float, omega_q_err: float,
     """
     if not (0 < omega_q < math.inf and 0 <= omega_q_err < math.inf):
         raise InvalidInputError("omega_q must be positive, its error >= 0, both finite")
-    if trap.omega_s is None or trap.omega_s <= 0:
+    if trap.omega_s is None:  # TrapConfig holds a given omega_s positive
         raise InvalidInputError("trap must carry a positive omega_s")
     c = CODATA2018
     theta_si = (c.hbar * omega_q * math.sqrt(2.0) * c.elementary_charge

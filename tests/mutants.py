@@ -8,8 +8,9 @@ step back from the bound, the peak search, the explicit-drive oracle, the
 schema checker, the detuning grid's, the fit's input-shape, the CLI's and
 the trap config's own checks, the code that each rule written once
 shares, the key of the cached H_Q matrix, the off-resonant partner window,
-validate_f's parity and HalfInt's non-finite values: each mutant is one
-small fault, and the tests named with it must fail when it is applied.
+HalfInt's non-finite values, and the angular-momentum rules that angular and
+coupling share: each mutant is one small fault, and the tests named with it
+must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -343,9 +344,32 @@ MUTANTS = (
             "[3D2]",
             _TE + "TestOffResonantShift::test_matches_explicit_second_order_sum"
             "[Ba+ D5/2-angles0]")),
-    Mutant("validate-f-parity-dropped", _COUPLING,
-           "\n                and (F.twice + two_i + two_j) % 2 == 0):", "):",
-           (_TCP + "TestLevelSpec::test_validate_f_checks_range_and_parity",)),
+    # the angular-momentum rules that angular and coupling share: the
+    # triangle rule's parity (validate_f and the 6j), the projection rule's
+    # parity (the 3j and HyperfineState), the 3j's phase on the shared Racah
+    # closing step, and the -0.0 inputs that a cache key cannot tell apart
+    Mutant("validate-f-parity-dropped", _ANGULAR,
+           " and (a + b + c) % 2 == 0", "",
+           (_TCP + "TestLevelSpec::test_validate_f_checks_range_and_parity",
+            _TCP + "TestSharedRules::test_validate_f_accepts_exactly_the_f_values[14-2]",
+            _TA + "TestWigner6j::test_agrees_with_exact_oracle_j_up_to_10")),
+    Mutant("projection-parity-dropped", _ANGULAR,
+           "if (j.twice - m.twice) % 2:", "if False:",
+           (_TA + "TestWigner3j::test_invalid_input_raises",
+            _TCP + "TestSharedRules::test_projection_rule_is_the_same_for_every_caller"
+            "[HyperfineState]",
+            _TCP + "TestSharedRules::test_projection_rule_is_the_same_for_every_caller"
+            "[wigner_3j]")),
+    Mutant("racah-phase-dropped", _ANGULAR,
+           "(-1.0) ** (t + phase)", "(-1.0) ** t",
+           (_TA + "TestWigner3j::test_agrees_with_exact_oracle_j_up_to_10",)),
+    Mutant("theta-minus-zero-kept", _COUPLING,
+           "float(theta_e_a02) + 0.0", "float(theta_e_a02)",
+           (_TCP + "TestReducedTable::test_signed_zero_inputs_read_one_matrix[theta]",)),
+    Mutant("angles-minus-zero-kept", _ANGULAR,
+           '        object.__setattr__(self, "alpha", self.alpha + 0.0)\n'
+           '        object.__setattr__(self, "beta", self.beta + 0.0)\n', "",
+           (_TCP + "TestReducedTable::test_signed_zero_inputs_read_one_matrix[angles]",)),
     Mutant("half-int-overflow-uncaught", _ANGULAR,
            "except (ValueError, OverflowError):", "except ValueError:",
            (_TA + "TestHalfInt::test_non_finite_values[inf]",

@@ -70,6 +70,14 @@ class TestWigner3j:
         assert wigner_3j(1, 1, 1, 1, 0, 0) == 0.0          # m-sum nonzero
         assert wigner_3j(0.5, 0.5, 0.5, 0.5, -0.5, 0.5) == 0.0  # half-integer perimeter
 
+    def test_cancelling_sums_give_positive_zero(self):
+        # Racah sums that cancel, the 3j ones under an overall phase of -1;
+        # a -0.0 would read "-0.0" in JSON output
+        zeros = [wigner_3j(1, 2, 2, 0, 0, 0), wigner_3j(1.5, 1.5, 2, -0.5, -0.5, 1),
+                 wigner_6j(1, 1.5, 1.5, 3.5, 3, 3), wigner_6j(1, 2, 2, 3, 2, 2)]
+        assert zeros == [0.0] * 4
+        assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
     def test_invalid_input_raises(self):
         with pytest.raises(InvalidInputError):
             wigner_3j(-1, 1, 1, 0, 0, 0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from exact_wigner import exact_3j, exact_6j
-from trapquad.angular import EulerAngles, HalfInt, wigner_D2
+from trapquad import coupling
+from trapquad.angular import EulerAngles, HalfInt, wigner_3j, wigner_D2
 from trapquad.coupling import (
     HyperfineState,
     LevelSpec,
@@ -402,6 +403,31 @@ class TestReducedTable:
         assert np.array_equal(amplitudes(lu_3d2_bare, trap, (slice(None), 4)), kept)
         assert np.array_equal(amplitudes(lu_3d2_bare, trap, [3, 4])[:, 4], kept[3:5])
 
+    @pytest.mark.parametrize("which", ["theta", "angles"])
+    def test_signed_zero_inputs_read_one_matrix(self, which):
+        # -0.0 == +0.0, so both share a cache key: each is stored as +0.0,
+        # and a read is the same bit for bit whichever of them came first
+        # (Theta = -0.0 gave 107 negative zeros built fresh, 14 after +0.0)
+        trap = TrapConfig(omega_rf=2 * math.pi * 20e6, mass=2.9e-25, A=3e8, epsilon=4e8)
+
+        def read(zero):
+            if which == "theta":
+                level, tilted = LevelSpec(7, 2, zero), trap
+            else:
+                level = LevelSpec(7, 2, 1.0)
+                tilted = trap.with_orientation(EulerAngles(zero, zero))
+            inputs = (level.theta_e_a02, tilted.orientation.alpha, tilted.orientation.beta)
+            assert not any(np.signbit(inputs))
+            h = hq_matrix(level, tilted, [5]).amplitude
+            return np.signbit(h.real), np.signbit(h.imag)
+
+        coupling._level_matrix.cache_clear()
+        fresh = read(-0.0)
+        coupling._level_matrix.cache_clear()
+        read(0.0)
+        after = read(-0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, after))
+
     def test_repeated_f_rejected(self, ba_d52, lu_3d2_bare):
         trap = random_trap(random.Random(1))
         with pytest.raises(InvalidInputError, match="more than once"):
@@ -447,3 +473,42 @@ class TestLevelSpec:
         with pytest.raises(InvalidInputError, match=r"partial .*missing F=\[8\]"):
             LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 1e9},
                       label="partial")
+
+
+def _accepts(call, *args) -> bool:
+    try:
+        call(*args)
+    except InvalidInputError:
+        return False
+    return True
+
+
+_LEVEL_J52 = LevelSpec(0, 2.5, 1.0)
+_STATE_J52 = HyperfineState(2.5, 0.5)
+# each caller of the projection rule, with the 2j it is checked at
+_PROJECTION_CALLERS = {
+    "HyperfineState": (range(9), lambda j, m: HyperfineState(j, m)),
+    "wigner_3j": (range(9), lambda j, m: wigner_3j(j, j, 0, m, -m, 0)),
+    "wigner_D2": ((4,), lambda j, m: wigner_D2(m, 0, EulerAngles(0.3, 0.7))),
+    "theta_matrix_element": ((4,), lambda j, m: theta_matrix_element(
+        _LEVEL_J52, _STATE_J52, _STATE_J52, m, EulerAngles(0.3, 0.7))),
+}
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("caller", list(_PROJECTION_CALLERS))
+    def test_projection_rule_is_the_same_for_every_caller(self, caller):
+        # j >= 0, |m| <= j and j - m an integer, over 2m in -10..10; the
+        # rank-2 callers take j = 2 (D2's first index, theta's q)
+        twice_js, call = _PROJECTION_CALLERS[caller]
+        for tj in twice_js:
+            for tm in range(-10, 11):
+                want = abs(tm) <= tj and (tj - tm) % 2 == 0
+                assert _accepts(call, tj / 2, tm / 2) == want, (tj, tm)
+
+    @pytest.mark.parametrize("two_i, two_j", [(0, 5), (7, 1), (14, 2), (14, 4)])
+    def test_validate_f_accepts_exactly_the_f_values(self, two_i, two_j):
+        level = LevelSpec(HalfInt.from_twice(two_i), HalfInt.from_twice(two_j), 1.0)
+        accepted = [tf for tf in range(-2, two_i + two_j + 5)
+                    if _accepts(level.validate_f, tf / 2)]
+        assert accepted == [f.twice for f in level.f_values()]
