@@ -2,8 +2,9 @@
 
 Quantum numbers are held as :class:`HalfInt` (twice the value, as an int) so
 half-integers compare exactly.  The 3j/6j symbols are evaluated with the Racah
-single-sum formulas using exact integer factorials for each term; only the
-final combination is done in floating point.  Rotations follow the passive
+single-sum formulas on exact integer factorials: each term and the squared
+prefactor is one int/int division, which Python rounds correctly, and only
+the final combination is done in floating point.  Rotations follow the passive
 z-y-z Euler convention with the first rotation (alpha) about z and gamma = 0,
 so D2(mp, m; alpha, beta) = d2(mp, m; beta) * exp(i*m*alpha).  Every d2
 entry comes from Wigner's single sum (Varshalovich et al. 1988, sec. 4.3.1);
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
@@ -114,19 +114,20 @@ def triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
-def _triangle_coefficient(a: int, b: int, c: int) -> Fraction:
-    """Delta(abc)^2 = (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of twice-values, exact."""
+def _triangle_coefficient(a: int, b: int, c: int) -> tuple[int, int]:
+    """Delta(abc)^2 = (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of twice-values,
+    as the exact pair (numerator, denominator)."""
     fac = math.factorial
-    return Fraction(fac((a + b - c) // 2) * fac((a - b + c) // 2)
-                    * fac((-a + b + c) // 2), fac((a + b + c) // 2 + 1))
+    return (fac((a + b - c) // 2) * fac((a - b + c) // 2) * fac((-a + b + c) // 2),
+            fac((a + b + c) // 2 + 1))
 
 
-def _racah_close(pref2: Fraction, terms: list[float]) -> float:
-    """sqrt(pref2) * fsum(terms), and exactly +0.0 when the sum is zero."""
+def _racah_close(num: int, den: int, terms: list[float]) -> float:
+    """sqrt(num / den) * fsum(terms), and exactly +0.0 when the sum is zero."""
     total = math.fsum(terms)
     if total == 0.0:
         return 0.0
-    return math.sqrt(float(pref2)) * total
+    return math.sqrt(num / den) * total
 
 
 def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
@@ -155,10 +156,10 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
         (j3.twice + m3.twice) // 2, (j3.twice - m3.twice) // 2,
     ]
 
-    # squared prefactor as an exact rational, converted once
-    pref2 = _triangle_coefficient(j1.twice, j2.twice, j3.twice)
+    # squared prefactor as an exact integer ratio, divided once
+    num, den = _triangle_coefficient(j1.twice, j2.twice, j3.twice)
     for f in jm:
-        pref2 *= fac(f)
+        num *= fac(f)
 
     t1 = (j2.twice - j3.twice - m1.twice) // 2
     t2 = (j1.twice - j3.twice + m2.twice) // 2
@@ -171,8 +172,8 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     for t in range(tmin, tmax + 1):
         denom = (fac(t) * fac(t - t1) * fac(t - t2)
                  * fac(a1 - t) * fac(jm[1] - t) * fac(jm[2] - t))
-        terms.append((-1.0) ** (t + phase) * float(Fraction(1, denom)))
-    return _racah_close(pref2, terms)
+        terms.append((-1.0) ** (t + phase) * (1 / denom))
+    return _racah_close(num, den, terms)
 
 
 def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
@@ -193,9 +194,10 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
         return 0.0
 
     fac = math.factorial
-    pref2 = Fraction(1)
+    num = den = 1
     for tri in triads:
-        pref2 *= _triangle_coefficient(*tri)
+        n, d = _triangle_coefficient(*tri)
+        num, den = num * n, den * d
 
     sums = [(t1 + t2 + t3) // 2, (t1 + t5 + t6) // 2,
             (t4 + t2 + t6) // 2, (t4 + t5 + t3) // 2]
@@ -211,8 +213,8 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
             denom *= fac(k - s)
         for q in quads:
             denom *= fac(q - k)
-        terms.append((-1.0) ** k * float(Fraction(fac(k + 1), denom)))
-    return _racah_close(pref2, terms)
+        terms.append((-1.0) ** k * (fac(k + 1) / denom))
+    return _racah_close(num, den, terms)
 
 
 _RANK = HalfInt(2)

@@ -14,9 +14,10 @@ Theta(J):
 with dmu = mu' - mu.  All but Theta(J) and D2 depends on (I, J) alone and
 is computed once per (I, J) into a cached ReducedTable, which also maps
 each state to its row.  A trap adds five channel factors
-c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, and
-H_Q/hbar = Theta * reduced * c[dmu] elementwise.  That product is cached
-whole, read-only, for the last few (I, J, Theta, trap) combinations, and
+c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, computed once per (A, eps,
+orientation) for every level, and H_Q/hbar = Theta * reduced * c[dmu]
+elementwise.  That product is cached whole, read-only, for the last few
+(I, J, Theta, trap) combinations, and
 `amplitudes` indexes it; every H_Q amplitude in the package, one element, a
 state's column or a whole matrix, is read through it.  Amplitudes are in
 rad/s, the coefficient of cos(Omega_rf t); no rotating-wave factor is
@@ -127,13 +128,6 @@ class LevelSpec:
         return [HyperfineState(F, HalfInt.from_twice(tm))
                 for tm in range(-F.twice, F.twice + 1, 2)]
 
-    def hyperfine_energy(self, F: Momentum) -> float:
-        if self.hyperfine_energies_hz is None:
-            raise InvalidInputError(
-                f"level {self.label or '?'} has no hyperfine energies"
-            )
-        return self.hyperfine_energies_hz[self.validate_f(F)]
-
 
 def gradient_components(A: float, epsilon: float) -> dict[int, float]:
     """Spherical components of the field-gradient tensor on principal axes.
@@ -210,18 +204,25 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
                         f2, m2, reduced, channel)
 
 
-@lru_cache(maxsize=8)   # for Lu+, 75 x 75 complex (90 kB) each
-def _level_matrix(two_i: int, two_j: int, theta: float, A: float, epsilon: float,
-                  orientation: EulerAngles) -> np.ndarray:
-    """H_Q/hbar (rad/s) = Theta * reduced * c[channel] over the whole (I, J)
-    table, read-only; c[dmu + 2] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar."""
+@lru_cache(maxsize=8)
+def _channel_factors(A: float, epsilon: float, orientation: EulerAngles) -> np.ndarray:
+    """c[dmu + 2] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, for every level."""
     grads = gradient_components(A, epsilon)
     c = np.array([sum(grads[q] * wigner_D2(dmu, q, orientation)
                       for q in (-2, 0, 2) if grads[q] != 0.0)
                   for dmu in range(-2, 3)], dtype=complex)
     c *= CODATA2018.e_a0_squared / CODATA2018.hbar
+    c.flags.writeable = False
+    return c
+
+
+@lru_cache(maxsize=8)   # for Lu+, 75 x 75 complex (90 kB) each
+def _level_matrix(two_i: int, two_j: int, theta: float, A: float, epsilon: float,
+                  orientation: EulerAngles) -> np.ndarray:
+    """H_Q/hbar (rad/s) = Theta * reduced * c[channel] over the whole (I, J)
+    table, read-only, with the trap's channel factors c."""
     table = _build_table(two_i, two_j)
-    matrix = theta * table.reduced * c[table.channel]
+    matrix = theta * table.reduced * _channel_factors(A, epsilon, orientation)[table.channel]
     matrix.flags.writeable = False
     return matrix
 

@@ -108,24 +108,28 @@ def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
     The partners are the states of the same F with dm != 0 and a nonzero
     coupling.  H_Q has |dm| <= 2 and the table orders states by (F, m), so
     they lie in rows k-2..k+2 of the state's column k, the only rows read.
-    Raises ResonanceError when a partner's Zeeman interval is within
-    1e-3*Omega_rf of the drive; the perturbative formula diverges there.
+    numpy takes |amplitude|^2 of those rows and sums the terms in row order;
+    each term is plain float arithmetic.  Raises ResonanceError when a
+    partner's Zeeman interval is within 1e-3*Omega_rf of the drive; the
+    perturbative formula diverges there.
     """
-    table = reduced_table(level)
+    states = reduced_table(level).states
     k = table_index(level, F, m)
-    rows = slice(max(k - 2, 0), k + 3)
-    mod2 = np.abs(amplitudes(level, trap, (rows, k))) ** 2
-    dm = (table.m_twice[rows] - table.m_twice[k]) // 2
-    partner = (table.f_twice[rows] == table.f_twice[k]) & (dm != 0) & (mod2 != 0.0)
-    mod2, dm = mod2[partner], dm[partner]
-    split = zeeman.omega_z * dm
-    near = np.abs(np.abs(split) - trap.omega_rf) < _GUARD * trap.omega_rf
-    if near.any():
-        raise ResonanceError(
-            f"Zeeman interval |dm|={abs(dm[near][0])} within {_GUARD:g}*Omega_rf "
-            "of the drive; off-resonant formula invalid"
-        )
-    return float(np.sum(-0.5 * mod2 * split / (split**2 - trap.omega_rf**2)))
+    rows = range(max(k - 2, 0), min(k + 3, len(states)))
+    mod2 = (np.abs(amplitudes(level, trap, (slice(rows.start, rows.stop), k))) ** 2).tolist()
+    ket, w_z, w_rf = states[k], zeeman.omega_z, trap.omega_rf
+    terms = []
+    for row, a2 in zip(rows, mod2):
+        dm = (states[row].m.twice - ket.m.twice) // 2
+        if states[row].F.twice != ket.F.twice or dm == 0 or a2 == 0.0:
+            continue
+        split = w_z * dm
+        if abs(abs(split) - w_rf) < _GUARD * w_rf:
+            raise ResonanceError(
+                f"Zeeman interval |dm|={abs(dm)} within {_GUARD:g}*Omega_rf "
+                "of the drive; off-resonant formula invalid")
+        terms.append(-0.5 * a2 * split / (split * split - w_rf**2))
+    return float(np.sum(terms))
 
 
 def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
@@ -148,8 +152,10 @@ def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
 def _clock_weights(level: LevelSpec, f_clock: HalfInt) -> tuple[int, np.ndarray]:
     """The table index k of |F,0>, and 1/(2*(E_F' - E_F)) in 1/Hz for every
     state of the level's coupling table (0 within F itself)."""
-    table = reduced_table(level)
-    energy = np.array([level.hyperfine_energy(f) for f in level.f_values()])
+    table, energies = reduced_table(level), level.hyperfine_energies_hz
+    if energies is None:
+        raise InvalidInputError(f"level {level.label or '?'} has no hyperfine energies")
+    energy = np.array([energies[f] for f in level.f_values()])
     e_hz = energy[(table.f_twice - table.f_twice[0]) // 2]
     k = table_index(level, f_clock, 0)
     split = np.where(table.f_twice == table.f_twice[k], np.inf, e_hz - e_hz[k])

@@ -7,7 +7,8 @@ detuning per pair of every model pass, the solver's stopping tests and its
 step back from the bound, the peak search, the explicit-drive oracle, the
 schema checker, the detuning grid's, the fit's input-shape, the CLI's and
 the trap config's own checks, the code that each rule written once
-shares, the key of the cached H_Q matrix, the off-resonant partner window,
+shares, the keys of the cached H_Q matrix and channel factors, the
+off-resonant partner window and its skip of uncoupled partners,
 HalfInt's non-finite values, and the angular-momentum rules that angular and
 coupling share: each mutant is one small fault, and the tests named with it
 must fail when it is applied.
@@ -325,10 +326,11 @@ MUTANTS = (
     Mutant("kernel-phase-halved", _DYNAMICS,
            "np.exp(-0.5j * tau * evals)", "np.exp(-0.25j * tau * evals)",
            (_TD + "TestTransferProbabilities::test_agrees_with_propagate_on_random_draws",)),
-    # the cached H_Q matrix: a key without Theta or without the orientation
-    # (written as the first value seen standing in for every later one, as a
-    # cache keyed without it would hand back the first matrix built), the
-    # off-resonant partner window, and the checks the per-state reads rest on
+    # the cached H_Q matrix and the trap's cached channel factors: a key
+    # without Theta or without the orientation (written as the first value
+    # seen standing in for every later one, as a cache keyed without it would
+    # hand back the first entry built), the off-resonant partner window and
+    # its skip of uncoupled partners, and the checks the per-state reads rest on
     Mutant("theta-not-in-matrix-key", _COUPLING,
            "level.theta_e_a02, trap.A, trap.epsilon,",
            "amplitudes.__dict__.setdefault((level.nuclear_spin.twice, "
@@ -338,16 +340,29 @@ MUTANTS = (
            "trap.orientation)[key]",
            "amplitudes.__dict__.setdefault('orientation', trap.orientation))[key]",
            (_TCP + "TestReducedTable::test_orientations_keep_their_own_matrix",)),
+    Mutant("orientation-not-in-channel-key", _COUPLING,
+           "_channel_factors(A, epsilon, orientation)[table.channel]",
+           "_channel_factors(A, epsilon, _channel_factors.__dict__.setdefault("
+           "'orientation', orientation))[table.channel]",
+           (_TCP + "TestReducedTable::test_orientations_keep_their_own_matrix",)),
+    Mutant("channel-factors-per-level", _COUPLING,
+           "@lru_cache(maxsize=8)\ndef _channel_factors", "def _channel_factors",
+           (_TCP + "TestReducedTable::test_channel_factors_once_per_trap",)),
     Mutant("partner-window-one-row", _EFFECTS,
-           "rows = slice(max(k - 2, 0), k + 3)", "rows = slice(max(k - 1, 0), k + 2)",
+           "rows = range(max(k - 2, 0), min(k + 3, len(states)))",
+           "rows = range(max(k - 1, 0), min(k + 2, len(states)))",
            (_TE + "TestPerStateReadsMatchHqMatrix::test_offresonant_shift_is_the_column_sum"
             "[3D2]",
             _TE + "TestOffResonantShift::test_matches_explicit_second_order_sum"
             "[Ba+ D5/2-angles0]")),
+    Mutant("zero-coupling-partner-kept", _EFFECTS,
+           " or dm == 0 or a2 == 0.0:", " or dm == 0:",
+           (_TE + "TestOffResonantShift::test_resonance_guard",)),
     # the angular-momentum rules that angular and coupling share: the
     # triangle rule's parity (validate_f and the 6j), the projection rule's
-    # parity (the 3j and HyperfineState), the 3j's phase on the shared Racah
-    # closing step, and the -0.0 inputs that a cache key cannot tell apart
+    # parity (the 3j and HyperfineState), the 3j's integer prefactor and its
+    # phase on the shared Racah closing step, and the -0.0 inputs that a cache
+    # key cannot tell apart
     Mutant("validate-f-parity-dropped", _ANGULAR,
            " and (a + b + c) % 2 == 0", "",
            (_TCP + "TestLevelSpec::test_validate_f_checks_range_and_parity",
@@ -360,6 +375,9 @@ MUTANTS = (
             "[HyperfineState]",
             _TCP + "TestSharedRules::test_projection_rule_is_the_same_for_every_caller"
             "[wigner_3j]")),
+    Mutant("3j-numerator-factorial-dropped", _ANGULAR,
+           "for f in jm:", "for f in jm[1:]:",
+           (_TA + "TestWigner3j::test_agrees_with_exact_oracle_j_up_to_10",)),
     Mutant("racah-phase-dropped", _ANGULAR,
            "(-1.0) ** (t + phase)", "(-1.0) ** t",
            (_TA + "TestWigner3j::test_agrees_with_exact_oracle_j_up_to_10",)),

@@ -1,7 +1,9 @@
 """The summary of tools/bench_pairs.py on made-up run results: medians,
-quartiles, pairs won and each run's outcome.  No benchmark runs here."""
+quartiles, pairs won and each run's outcome, and the copy of a working tree
+that its change side runs in.  No benchmark runs here."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,26 @@ def test_single_pair_has_no_spread():
     summary = bench_pairs.summarize(pairs()[:1], METRICS)["metrics"]["workflow_ref_s"]
     assert summary["parent"] == {"median": 0.50, "q1": 0.50, "q3": 0.50}
     assert summary["change_won"] == 1
+
+
+def test_change_side_is_the_working_trees_files(tmp_path):
+    # tracked files as edited on disk and new files git would add are
+    # copied; ignored files, git's own and a tracked file deleted on disk are not
+    tree, into = tmp_path / "tree", tmp_path / "copy"
+    (tree / "pkg" / "__pycache__").mkdir(parents=True)
+    files = {".gitignore": "__pycache__/\nout/\n", "pkg/a.py": "A = 1\n",
+             "pkg/gone.py": "", "pkg/__pycache__/a.pyc": "x", "top.txt": "t"}
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    subprocess.run(["git", "add", ".gitignore", "pkg", "top.txt"], cwd=tree, check=True)
+    (tree / "pkg" / "a.py").write_text("A = 2\n")
+    (tree / "pkg" / "gone.py").unlink()
+    (tree / "new.py").write_text("B = 3\n")
+    (tree / "out").mkdir()
+    (tree / "out" / "run.json").write_text("{}")
+    bench_pairs.snapshot(into, root=tree)
+    copied = sorted(str(path.relative_to(into)) for path in into.rglob("*")
+                    if path.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/a.py", "top.txt"]
+    assert (into / "pkg" / "a.py").read_text() == "A = 2\n"

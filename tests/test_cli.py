@@ -785,6 +785,14 @@ class TestImports:
         assert code == 2
         assert "numpy" not in loaded
 
+    def test_clock_shift_loads_no_fractions_or_decimal(self, tmp_path, lu_config):
+        # the Racah sums divide exact integers, with no rational type
+        code, loaded = self.fresh_process(
+            ["-m", "trapquad.cli", "clock-shift", "--species", "lu176", "--transition",
+             "1S0-3D2", "--config", lu_config, "-o", str(tmp_path / "shift.csv")])
+        assert code == 0 and "numpy" in loaded
+        assert not loaded & {"fractions", "decimal"}
+
     def test_import_loads_no_scipy(self):
         code, loaded = self.fresh_process(["-c", "import trapquad.cli"])
         assert code == 0 and "trapquad" in loaded

@@ -392,6 +392,23 @@ class TestReducedTable:
         assert np.max(np.abs(h_tilted - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(hq_matrix(lu_3d2_bare, trap, fs).amplitude, h_tilted)
 
+    def test_channel_factors_once_per_trap(self, monkeypatch):
+        # the three Lu+ D levels read cold in one trap (A and eps nonzero)
+        # rotate its gradient once: 5 channels dmu times 3 components q
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return wigner_D2(*args)
+
+        monkeypatch.setattr(coupling, "wigner_D2", counted)
+        coupling._level_matrix.cache_clear()
+        coupling._channel_factors.cache_clear()
+        lu, trap = load_species("lu176"), random_trap(random.Random(43))
+        for level in map(lu.level, ("3D1", "3D2", "1D2")):
+            hq_matrix(level, trap, level.f_values())
+        assert len(calls) == 15
+
     def test_writes_never_reach_a_later_read(self, lu_3d2_bare):
         trap = random_trap(random.Random(37))
         column = amplitudes(lu_3d2_bare, trap, (slice(None), 4))
@@ -422,8 +439,10 @@ class TestReducedTable:
             return np.signbit(h.real), np.signbit(h.imag)
 
         coupling._level_matrix.cache_clear()
+        coupling._channel_factors.cache_clear()
         fresh = read(-0.0)
         coupling._level_matrix.cache_clear()
+        coupling._channel_factors.cache_clear()
         read(0.0)
         after = read(-0.0)
         assert all(np.array_equal(a, b) for a, b in zip(fresh, after))

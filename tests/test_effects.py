@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -284,9 +285,13 @@ class TestPerStateReadsMatchHqMatrix:
 
     def test_offresonant_shift_is_the_column_sum(self, level, lu_trap):
         # the whole column, masked to the partners: the rows outside k-2..k+2
-        # the shift reads must add nothing
-        zee = ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)
-        for trap in seeded_traps(lu_trap):
+        # the shift reads must add nothing; for g_F > 0 and g_F < 0, and at
+        # beta = 0, where the linear trap's |dm| = 1 couplings are zero
+        up = ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)
+        untilted = lu_trap.with_orientation(EulerAngles(0.4, 0.0))
+        for trap, zee in itertools.product(
+                [*seeded_traps(lu_trap), untilted],
+                [up, ZeemanConfig(g_f=-1.2, b_field=up.b_field)]):
             basis, h = self.whole(level, trap)
             for k, ket in enumerate(basis):
                 mod2 = np.abs(h[:, k]) ** 2

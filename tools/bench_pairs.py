@@ -4,8 +4,10 @@
         --workload ba_theta_measurement --pairs 10 --first-seed 301 \\
         --out BENCH_18.json
 
-The parent is extracted with `git archive` into a temporary directory,
-which is deleted afterwards.  Pair i runs BENCHMARK.json's command
+The parent is extracted with `git archive`, and this tree's files that git
+tracks or would add (not ignored) are copied as they are on disk, each into
+a temporary directory that is deleted afterwards, so neither side runs with
+the other's caches or outputs.  Pair i runs BENCHMARK.json's command
 (perfbench/run.py) with --trace 0, seed first_seed + i and the file's
 run_seconds, once in each tree: the parent runs first in even pairs, this
 tree in odd ones.  --workload may be given more than once.  For each
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -84,6 +87,19 @@ def extract(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def snapshot(into: Path, root: Path = ROOT) -> None:
+    """Copy the files of the working tree at `root` that git tracks or would
+    add, as they are on disk, under `into`; a tracked file deleted on disk
+    is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, capture_output=True,
+                            check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -107,9 +123,9 @@ def main() -> int:
               "run_seconds": seconds, "first_seed": args.first_seed,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = Path(tmp)
-        extract(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        extract(args.parent, trees["parent"])
+        snapshot(trees["change"])
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
