@@ -1,85 +1,88 @@
 """Angular momentum algebra: Wigner 3j/6j symbols and rank-2 rotations.
 
-Quantum numbers are held as :class:`HalfInt` (twice the value, as an int) so
-half-integers compare exactly.  The 3j/6j symbols are evaluated with the Racah
-single-sum formulas on exact integer factorials: each term and the squared
-prefactor is one int/int division, which Python rounds correctly, and only
-the final combination is done in floating point.  Rotations follow the passive
-z-y-z Euler convention with the first rotation (alpha) about z and gamma = 0,
-so D2(mp, m; alpha, beta) = d2(mp, m; beta) * exp(i*m*alpha).  Every d2
-entry comes from Wigner's single sum (Varshalovich et al. 1988, sec. 4.3.1);
-its sign convention is pinned in tests/test_angular.py against exp(+i*beta*Jy).
+Each angular momentum enters the package once, through `doubled`, as twice
+its value in an int; inside, every function takes these twice-values, and
+`HalfInt` is only the type of the numbers handed back (F, m, I, J).  Each
+public symbol parses its arguments and calls its `*_twice` core.  The 3j/6j
+symbols are Racah single sums on exact integer factorials: each term and the
+squared prefactor is one int/int division, which Python rounds correctly.
+Rotations are passive z-y-z with alpha about z first and gamma = 0, so
+D2(mp, m; alpha, beta) = d2(mp, m; beta) * exp(i*m*alpha); d2 is Wigner's
+single sum (Varshalovich et al. 1988, sec. 4.3.1), its sign convention
+pinned in tests/test_angular.py against exp(+i*beta*Jy).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import re
+import sys
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Union
 
 from .errors import InvalidInputError
 
-Momentum = Union["HalfInt", int, float]
+# a user's angular momentum: a HalfInt, a number, or text such as "5/2" or "3"
+Momentum = Union["HalfInt", int, float, str]
 
-@total_ordering
+
+def doubled(value: Momentum) -> int:
+    """Twice `value` as an int: the one rule for every angular momentum and
+    projection that enters the package.  A HalfInt gives its twice-value; a
+    number must lie within 1e-9 of an integer or half-integer, and text must
+    read "n" or "n/2".  Raises InvalidInputError for anything else, NaN, an
+    infinity, or a value whose double is past the float range."""
+    if isinstance(value, HalfInt):
+        return value.twice
+    if isinstance(value, str):
+        match = re.fullmatch(r"(-?[0-9]+)(/2)?", value.strip())
+        if match is None:
+            raise InvalidInputError(f"{value!r} is not an integer or n/2")
+        twice = int(match[1]) * (1 if match[2] else 2)
+    else:
+        twice = 2 * value
+    if not abs(twice) <= sys.float_info.max:  # also NaN
+        raise InvalidInputError(f"{value!r} is NaN, infinite or too large")
+    rounded = round(twice)
+    if abs(twice - rounded) > 1e-9:
+        raise InvalidInputError(f"{value!r} is not an integer or half-integer")
+    return int(rounded)
+
+
 class HalfInt:
-    """An exact integer or half-integer, stored as twice its value.  Any other
-    value, NaN and infinities included, raises InvalidInputError, compares
-    unequal and cannot be ordered against one."""
+    """An integer or half-integer, stored as twice its value: `doubled`'s
+    result.  It equals, and hashes like, the number it stands for, and prints
+    as "5/2" or "3"."""
 
     __slots__ = ("twice",)
 
     def __init__(self, value: Momentum):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-            return
-        doubled = 2 * value
-        try:
-            rounded = round(doubled)
-        except (ValueError, OverflowError):  # NaN; an infinite doubled value
-            raise InvalidInputError(f"{value!r} is NaN, infinite or too large") from None
-        if abs(doubled - rounded) > 1e-9:
-            raise InvalidInputError(
-                f"{value!r} is not an integer or half-integer"
-            )
-        self.twice = int(rounded)
+        self.twice = doubled(value)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
         obj = cls.__new__(cls)
-        obj.twice = int(twice)
+        obj.twice = twice
         return obj
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __int__(self) -> int:
-        if self.twice % 2:
-            raise InvalidInputError(f"{self!r} is not an integer")
-        return self.twice // 2
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt.from_twice(-self.twice)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HalfInt):
             return self.twice == other.twice
-        try:
-            return self.twice == HalfInt(other).twice
-        except (InvalidInputError, TypeError):
-            return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self.twice < HalfInt(other).twice
+        if isinstance(other, numbers.Real):
+            return self.twice == 2 * other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.twice / 2.0)
+        return hash(self.twice / 2)
 
     def __repr__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return shown(self.twice)
+
+
+def shown(twice: int) -> str:
+    """A twice-value as the number it stands for: "5/2" or "3"."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,13 @@ class EulerAngles:
         object.__setattr__(self, "beta", self.beta + 0.0)
 
 
-def check_projection(j: HalfInt, m: HalfInt, name: str) -> None:
-    """Raise InvalidInputError unless j >= 0, |m| <= j and j - m is an integer."""
-    if j.twice < 0:
-        raise InvalidInputError(f"negative angular momentum {name}={j!r}")
-    if abs(m.twice) > j.twice:
-        raise InvalidInputError(f"projection |m|>{name}: m={m!r}, {name}={j!r}")
-    if (j.twice - m.twice) % 2:
-        raise InvalidInputError(
-            f"projection parity mismatch: m={m!r} for {name}={j!r}"
-        )
+def check_projection(j: int, m: int, name: str) -> None:
+    """Raise InvalidInputError unless j >= 0, |m| <= j and j - m is an
+    integer, on twice-values."""
+    if j < 0:
+        raise InvalidInputError(f"negative angular momentum {name}={shown(j)}")
+    if abs(m) > j or (j - m) % 2:
+        raise InvalidInputError(f"m={shown(m)} is not a projection of {name}={shown(j)}")
 
 
 def triangle_ok(a: int, b: int, c: int) -> bool:
@@ -135,39 +135,40 @@ def wigner_3j(j1: Momentum, j2: Momentum, j3: Momentum,
     """Wigner 3j symbol (j1 j2 j3 / m1 m2 m3).
 
     Returns exactly 0.0 when the triangle rule or m1+m2+m3=0 fails; raises
-    InvalidInputError for malformed quantum numbers.  The squared prefactor
-    is the triangle coefficient Delta(j1 j2 j3) times the six (j +- m)!.
+    InvalidInputError for malformed quantum numbers.
     """
-    j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
-    m1, m2, m3 = HalfInt(m1), HalfInt(m2), HalfInt(m3)
-    for j, m, name in ((j1, m1, "j1"), (j2, m2, "j2"), (j3, m3, "j3")):
+    js = [doubled(j) for j in (j1, j2, j3)]
+    ms = [doubled(m) for m in (m1, m2, m3)]
+    for j, m, name in zip(js, ms, ("j1", "j2", "j3")):
         check_projection(j, m, name)
-    if m1.twice + m2.twice + m3.twice != 0:
-        return 0.0
-    if not triangle_ok(j1.twice, j2.twice, j3.twice):
+    return wigner_3j_twice(*js, *ms)
+
+
+def wigner_3j_twice(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    """wigner_3j on twice-values that pass check_projection.  The squared
+    prefactor is the triangle coefficient Delta(j1 j2 j3) times the six
+    (j +- m)!."""
+    if m1 + m2 + m3 != 0 or not triangle_ok(j1, j2, j3):
         return 0.0
 
     fac = math.factorial
     # factorial arguments, all guaranteed non-negative integers here
-    a1 = (j1.twice + j2.twice - j3.twice) // 2
-    jm = [
-        (j1.twice + m1.twice) // 2, (j1.twice - m1.twice) // 2,
-        (j2.twice + m2.twice) // 2, (j2.twice - m2.twice) // 2,
-        (j3.twice + m3.twice) // 2, (j3.twice - m3.twice) // 2,
-    ]
+    a1 = (j1 + j2 - j3) // 2
+    jm = [(j1 + m1) // 2, (j1 - m1) // 2, (j2 + m2) // 2, (j2 - m2) // 2,
+          (j3 + m3) // 2, (j3 - m3) // 2]
 
     # squared prefactor as an exact integer ratio, divided once
-    num, den = _triangle_coefficient(j1.twice, j2.twice, j3.twice)
+    num, den = _triangle_coefficient(j1, j2, j3)
     for f in jm:
         num *= fac(f)
 
-    t1 = (j2.twice - j3.twice - m1.twice) // 2
-    t2 = (j1.twice - j3.twice + m2.twice) // 2
+    t1 = (j2 - j3 - m1) // 2
+    t2 = (j1 - j3 + m2) // 2
     tmin = max(0, t1, t2)
     tmax = min(a1, jm[1], jm[2])
 
     # the phase (-1)^(j1-j2-m3) rides on each term: fsum(-x) is -fsum(x) exactly
-    phase = (j1.twice - j2.twice - m3.twice) // 2
+    phase = (j1 - j2 - m3) // 2
     terms = []
     for t in range(tmin, tmax + 1):
         denom = (fac(t) * fac(t - t1) * fac(t - t2)
@@ -181,14 +182,18 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
     """Wigner 6j symbol {j1 j2 j3 / j4 j5 j6}.
 
     Returns 0.0 when any of the four triads violates the triangle rules;
-    the squared prefactor is the product of their triangle coefficients.
+    raises InvalidInputError for malformed or negative angular momenta.
     """
-    js = [HalfInt(j) for j in (j1, j2, j3, j4, j5, j6)]
+    js = [doubled(j) for j in (j1, j2, j3, j4, j5, j6)]
     for j in js:
-        if j.twice < 0:
-            raise InvalidInputError(f"negative angular momentum {j!r}")
-    t1, t2, t3, t4, t5, t6 = (j.twice for j in js)
+        if j < 0:
+            raise InvalidInputError(f"negative angular momentum {shown(j)}")
+    return wigner_6j_twice(*js)
 
+
+def wigner_6j_twice(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
+    """wigner_6j on non-negative twice-values.  The squared prefactor is the
+    product of the four triads' triangle coefficients."""
     triads = ((t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))
     if not all(triangle_ok(*tri) for tri in triads):
         return 0.0
@@ -217,31 +222,11 @@ def wigner_6j(j1: Momentum, j2: Momentum, j3: Momentum,
     return _racah_close(num, den, terms)
 
 
-_RANK = HalfInt(2)
-
-
 def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
-    """Passive rank-2 little-d element d2_{mp,m}(beta), by Wigner's sum.
-
-    The passive matrix is the transpose of the active one.  With c, s the
-    cosine and sine of beta/2, and k over the non-negative factorials,
-    d2_{mp,m} = sum_k (-1)^(k-mp+m) sqrt((2+m)!(2-m)!(2+mp)!(2-mp)!)
-                / ((2+mp-k)! k! (2-k-m)! (k-mp+m)!) c^(4-2k+mp-m) s^(2k-mp+m).
-    """
-    mp, m = HalfInt(mp), HalfInt(m)
-    check_projection(_RANK, mp, "rank")
-    check_projection(_RANK, m, "rank")
+    """Passive rank-2 little-d element d2_{mp,m}(beta): D2 at alpha = 0."""
     if not math.isfinite(beta):
         raise InvalidInputError(f"beta must be finite, not {beta!r}")
-    mp, m = int(mp), int(m)
-    fac = math.factorial
-    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
-    total = 0.0
-    for k in range(max(0, mp - m), min(2 + mp, 2 - m) + 1):
-        denom = fac(2 + mp - k) * fac(k) * fac(2 - k - m) * fac(k - mp + m)
-        total += ((-1) ** (k - mp + m) / denom
-                  * c ** (4 - 2 * k + mp - m) * s ** (2 * k - mp + m))
-    return math.sqrt(fac(2 + m) * fac(2 - m) * fac(2 + mp) * fac(2 - mp)) * total
+    return wigner_D2(mp, m, EulerAngles(0.0, beta)).real
 
 
 def wigner_D2(mp: Momentum, m: Momentum, angles: EulerAngles) -> complex:
@@ -250,7 +235,26 @@ def wigner_D2(mp: Momentum, m: Momentum, angles: EulerAngles) -> complex:
     Passive convention with alpha applied first, so the alpha phase rides on
     the second index: D2_{mp,m} = d2_{mp,m}(beta) * exp(i*m*alpha).
     """
-    mp, m = HalfInt(mp), HalfInt(m)
-    d = wigner_d2(mp, m, angles.beta)
-    return d * complex(math.cos(int(m) * angles.alpha),
-                       math.sin(int(m) * angles.alpha))
+    mp, m = doubled(mp), doubled(m)
+    check_projection(4, mp, "rank")
+    check_projection(4, m, "rank")
+    return wigner_D2_twice(mp, m, angles)
+
+
+def wigner_D2_twice(two_mp: int, two_m: int, angles: EulerAngles) -> complex:
+    """wigner_D2 on the twice-values of rank-2 projections.  d2 is Wigner's
+    sum, the passive matrix being the transpose of the active one: with c, s
+    the cosine and sine of beta/2, and k over the non-negative factorials,
+    d2_{mp,m} = sum_k (-1)^(k-mp+m) sqrt((2+m)!(2-m)!(2+mp)!(2-mp)!)
+                / ((2+mp-k)! k! (2-k-m)! (k-mp+m)!) c^(4-2k+mp-m) s^(2k-mp+m).
+    """
+    mp, m = two_mp // 2, two_m // 2
+    fac = math.factorial
+    c, s = math.cos(0.5 * angles.beta), math.sin(0.5 * angles.beta)
+    total = 0.0
+    for k in range(max(0, mp - m), min(2 + mp, 2 - m) + 1):
+        denom = fac(2 + mp - k) * fac(k) * fac(2 - k - m) * fac(k - mp + m)
+        total += ((-1) ** (k - mp + m) / denom
+                  * c ** (4 - 2 * k + mp - m) * s ** (2 * k - mp + m))
+    d = math.sqrt(fac(2 + m) * fac(2 - m) * fac(2 + mp) * fac(2 - mp)) * total
+    return d * complex(math.cos(m * angles.alpha), math.sin(m * angles.alpha))

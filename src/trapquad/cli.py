@@ -133,11 +133,11 @@ def _csv_row(row) -> str:
 def cmd_matrix_elements(args) -> int:
     config = load_run_config(args.config)   # a bad config exits before numpy loads
     from .coupling import hq_matrix
-    from .species import load_species, parse_half_int
+    from .species import load_species
     species = load_species(args.species)
     level = species.level(args.level)
     trap = trap_from_config(config, species.mass_kg)
-    manifold = [parse_half_int(f) for f in args.manifold.split(",") if f.strip()]
+    manifold = [f for f in args.manifold.split(",") if f.strip()]
     mat = hq_matrix(level, trap, manifold)
 
     rows = []

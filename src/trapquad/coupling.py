@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .angular import (EulerAngles, HalfInt, Momentum, check_projection, triangle_ok,
-                      wigner_3j, wigner_6j, wigner_D2)
+from .angular import (EulerAngles, HalfInt, Momentum, check_projection, doubled, shown,
+                      triangle_ok, wigner_3j_twice, wigner_6j_twice, wigner_D2_twice)
 from .errors import InvalidInputError
 from .trap import CODATA2018, TrapConfig
 
@@ -49,10 +49,10 @@ class HyperfineState:
     m: HalfInt
 
     def __init__(self, F: Momentum, m: Momentum):
-        F, m = HalfInt(F), HalfInt(m)
-        check_projection(F, m, "F")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "m", m)
+        two_f, two_m = doubled(F), doubled(m)
+        check_projection(two_f, two_m, "F")
+        object.__setattr__(self, "F", HalfInt.from_twice(two_f))
+        object.__setattr__(self, "m", HalfInt.from_twice(two_m))
 
     def __repr__(self) -> str:
         return f"|{self.F},{self.m}>"
@@ -77,14 +77,13 @@ class LevelSpec:
     def __init__(self, nuclear_spin: Momentum, electronic_j: Momentum,
                  theta_e_a02: float, hyperfine_energies_hz=None,
                  label: str = ""):
-        nuclear_spin = HalfInt(nuclear_spin)
-        electronic_j = HalfInt(electronic_j)
-        if nuclear_spin.twice < 0 or electronic_j.twice < 0:
+        two_i, two_j = doubled(nuclear_spin), doubled(electronic_j)
+        if two_i < 0 or two_j < 0:
             raise InvalidInputError("I and J must be non-negative")
         if not math.isfinite(theta_e_a02):
             raise InvalidInputError("Theta(J) must be finite")
-        object.__setattr__(self, "nuclear_spin", nuclear_spin)
-        object.__setattr__(self, "electronic_j", electronic_j)
+        object.__setattr__(self, "nuclear_spin", HalfInt.from_twice(two_i))
+        object.__setattr__(self, "electronic_j", HalfInt.from_twice(two_j))
         object.__setattr__(self, "theta_e_a02", float(theta_e_a02) + 0.0)
         object.__setattr__(self, "label", label)
         energies = None
@@ -95,38 +94,44 @@ class LevelSpec:
                 raise InvalidInputError("hyperfine energies must be finite and unique")
         object.__setattr__(self, "hyperfine_energies_hz", energies)
 
+    def f_twice(self) -> range:
+        """Twice each F of the level, ascending."""
+        two_i, two_j = self.nuclear_spin.twice, self.electronic_j.twice
+        return range(abs(two_i - two_j), two_i + two_j + 1, 2)
+
     def f_values(self) -> list[HalfInt]:
-        lo = abs(self.nuclear_spin.twice - self.electronic_j.twice)
-        hi = self.nuclear_spin.twice + self.electronic_j.twice
-        return [HalfInt.from_twice(t) for t in range(lo, hi + 1, 2)]
+        return [HalfInt.from_twice(t) for t in self.f_twice()]
 
     def per_f(self, values: Mapping[Momentum, float], what: str) -> dict[HalfInt, float]:
-        """`values` as {F: float}; raises InvalidInputError, naming the missing
-        and the extra F, unless it has one entry for every F of the level and no other."""
-        by_f = {HalfInt(f): float(v) for f, v in values.items()}
-        fs = self.f_values()
-        missing = [f for f in fs if f not in by_f]
-        extra = [f for f in by_f if f not in fs]
+        """`values` as {F: float} in F order; raises InvalidInputError, naming the
+        missing and the extra F, unless it has one entry for every F of the
+        level and no other."""
+        by_f = {doubled(f): float(v) for f, v in values.items()}
+        fs = self.f_twice()
+        missing = [HalfInt.from_twice(t) for t in fs if t not in by_f]
+        extra = [HalfInt.from_twice(t) for t in by_f if t not in fs]
         if missing or extra:
             raise InvalidInputError(
-                f"level {self.label or '?'} needs {what} for each F in {fs} "
+                f"level {self.label or '?'} needs {what} for each F in {self.f_values()} "
                 f"and no other; missing F={missing}, extra F={extra}")
-        return by_f
+        return {HalfInt.from_twice(t): by_f[t] for t in fs}
 
-    def validate_f(self, F: Momentum) -> HalfInt:
-        F = HalfInt(F)
-        if not triangle_ok(self.nuclear_spin.twice, self.electronic_j.twice, F.twice):
+    def validate_f(self, F: Momentum) -> int:
+        """Twice F, which must be one of the level's F values."""
+        two_f = doubled(F)
+        if not triangle_ok(self.nuclear_spin.twice, self.electronic_j.twice, two_f):
             raise InvalidInputError(
-                f"F={F!r} invalid for I={self.nuclear_spin!r}, "
+                f"F={shown(two_f)} invalid for I={self.nuclear_spin!r}, "
                 f"J={self.electronic_j!r}"
             )
-        return F
+        return two_f
 
     def manifold(self, F: Momentum) -> list[HyperfineState]:
         """All |F, m> states of one hyperfine level, m ascending."""
-        F = self.validate_f(F)
-        return [HyperfineState(F, HalfInt.from_twice(tm))
-                for tm in range(-F.twice, F.twice + 1, 2)]
+        two_f = self.validate_f(F)
+        f = HalfInt.from_twice(two_f)
+        return [HyperfineState(f, HalfInt.from_twice(tm))
+                for tm in range(-two_f, two_f + 1, 2)]
 
 
 def gradient_components(A: float, epsilon: float) -> dict[int, float]:
@@ -162,10 +167,10 @@ def reduced_table(level: LevelSpec) -> ReducedTable:
 
 def table_index(level: LevelSpec, F: Momentum, m: Momentum) -> int:
     """Position of the state |F, m> of `level` in reduced_table(level)."""
-    F, m = HalfInt(F), HalfInt(m)
-    row = reduced_table(level).rows.get((F.twice, m.twice))
+    two_f, two_m = doubled(F), doubled(m)
+    row = reduced_table(level).rows.get((two_f, two_m))
     if row is None:  # every |F,m> of a valid F is in the table
-        HyperfineState(F, m)   # raises for an m that F cannot have
+        check_projection(two_f, two_m, "F")
         level.validate_f(F)
     return row
 
@@ -173,34 +178,32 @@ def table_index(level: LevelSpec, F: Momentum, m: Momentum) -> int:
 @lru_cache(maxsize=None)
 def _build_table(two_i: int, two_j: int) -> ReducedTable:
     level = LevelSpec(HalfInt.from_twice(two_i), HalfInt.from_twice(two_j), 1.0)
-    i, j, fs = level.nuclear_spin, level.electronic_j, level.f_values()
-    states = [s for f in fs for s in level.manifold(f)]
-    f2 = np.array([s.F.twice for s in states])
-    m2 = np.array([s.m.twice for s in states])
+    states = [s for f in level.f_values() for s in level.manifold(f)]
+    fm = [(s.F.twice, s.m.twice) for s in states]
+    f2, m2 = np.array(fm).T
     dmu2 = m2[:, None] - m2[None, :]
     channel = np.where(np.abs(dmu2) <= 4, dmu2 // 2 + 2, 0)
     reduced = np.zeros(channel.shape)
     if two_j >= 2:  # no rank-2 support below J = 1
-        norm = wigner_3j(j, 2, j, -j, 0, j)
-        six = {(fp.twice, f.twice): wigner_6j(f, fp, 2, j, j, i) / norm
+        norm = wigner_3j_twice(two_j, 4, two_j, -two_j, 0, two_j)
+        fs = level.f_twice()
+        six = {(fp, f): wigner_6j_twice(f, fp, 4, two_j, two_j, two_i) / norm
                for fp in fs for f in fs}
         for row, k in zip(*np.nonzero(np.tril(np.abs(dmu2) <= 4))):
-            bra, ket = states[row], states[k]
-            scale = six[bra.F.twice, ket.F.twice]
+            (bra_f, bra_m), (ket_f, ket_m) = fm[row], fm[k]
+            scale = six[bra_f, ket_f]
             if scale == 0.0:
                 continue
-            three = wigner_3j(ket.F, 2, bra.F, ket.m,
-                              HalfInt.from_twice(dmu2[row, k]), -bra.m)
+            three = wigner_3j_twice(ket_f, 4, bra_f, ket_m, bra_m - ket_m, -bra_m)
             # F'+F+I+J+mu' is an integer for every state of the level
-            phase = (bra.F.twice + ket.F.twice + two_i + two_j + bra.m.twice) // 2
+            phase = (bra_f + ket_f + two_i + two_j + bra_m) // 2
             reduced[row, k] = ((-1.0) ** phase * three * scale
-                               * math.sqrt((bra.F.twice + 1.0) * (ket.F.twice + 1.0)))
+                               * math.sqrt((bra_f + 1.0) * (ket_f + 1.0)))
         # the upper triangle follows from <k|T|i> = (-1)^dmu <i|T|k>
         reduced += np.tril(reduced, -1).T * (-1.0) ** (dmu2 // 2)
     for array in (f2, m2, reduced, channel):
         array.flags.writeable = False
-    return ReducedTable(tuple(states),
-                        {(s.F.twice, s.m.twice): row for row, s in enumerate(states)},
+    return ReducedTable(tuple(states), {key: row for row, key in enumerate(fm)},
                         f2, m2, reduced, channel)
 
 
@@ -208,7 +211,7 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
 def _channel_factors(A: float, epsilon: float, orientation: EulerAngles) -> np.ndarray:
     """c[dmu + 2] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, for every level."""
     grads = gradient_components(A, epsilon)
-    c = np.array([sum(grads[q] * wigner_D2(dmu, q, orientation)
+    c = np.array([sum(grads[q] * wigner_D2_twice(2 * dmu, 2 * q, orientation)
                       for q in (-2, 0, 2) if grads[q] != 0.0)
                   for dmu in range(-2, 3)], dtype=complex)
     c *= CODATA2018.e_a0_squared / CODATA2018.hbar
@@ -242,13 +245,14 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
                          ket: HyperfineState, q: int,
                          angles: EulerAngles) -> complex:
     """<bra|Tq|ket> of the principal-frame rank-2 component, in units of e*a0^2."""
-    check_projection(HalfInt(2), HalfInt(q), "rank")
+    two_q = doubled(q)
+    check_projection(4, two_q, "rank")
     i, k = table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m)
     pref = reduced_table(level).reduced[i, k]
     if pref == 0.0:  # also every |dmu| > 2, where D2 is undefined
         return 0.0j
-    dmu = (bra.m.twice - ket.m.twice) // 2
-    return complex(level.theta_e_a02 * pref * wigner_D2(dmu, q, angles))
+    dmu2 = bra.m.twice - ket.m.twice
+    return complex(level.theta_e_a02 * pref * wigner_D2_twice(dmu2, two_q, angles))
 
 
 @dataclass(frozen=True)
@@ -275,12 +279,13 @@ def hq_matrix(level: LevelSpec, trap: TrapConfig,
     Basis states are ordered by (F ascending, m ascending); each F may be
     listed once, and an empty manifold raises InvalidInputError.
     """
-    fs = sorted((level.validate_f(F) for F in manifold), key=lambda f: f.twice)
+    fs = sorted(level.validate_f(F) for F in manifold)
     if not fs:
         raise InvalidInputError("manifold must contain at least one F level")
-    wanted = {f.twice for f in fs}
+    wanted = set(fs)
     if len(wanted) != len(fs):
-        raise InvalidInputError(f"manifold lists an F level more than once: {fs}")
+        raise InvalidInputError("manifold lists an F level more than once: "
+                                f"{[HalfInt.from_twice(t) for t in fs]}")
     table = reduced_table(level)
     idx = np.array([row for row, s in enumerate(table.states) if s.F.twice in wanted])
     # rows, then columns: a new C-ordered array, in a third of one np.ix_ read's time

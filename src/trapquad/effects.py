@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .angular import EulerAngles, HalfInt, Momentum
+from .angular import EulerAngles, Momentum, check_projection, shown
 from .coupling import (HyperfineState, LevelSpec, amplitudes, gradient_components,
                        reduced_table, table_index)
 from .errors import InvalidInputError, ResonanceError
@@ -92,7 +92,7 @@ def resonant_coupling(level: LevelSpec, bra: HyperfineState,
     if abs(dm) not in (2, 4):
         raise InvalidInputError(
             "resonant coupling requires |dm| of 1 or 2, got "
-            f"{HalfInt.from_twice(dm)!r}"
+            f"{shown(dm)}"
         )
     key = (table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m))
     return complex(amplitudes(level, trap, key))
@@ -149,15 +149,16 @@ def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
     return -float(np.sum(np.abs(amp_hz) ** 2 * weight))
 
 
-def _clock_weights(level: LevelSpec, f_clock: HalfInt) -> tuple[int, np.ndarray]:
+def _clock_weights(level: LevelSpec, two_f: int) -> tuple[int, np.ndarray]:
     """The table index k of |F,0>, and 1/(2*(E_F' - E_F)) in 1/Hz for every
-    state of the level's coupling table (0 within F itself)."""
+    state of the level's coupling table (0 within F itself), for twice F."""
     table, energies = reduced_table(level), level.hyperfine_energies_hz
     if energies is None:
         raise InvalidInputError(f"level {level.label or '?'} has no hyperfine energies")
-    energy = np.array([energies[f] for f in level.f_values()])
+    energy = np.array(list(energies.values()))   # in F order (LevelSpec.per_f)
     e_hz = energy[(table.f_twice - table.f_twice[0]) // 2]
-    k = table_index(level, f_clock, 0)
+    check_projection(two_f, 0, "F")   # a half-integer F has no m = 0
+    k = table.rows[two_f, 0]
     split = np.where(table.f_twice == table.f_twice[k], np.inf, e_hz - e_hz[k])
     return k, 0.5 / split
 
@@ -172,13 +173,13 @@ def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
     and no other (LevelSpec.per_f), and they are summed in f_values() order.
     """
     shifts = level.per_f(per_f_shifts, "a shift")
-    fs = _equal_weight_levels(level)
-    return sum(shifts[f] for f in fs) / len(fs)
+    _equal_weight_levels(level)
+    return sum(shifts.values()) / len(shifts)
 
 
-def _equal_weight_levels(level: LevelSpec) -> list[HalfInt]:
-    """The level's F values; raises unless there are 2J + 1 of them (I >= J)."""
-    fs = level.f_values()
+def _equal_weight_levels(level: LevelSpec) -> range:
+    """Twice the level's F values; raises unless there are 2J + 1 of them (I >= J)."""
+    fs = level.f_twice()
     if len(fs) != level.electronic_j.twice + 1:
         raise InvalidInputError("equal-weight averaging assumes I >= J (2J+1 F levels)")
     return fs

@@ -137,22 +137,25 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
                           tau: float) -> SpectrumScan:
     """Noise-averaged transfer spectrum on 2n - 1 nodes, with n and the
     change, for the first n from the coarsest rule that resolves sigma_B*tau
-    where the averages on n and 2n - 1 nodes agree to 1e-6 at every point;
-    at sigma_B = 0, the transfer on the grid bit for bit (n = 1).  The nodes
-    lie on x in [-6, 6], from 25 (h = 0.5) to 3073 (h = 1/256); those beyond
-    |x| = 6 would move the average by at most 2*Phi(-6) = 2.0e-9.  Raises
-    InvalidInputError, before any transfer is computed, for a nonzero
-    sys.detuning_laser (the grid is the laser detuning) or a grid that is not
-    1-D, non-empty, finite and strictly increasing, and
-    QuadratureConvergenceError past 3073 nodes (sigma_B*tau near 1.9 nT*s)."""
+    where the averages on n and 2n - 1 nodes agree to 1e-6 at every point
+    (n = 1 at sigma_B = 0), taken once per distinct |delta| at Delta = 0,
+    where it is even in delta (_Objective).  The nodes lie on x in [-6, 6],
+    from 25 (h = 0.5) to 3073 (h = 1/256); those beyond |x| = 6 would move
+    the average by at most 2*Phi(-6) = 2.0e-9.  Raises InvalidInputError,
+    before any transfer is computed, for a nonzero sys.detuning_laser (the
+    grid is the laser detuning) or a grid that is not 1-D, non-empty, finite
+    and strictly increasing, and QuadratureConvergenceError past 3073 nodes
+    (sigma_B*tau near 1.9 nT*s)."""
     if sys.detuning_laser != 0.0:
         raise InvalidInputError("detuning_laser must be 0: the grid is the laser detuning")
     detunings = check_detuning_grid(detunings)
+    points, where = (_distinct_magnitudes(detunings) if sys.detuning_rf == 0.0
+                     else (detunings, slice(None)))
     n, transfer, change = _converged_order(
         lambda m, new: _averaged_transfer(sys.omega_q, sys.omega_0, sys.detuning_rf,
-                                          noise.sigma_b, detunings, tau, m, new),
+                                          noise.sigma_b, points, tau, m, new),
         _start_order(noise.sigma_b, tau))
-    return SpectrumScan(detunings=detunings, transfer=transfer, tau=tau,
+    return SpectrumScan(detunings=detunings, transfer=transfer[where], tau=tau,
                         quadrature_nodes=n, quadrature_change=change)
 
 
@@ -160,18 +163,12 @@ def simulate_counts(sys: RwaSystem, noise: NoiseModel, detunings: np.ndarray,
                     tau: float, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Binomial counts of `shots` trials per point, drawn from
-    noise_averaged_signal.  At Delta = 0 the average is even in delta (see
-    _Objective), so it is taken on the sorted distinct |delta| and each
-    point draws from the value at its own |delta|: a scan symmetric about
-    the carrier costs half the pairs.  Off the carrier it is taken on the
-    grid.  Raises InvalidInputError before any transfer is computed unless
-    shots pass _check_shots and sys and the grid pass noise_averaged_signal's."""
+    noise_averaged_signal on the grid.  Raises InvalidInputError before any
+    transfer is computed unless shots pass _check_shots and sys and the grid
+    pass noise_averaged_signal's."""
     _check_shots(shots, np.shape(detunings))
-    detunings = check_detuning_grid(detunings)
-    points, where = (_distinct_magnitudes(detunings) if sys.detuning_rf == 0.0
-                     else (detunings, slice(None)))
-    transfer = noise_averaged_signal(sys, noise, points, tau).transfer
-    return rng.binomial(shots, np.clip(transfer[where], 0.0, 1.0))
+    transfer = noise_averaged_signal(sys, noise, detunings, tau).transfer
+    return rng.binomial(shots, np.clip(transfer, 0.0, 1.0))
 
 
 def _check_shots(shots, shape: tuple) -> np.ndarray:

@@ -10,7 +10,6 @@ Angular momenta appear as strings like "7/2" or "3"; energies are in Hz.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,16 +21,6 @@ from .errors import InvalidInputError, check_document, read_json
 from .trap import CODATA2018
 
 BUNDLED = ("ba138", "lu176")
-
-
-def parse_half_int(text: str | int | float) -> HalfInt:
-    """Parse '5/2', '3', 3 or 2.5 into a HalfInt."""
-    if not isinstance(text, str):
-        return HalfInt(text)
-    match = re.fullmatch(r"(-?[0-9]+)(/2)?", text.strip())
-    if match is None:
-        raise InvalidInputError(f"{text!r} is not an integer or n/2")
-    return HalfInt.from_twice(int(match[1]) * (1 if match[2] else 2))
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ def _new_key(seen: dict, key, where: str, what: str):
 def parse_species(raw: dict) -> Species:
     """A Species from a document that schemas/species.schema.json accepts."""
     check_document(raw, "species", "species file")
-    nuclear_spin = parse_half_int(raw["nuclear_spin"])
+    nuclear_spin = HalfInt(raw["nuclear_spin"])
 
     levels: dict[str, LevelSpec] = {}
     for i, entry in enumerate(raw["levels"]):
@@ -97,11 +86,11 @@ def parse_species(raw: dict) -> Species:
             by_f = {}
             for f, e in energies.items():
                 where = f"levels[{i}].hyperfine_f_energies_hz.{f}"
-                by_f[_new_key(by_f, parse_half_int(f), where, "F")] = e
+                by_f[_new_key(by_f, HalfInt(f), where, "F")] = e
             energies = by_f
         levels[term] = LevelSpec(
             nuclear_spin=nuclear_spin,
-            electronic_j=parse_half_int(entry["j"]),
+            electronic_j=entry["j"],
             theta_e_a02=entry["theta_e_a02"],
             hyperfine_energies_hz=energies,
             label=f"{raw['name']} {term}",

@@ -1,6 +1,6 @@
 """Mutation check of the noise-average rule, the transfer kernel and its
 agreement with the single-matrix propagator, the fit's Jacobian, the
-grouping of the points by |delta| in the fit and in simulate_counts, the
+grouping of the points by |delta| in the fit and in noise_averaged_signal, the
 fit's memory of its passes, the weights and the chi^2 that the fit's
 objective shares, the seed's one-node omega_q grid and the one laser
 detuning per pair of every model pass, the solver's stopping tests and its
@@ -8,10 +8,11 @@ step back from the bound, the peak search, the explicit-drive oracle, the
 schema checker, the detuning grid's, the fit's input-shape, the CLI's and
 the trap config's own checks, the code that each rule written once
 shares, the keys of the cached H_Q matrix and channel factors, the
-off-resonant partner window and its skip of uncoupled partners,
-HalfInt's non-finite values, and the angular-momentum rules that angular and
-coupling share: each mutant is one small fault, and the tests named with it
-must fail when it is applied.
+off-resonant partner window and its skip of uncoupled partners, the entry
+rule of every angular momentum (angular.doubled: its float range, NaN, its
+1e-9 tolerance and its "n/2" text), and the angular-momentum rules that
+angular and coupling share: each mutant is one small fault, and the tests
+named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -131,8 +132,9 @@ MUTANTS = (
            "if sys.detuning_rf == 0.0", "if True",
            (_TI + "TestSimulateCounts::test_passes_each_distinct_magnitude_once_on_the"
             "_carrier[off-carrier]",
-            _TI + "TestSimulateCounts::test_counts_are_drawn_from_the_noise_averaged"
-            "_signal[1.8e-08-off-carrier]")),
+            _TI + "TestNoiseAveragedSignal::test_carrier_spectrum_is_even_for_half_the"
+            "_pairs[1.8e-08-nodes1]",
+            _TI + "TestNoiseAveragedSignal::test_zero_sigma_reduces_to_bare_scan")),
     # the fit's memory of its passes: keyed on x alone, the refined solver's
     # first pass would return the pass on the coarser rule
     Mutant("memo-keyed-on-x-alone", _INFERENCE,
@@ -244,12 +246,13 @@ MUTANTS = (
     # each rule written once: a fault in the shared code that no exception
     # would show
     Mutant("counts-from-the-whole-grid", _INFERENCE,
-           "noise_averaged_signal(sys, noise, points, tau)",
-           "noise_averaged_signal(sys, noise, detunings, tau)",
+           "noise.sigma_b, points, tau, m, new)",
+           "noise.sigma_b, detunings, tau, m, new)",
            (_TI + "TestSimulateCounts::test_passes_each_distinct_magnitude_once_on_the"
             "_carrier[carrier]",
-            _TI + "TestSimulateCounts::test_counts_are_drawn_from_the_noise_averaged"
-            "_signal[1.8e-08-carrier]")),
+            _TI + "TestNoiseAveragedSignal::test_carrier_spectrum_is_even_for_half_the"
+            "_pairs[0.0-nodes0]",
+            _TI + "TestNoiseAveragedSignal::test_zero_sigma_reduces_to_bare_scan")),
     Mutant("triangle-coefficient-without-plus-1", _ANGULAR,
            "fac((a + b + c) // 2 + 1))", "fac((a + b + c) // 2))",
            (_TA + "TestWigner3j::test_agrees_with_exact_oracle_j_up_to_10",
@@ -369,7 +372,7 @@ MUTANTS = (
             _TCP + "TestSharedRules::test_validate_f_accepts_exactly_the_f_values[14-2]",
             _TA + "TestWigner6j::test_agrees_with_exact_oracle_j_up_to_10")),
     Mutant("projection-parity-dropped", _ANGULAR,
-           "if (j.twice - m.twice) % 2:", "if False:",
+           " or (j - m) % 2:", ":",
            (_TA + "TestWigner3j::test_invalid_input_raises",
             _TCP + "TestSharedRules::test_projection_rule_is_the_same_for_every_caller"
             "[HyperfineState]",
@@ -388,10 +391,38 @@ MUTANTS = (
            '        object.__setattr__(self, "alpha", self.alpha + 0.0)\n'
            '        object.__setattr__(self, "beta", self.beta + 0.0)\n', "",
            (_TCP + "TestReducedTable::test_signed_zero_inputs_read_one_matrix[angles]",)),
+    # the entry rule, angular.doubled: the float range (infinities and ints
+    # past it), NaN, the 1e-9 tolerance both ways, the half-integer check,
+    # and the "n/2" text that species files and --manifold use
     Mutant("half-int-overflow-uncaught", _ANGULAR,
-           "except (ValueError, OverflowError):", "except ValueError:",
+           "if not abs(twice) <= sys.float_info.max:  # also NaN",
+           "if twice != twice:  # NaN only",
            (_TA + "TestHalfInt::test_non_finite_values[inf]",
             _TA + "TestHalfInt::test_non_finite_values[1e308]")),
+    Mutant("huge-int-accepted", _ANGULAR,
+           "abs(twice) <= sys.float_info.max", "abs(twice) <= math.inf",
+           (_TA + "TestHalfInt::test_non_finite_values[10**400]",)),
+    Mutant("nan-accepted", _ANGULAR,
+           "if not abs(twice) <= sys.float_info.max:",
+           "if abs(twice) > sys.float_info.max:",
+           (_TA + "TestHalfInt::test_non_finite_values[nan]",)),
+    Mutant("tolerance-exact", _ANGULAR,
+           "if abs(twice - rounded) > 1e-9:", "if abs(twice - rounded) > 0.0:",
+           (_TA + "TestHalfInt::test_tolerance_is_1e_9_on_twice_the_value",)),
+    Mutant("tolerance-loosened", _ANGULAR,
+           "if abs(twice - rounded) > 1e-9:", "if abs(twice - rounded) > 1e-7:",
+           (_TA + "TestHalfInt::test_tolerance_is_1e_9_on_twice_the_value",)),
+    Mutant("non-half-integer-accepted", _ANGULAR,
+           "if abs(twice - rounded) > 1e-9:", "if False:",
+           (_TA + "TestHalfInt::test_rejects_non_half_integers",
+            _TA + "TestHalfInt::test_tolerance_is_1e_9_on_twice_the_value")),
+    Mutant("n-over-2-read-as-n", _ANGULAR,
+           "int(match[1]) * (1 if match[2] else 2)", "int(match[1]) * (2 if match[2] else 1)",
+           ("tests/test_species.py::TestParsing::test_half_int_strings",
+            _TC + "TestMatrixElements::test_ba_beta_zero_has_dm2_only")),
+    Mutant("any-denominator-accepted", _ANGULAR,
+           'r"(-?[0-9]+)(/2)?"', 'r"(-?[0-9]+)(/[0-9])?"',
+           ("tests/test_species.py::TestParsing::test_half_int_strings",)),
 )
 
 

@@ -234,7 +234,7 @@ def test_criterion_7_property_suites(lu, lu_trap):
         for tm in range(2, f.twice + 1, 2):
             m = HalfInt.from_twice(tm)
             up = offresonant_zeeman_shift(level, f, m, trap, zee)
-            dn = offresonant_zeeman_shift(level, f, -m, trap, zee)
+            dn = offresonant_zeeman_shift(level, f, HalfInt.from_twice(-tm), trap, zee)
             assert abs(up + dn) <= 1e-12 * max(abs(up), 1e-30)
 
     # dm = 0 clock-shift cancellation under hyperfine averaging

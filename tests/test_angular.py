@@ -8,11 +8,13 @@ import pytest
 from trapquad.angular import (
     EulerAngles,
     HalfInt,
+    doubled,
     wigner_3j,
     wigner_6j,
     wigner_D2,
     wigner_d2,
 )
+from trapquad.coupling import HyperfineState, LevelSpec
 from trapquad.errors import InvalidInputError
 
 from exact_wigner import exact_3j, exact_6j
@@ -23,32 +25,36 @@ class TestHalfInt:
         assert HalfInt(2).twice == 4
         assert HalfInt(2.5).twice == 5
         assert HalfInt.from_twice(7) == HalfInt(3.5)
-        assert float(HalfInt(1.5)) == 1.5
-        assert int(HalfInt(3)) == 3
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(InvalidInputError):
             HalfInt(0.3)
 
-    def test_arithmetic_and_ordering(self):
-        assert -HalfInt(1.5) == -1.5
-        assert HalfInt(0.5) < HalfInt(1) <= 1 <= HalfInt(1.5) > 0.5
-        assert HalfInt(2) >= HalfInt(2) and not HalfInt(2) >= 2.5
+    def test_tolerance_is_1e_9_on_twice_the_value(self):
+        assert doubled(2.5 + 1e-10) == doubled(HalfInt(2.5)) == 5
+        assert doubled(-1 - 4e-10) == -2
+        for off in (1e-8, -1e-8):
+            with pytest.raises(InvalidInputError, match="integer or half-integer"):
+                doubled(2.5 + off)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
-                             ids=["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, 10**400],
+                             ids=["nan", "inf", "-inf", "1e308", "10**400"])
     def test_non_finite_values(self, value):
-        # NaN raised a bare ValueError and the others an OverflowError,
-        # from == and < too
-        with pytest.raises(InvalidInputError, match="NaN, infinite or too large"):
-            HalfInt(value)
+        # NaN raised a bare ValueError and the others an OverflowError, from
+        # == too; 10**400 was accepted, and hash() and math.factorial raised
+        # OverflowError later
+        for call in (HalfInt, lambda j: wigner_3j(j, j, 0, 0, 0, 0),
+                     lambda j: wigner_6j(j, j, 0, 0, 0, 0),
+                     lambda j: hash(HyperfineState(j, 0)),
+                     lambda j: LevelSpec(j, 2, 1.0, {j: 1.0})):
+            with pytest.raises(InvalidInputError, match="NaN, infinite or too large"):
+                call(value)
         assert not HalfInt(1) == value
         assert HalfInt(1) != value
-        with pytest.raises(InvalidInputError):
-            HalfInt(1) < value
 
     def test_hashes_like_value(self):
         assert len({HalfInt(1), HalfInt(1.0), HalfInt.from_twice(2)}) == 1
+        assert {2.5: "F"}[HalfInt("5/2")] == "F"
 
 
 class TestWigner3j:

@@ -6,7 +6,7 @@ import pytest
 
 from exact_wigner import exact_3j, exact_6j
 from trapquad import coupling
-from trapquad.angular import EulerAngles, HalfInt, wigner_3j, wigner_D2
+from trapquad.angular import EulerAngles, HalfInt, wigner_3j, wigner_D2, wigner_D2_twice
 from trapquad.coupling import (
     HyperfineState,
     LevelSpec,
@@ -399,9 +399,9 @@ class TestReducedTable:
 
         def counted(*args):
             calls.append(args)
-            return wigner_D2(*args)
+            return wigner_D2_twice(*args)
 
-        monkeypatch.setattr(coupling, "wigner_D2", counted)
+        monkeypatch.setattr(coupling, "wigner_D2_twice", counted)
         coupling._level_matrix.cache_clear()
         coupling._channel_factors.cache_clear()
         lu, trap = load_species("lu176"), random_trap(random.Random(43))
@@ -460,8 +460,9 @@ class TestLevelSpec:
         assert [f.twice for f in lu_3d2_bare.f_values()] == [10, 12, 14, 16, 18]
 
     def test_validate_f_checks_range_and_parity(self, lu_3d2_bare, ba_d52):
-        assert [lu_3d2_bare.validate_f(f).twice for f in (5, 7.0, 9)] == [10, 14, 18]
-        assert ba_d52.validate_f(2.5).twice == 5
+        # twice F, as an int
+        assert [lu_3d2_bare.validate_f(f) for f in (5, 7.0, "9")] == [10, 14, 18]
+        assert ba_d52.validate_f(2.5) == 5
         for level, bad in ((lu_3d2_bare, 4), (lu_3d2_bare, 10), (lu_3d2_bare, 5.5),
                            (lu_3d2_bare, 8.5), (ba_d52, 1.5), (ba_d52, 2),
                            (ba_d52, 3.5)):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from trapquad.angular import EulerAngles, HalfInt
-from trapquad.coupling import HyperfineState, LevelSpec, c2_coefficient, hq_matrix
+from trapquad.coupling import (HyperfineState, LevelSpec, c2_coefficient, hq_matrix,
+                               table_index)
 from trapquad.effects import (
     ClockTransition,
     ZeemanConfig,
@@ -144,7 +145,7 @@ class TestOffResonantShift:
             for tm in range(2 - f.twice % 2, f.twice + 1, 2):
                 m = HalfInt.from_twice(tm)
                 up = offresonant_zeeman_shift(level, f, m, trap, zee)
-                dn = offresonant_zeeman_shift(level, f, -m, trap, zee)
+                dn = offresonant_zeeman_shift(level, f, HalfInt.from_twice(-tm), trap, zee)
                 assert up == pytest.approx(-dn, rel=1e-12, abs=1e-30)
 
     def test_m0_shift_vanishes(self, lu, lu_trap):
@@ -322,6 +323,38 @@ def test_f_outside_the_level_is_named(lu, lu_trap, ba_d52, term, call):
                          (ba_d52, 1.5, "F=3/2 invalid for I=0, J=5/2"))
     with pytest.raises(InvalidInputError, match=message):
         call(level, f, lu_trap)
+
+
+@pytest.mark.parametrize("form", ["HalfInt", "number"])
+def test_per_state_reads_build_no_half_int(lu, lu_trap, monkeypatch, form):
+    # F and m go in as HalfInts from f_values() and manifold, or as plain
+    # numbers; a warm read of either builds no HalfInt (two a read before
+    # the reads took twice-values)
+    level, trap = lu.level("3D2"), lu_trap.with_orientation(EulerAngles(0.4, 1.1))
+    zeeman = ZeemanConfig.from_splitting(1.2, TWO_PI * 100e3)
+    fs, states = level.f_values(), level.manifold(7) + level.manifold(8)
+    value = (lambda x: x) if form == "HalfInt" else (lambda x: x.twice / 2)
+
+    def reads():
+        for f in fs:
+            clock_shift(level, value(f), trap)
+        for bra, ket in zip(states, states[1:]):
+            F, m = value(bra.F), value(bra.m)
+            table_index(level, F, m)
+            sideband_index(level, F, m, trap)
+            offresonant_zeeman_shift(level, F, m, trap, zeeman)
+            c2_coefficient(level, F, m)
+            if bra.F == ket.F:   # dm = 1
+                resonant_coupling(level, bra, ket, trap)
+
+    reads()
+    built, init, from_twice = [], HalfInt.__init__, HalfInt.from_twice
+    monkeypatch.setattr(HalfInt, "__init__",
+                        lambda self, v: built.append(v) or init(self, v))
+    monkeypatch.setattr(HalfInt, "from_twice",
+                        classmethod(lambda cls, t: built.append(t) or from_twice(t)))
+    reads()
+    assert built == []
 
 
 class TestClockShift:

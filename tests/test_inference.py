@@ -24,6 +24,7 @@ from trapquad.inference import (
     ThetaEstimate,
     _averaged_transfer,
     _converged_order,
+    _distinct_magnitudes,
     _start_order,
     _uniform_rule,
     combine_runs,
@@ -88,15 +89,31 @@ def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
 class TestNoiseAveragedSignal:
     def test_zero_sigma_reduces_to_bare_scan(self):
         # every node is the same at sigma_B = 0: one node, and the bare
-        # transfer on the grid bit for bit
+        # transfer bit for bit, on the grid off the carrier and at each
+        # point's own |delta| on it
         grid = default_detuning_grid(WQ, 101)
         for delta_rf in (0.0, 0.3 * WQ):
             sys = RwaSystem(WQ, math.pi / TAU, delta_rf, 0.0)
             avg = noise_averaged_signal(sys, NoiseModel(sigma_b=0.0), grid, TAU)
             assert avg.quadrature_nodes == 1
             assert avg.quadrature_change == 0.0
-            bare = transfer_probabilities(WQ, sys.omega_0, delta_rf, grid, TAU)
-            assert np.array_equal(avg.transfer, bare)
+            points, where = (_distinct_magnitudes(grid) if delta_rf == 0.0
+                             else (grid, slice(None)))
+            bare = transfer_probabilities(WQ, sys.omega_0, delta_rf, points, TAU)
+            assert np.array_equal(avg.transfer, bare[where])
+
+    @pytest.mark.parametrize("sigma_b, nodes", [(0.0, [1]), (18e-9, [25, 24])])
+    def test_carrier_spectrum_is_even_for_half_the_pairs(self, monkeypatch, sigma_b,
+                                                         nodes):
+        # at Delta = 0 the 101 points of a symmetric grid have 51 distinct
+        # |delta|; off the carrier every point is passed, on each pass's nodes
+        grid = np.linspace(-2.0, 2.0, 101) * WQ
+        for delta_rf, distinct in ((0.0, 51), (0.3 * WQ, 101)):
+            points = count_pairs(monkeypatch)
+            sys = RwaSystem(WQ, math.pi / TAU, delta_rf, 0.0)
+            scan = noise_averaged_signal(sys, NoiseModel(sigma_b=sigma_b), grid, TAU)
+            assert points == [distinct * n for n in nodes]
+            assert np.array_equal(scan.transfer, scan.transfer[::-1]) == (delta_rf == 0.0)
 
     def test_golden_curve_at_paper_parameters(self):
         # frozen from a quadrature run at order 200; order-independent to 1e-11
@@ -192,8 +209,9 @@ class TestNoiseAveragedSignal:
         noise = NoiseModel(sigma_b=100e-9)
         scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
         assert scan.quadrature_nodes == _start_order(noise.sigma_b, TAU) == 193
-        # the start rule's 193 nodes, then the 192 the halving adds
-        assert points == [51 * 193, 51 * 192]
+        # the start rule's 193 nodes, then the 192 the halving adds, each at
+        # the grid's 26 distinct |delta| (the carrier's spectrum is even)
+        assert points == [26 * 193, 26 * 192]
 
     def test_simulated_counts_need_a_converged_average(self):
         # 400 nT at a 29 ms probe needs more than 3073 nodes; counts must

@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from trapquad.errors import InvalidInputError
-from trapquad.species import load_species, parse_half_int, parse_species
+from trapquad.angular import HalfInt, doubled
+from trapquad.species import load_species, parse_species
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trapquad"
 SCHEMA = json.loads((PACKAGE / "schemas" / "species.schema.json").read_text())
@@ -33,17 +34,18 @@ class TestBundledFiles:
 
 class TestParsing:
     def test_half_int_strings(self):
-        assert parse_half_int("5/2").twice == 5
-        assert parse_half_int("3").twice == 6
-        assert parse_half_int(2.5).twice == 5
+        # species files, --manifold and the library read text by one rule
+        assert HalfInt("5/2").twice == doubled(" 5/2 ") == 5
+        assert doubled("3") == doubled("-6/2") + 12 == 6
+        assert doubled(2.5) == 5
         with pytest.raises(InvalidInputError):
-            parse_half_int("5/3")
+            doubled("5/3")
 
     @pytest.mark.parametrize("text", ["x", "2.5", "a/2", "5/", ""])
     def test_half_int_rejects_other_text(self, text):
         # "x" and "2.5" ended in int()'s ValueError, exit 1
         with pytest.raises(InvalidInputError, match="integer or n/2"):
-            parse_half_int(text)
+            doubled(text)
 
     def test_hyperfine_key_must_be_half_int(self):
         raw = json.loads((PACKAGE / "species" / "lu176.json").read_text())

@@ -25,7 +25,12 @@ that tree's src/ on PYTHONPATH and BLAS on one thread:
   and the off-resonant shift (g_F = 1.2, omega_z = 2*pi*100 kHz) of every
   state;
 - wigner/3j-6j: every 3j symbol with all 2j <= 12 and every 6j symbol with
-  all 2j <= 6.
+  all 2j <= 6;
+- angular/entry-forms: every D2 and d2 element at three seeded orientations,
+  and every 3j symbol with all j <= 2 and every 6j symbol with all j <= 1
+  (integers, so that each has an int form),
+  each called with its quantum numbers as HalfInts, as ints and as floats;
+  and the reduced table of every level of both bundled species.
 
 The manifest is this file's: the cli_session steps come from this tree's
 perfbench/workloads.py and the README lines from this tree's README.md; the
@@ -264,13 +269,45 @@ def wigner_entries() -> dict:
     return {"wigner/3j-6j": values}
 
 
+def entry_form_entries() -> dict:
+    import itertools
+
+    import numpy as np
+    from trapquad.angular import (EulerAngles, HalfInt, wigner_3j, wigner_6j,
+                                  wigner_D2, wigner_d2)
+    from trapquad.coupling import reduced_table
+    from trapquad.species import BUNDLED, load_species
+    forms = {"HalfInt": HalfInt, "int": int, "float": float}
+    rng = np.random.default_rng(26)
+    angles = [EulerAngles(*map(float, rng.uniform(-7.0, 7.0, 2))) for _ in range(3)]
+    rotations = list(itertools.product(range(-2, 3), repeat=2))
+    three = [(*js, ma, mb, -ma - mb)
+             for js in itertools.product(range(3), repeat=3)
+             for ma in range(-js[0], js[0] + 1) for mb in range(-js[1], js[1] + 1)
+             if abs(ma + mb) <= js[2]]
+    six = list(itertools.product(range(2), repeat=6))
+    by_form = {}
+    for name, form in forms.items():
+        d = [wigner_D2(form(mp), form(m), ang) for ang in angles for mp, m in rotations]
+        by_form[name] = {
+            "D2": [[z.real, z.imag] for z in d],
+            "d2": [wigner_d2(form(mp), form(m), ang.beta)
+                   for ang in angles for mp, m in rotations],
+            "3j": [wigner_3j(*map(form, q)) for q in three],
+            "6j": [wigner_6j(*map(form, q)) for q in six]}
+    tables = {f"{name} {term}": reduced_table(level).reduced
+              for name in BUNDLED
+              for term, level in load_species(name).levels.items()}
+    return {"angular/entry-forms": {"forms": by_form, "reduced": tables}}
+
+
 def collect(tree: Path) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
         workdir = Path(tmp)
         return {**cli_entries(tree, workdir), **demo_entries(tree, workdir),
                 **fit_entries(), **round_entries(), **lu_entries(),
-                **wigner_entries()}
+                **wigner_entries(), **entry_form_entries()}
 
 
 def run_collect(tree: Path, out: Path) -> dict:
