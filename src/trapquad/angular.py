@@ -32,14 +32,19 @@ def doubled(value: Momentum) -> int:
     projection that enters the package.  A HalfInt gives its twice-value; a
     number must lie within 1e-9 of an integer or half-integer, and text must
     read "n" or "n/2".  Raises InvalidInputError for anything else, NaN, an
-    infinity, or a value whose double is past the float range."""
+    infinity, a value whose double is past the float range, or text of more
+    digits than int() reads."""
     if isinstance(value, HalfInt):
         return value.twice
     if isinstance(value, str):
         match = re.fullmatch(r"(-?[0-9]+)(/2)?", value.strip())
         if match is None:
             raise InvalidInputError(f"{value!r} is not an integer or n/2")
-        twice = int(match[1]) * (1 if match[2] else 2)
+        try:
+            twice = int(match[1]) * (1 if match[2] else 2)
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+            raise InvalidInputError(f"text of {len(match[1])} digits is too long "
+                                    "to read as a number") from None
     else:
         twice = 2 * value
     if not abs(twice) <= sys.float_info.max:  # also NaN
@@ -224,8 +229,6 @@ def wigner_6j_twice(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> flo
 
 def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
     """Passive rank-2 little-d element d2_{mp,m}(beta): D2 at alpha = 0."""
-    if not math.isfinite(beta):
-        raise InvalidInputError(f"beta must be finite, not {beta!r}")
     return wigner_D2(mp, m, EulerAngles(0.0, beta)).real
 
 

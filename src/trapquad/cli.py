@@ -33,11 +33,10 @@ from .errors import (
     check_document,
     read_json,
 )
-from .trap import (CODATA2018, NoiseModel, TrapConfig, combine_runs, extract_theta,
-                   secular_consistency)
+from .trap import (CODATA2018, TWO_PI, NoiseModel, TrapConfig, combine_runs,
+                   extract_theta, secular_consistency)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
-TWO_PI = 2.0 * math.pi
 
 
 def _numerical_errors() -> tuple:
@@ -46,10 +45,6 @@ def _numerical_errors() -> tuple:
     linalg = sys.modules.get("numpy.linalg")
     return (ResonanceError, QuadratureConvergenceError, IntegrationError, FitError,
             *((linalg.LinAlgError,) if linalg else ()))
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -127,7 +122,7 @@ def _emit(args, payload: dict, header, rows, comments=()) -> None:
 
 
 def _csv_row(row) -> str:
-    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
 
 
 def cmd_matrix_elements(args) -> int:

@@ -58,6 +58,17 @@ class HyperfineState:
         return f"|{self.F},{self.m}>"
 
 
+def _each_f_once(two_fs: list[int], what: str) -> list[int]:
+    """`two_fs` (twice each F), unless two name one F: then InvalidInputError
+    naming it, as a second energy would replace the first without a word."""
+    seen = set()
+    for two_f in two_fs:
+        if two_f in seen:
+            raise InvalidInputError(f"{what} F={shown(two_f)} more than once")
+        seen.add(two_f)
+    return two_fs
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """An atomic fine-structure level with quadrupole moment Theta(J).
@@ -104,9 +115,11 @@ class LevelSpec:
 
     def per_f(self, values: Mapping[Momentum, float], what: str) -> dict[HalfInt, float]:
         """`values` as {F: float} in F order; raises InvalidInputError, naming the
-        missing and the extra F, unless it has one entry for every F of the
-        level and no other."""
-        by_f = {doubled(f): float(v) for f, v in values.items()}
+        repeated, the missing and the extra F, unless it has one entry for
+        every F of the level and no other."""
+        keys = _each_f_once([doubled(f) for f in values],
+                           f"level {self.label or '?'} has {what} for")
+        by_f = dict(zip(keys, map(float, values.values())))
         fs = self.f_twice()
         missing = [HalfInt.from_twice(t) for t in fs if t not in by_f]
         extra = [HalfInt.from_twice(t) for t in by_f if t not in fs]
@@ -279,13 +292,10 @@ def hq_matrix(level: LevelSpec, trap: TrapConfig,
     Basis states are ordered by (F ascending, m ascending); each F may be
     listed once, and an empty manifold raises InvalidInputError.
     """
-    fs = sorted(level.validate_f(F) for F in manifold)
+    fs = _each_f_once([level.validate_f(F) for F in manifold], "manifold lists")
     if not fs:
         raise InvalidInputError("manifold must contain at least one F level")
     wanted = set(fs)
-    if len(wanted) != len(fs):
-        raise InvalidInputError("manifold lists an F level more than once: "
-                                f"{[HalfInt.from_twice(t) for t in fs]}")
     table = reduced_table(level)
     idx = np.array([row for row, s in enumerate(table.states) if s.F.twice in wanted])
     # rows, then columns: a new C-ordered array, in a third of one np.ix_ read's time

@@ -27,9 +27,8 @@ from .angular import EulerAngles, Momentum, check_projection, shown
 from .coupling import (HyperfineState, LevelSpec, amplitudes, gradient_components,
                        reduced_table, table_index)
 from .errors import InvalidInputError, ResonanceError
-from .trap import CODATA2018, TrapConfig
+from .trap import CODATA2018, TWO_PI, TrapConfig
 
-TWO_PI = 2.0 * math.pi
 _GUARD = 1e-3   # closest a coupled Zeeman interval may come to Omega_rf, relative
 
 

@@ -39,10 +39,9 @@ import numpy as np
 from .dynamics import (RwaSystem, SpectrumScan, check_detuning_grid,
                        check_probe_time, transfer_probabilities)
 from .errors import FitError, InvalidInputError, QuadratureConvergenceError
-from .trap import SENSITIVITY_LASER, SENSITIVITY_RF, NoiseModel
+from .trap import SENSITIVITY_LASER, SENSITIVITY_RF, TWO_PI, NoiseModel
 from .trap import ThetaEstimate, combine_runs, extract_theta  # noqa: F401
 
-TWO_PI = 2.0 * math.pi
 _HALF_WIDTH = 6.0              # nodes on [-6, 6]; the tails hold 2*Phi(-6) = 2.0e-9
 _FIRST_NODES = 25              # the coarsest rule, step 0.5
 _MAX_NODES = 3073              # the finest, step 1/256

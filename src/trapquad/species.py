@@ -3,8 +3,9 @@
 Species files are versioned JSON documents. `parse_species` checks each one
 against schemas/species.schema.json through `errors.check_document`, so a
 wrong type, a missing or unknown key, or a non-finite number is an
-InvalidInputError; what the schema cannot say (a transition's upper level,
-one hyperfine energy for each F of a level) is checked here and in LevelSpec.
+InvalidInputError; what the schema cannot say is checked here (a transition's
+upper level, a repeated term or label) or by LevelSpec (one hyperfine energy
+for each F of a level).
 Angular momenta appear as strings like "7/2" or "3"; energies are in Hz.
 """
 
@@ -48,10 +49,6 @@ class Species:
                                     f"available: {sorted(table)}") from None
 
 
-def _bundled_path(name: str):
-    return resources.files("trapquad").joinpath("species", f"{name}.json")
-
-
 def load_species(name_or_path: str | Path) -> Species:
     """Load a bundled species by short name or any species JSON by path."""
     path = Path(name_or_path)
@@ -61,7 +58,7 @@ def load_species(name_or_path: str | Path) -> Species:
             raise InvalidInputError(
                 f"unknown species {name_or_path!r}; bundled: {BUNDLED}"
             )
-        path = _bundled_path(key)
+        path = resources.files("trapquad").joinpath("species", f"{key}.json")
     return parse_species(read_json(path, "species file"))
 
 
@@ -81,18 +78,11 @@ def parse_species(raw: dict) -> Species:
     levels: dict[str, LevelSpec] = {}
     for i, entry in enumerate(raw["levels"]):
         term = _new_key(levels, entry["term"], f"levels[{i}].term", "term")
-        energies = entry.get("hyperfine_f_energies_hz")
-        if energies is not None:
-            by_f = {}
-            for f, e in energies.items():
-                where = f"levels[{i}].hyperfine_f_energies_hz.{f}"
-                by_f[_new_key(by_f, HalfInt(f), where, "F")] = e
-            energies = by_f
         levels[term] = LevelSpec(
             nuclear_spin=nuclear_spin,
             electronic_j=entry["j"],
             theta_e_a02=entry["theta_e_a02"],
-            hyperfine_energies_hz=energies,
+            hyperfine_energies_hz=entry.get("hyperfine_f_energies_hz"),
             label=f"{raw['name']} {term}",
         )
 

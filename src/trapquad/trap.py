@@ -36,6 +36,7 @@ class PhysicalConstants:
 
 
 CODATA2018 = PhysicalConstants()
+TWO_PI = 2.0 * math.pi   # rad/s per Hz
 
 
 def epsilon_from_secular(mass: float, omega_rf: float, omega_s: float) -> float:

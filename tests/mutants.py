@@ -10,9 +10,11 @@ the trap config's own checks, the code that each rule written once
 shares, the keys of the cached H_Q matrix and channel factors, the
 off-resonant partner window and its skip of uncoupled partners, the entry
 rule of every angular momentum (angular.doubled: its float range, NaN, its
-1e-9 tolerance and its "n/2" text), and the angular-momentum rules that
-angular and coupling share: each mutant is one small fault, and the tests
-named with it must fail when it is applied.
+1e-9 tolerance, its "n/2" text and text too long for int()), the one "every
+F once" check, the angular-momentum rules that angular and coupling share,
+and the input checks of HalfInt's equality, EulerAngles, LevelSpec, the
+schema checker's oneOf and the fit's error step: each mutant is one small
+fault, and the tests named with it must fail when it is applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -278,6 +280,16 @@ MUTANTS = (
            "if not fs:", "if False:",
            (_TCP + "TestHqMatrix::test_empty_manifold_rejected",
             _TC + "TestMatrixElements::test_empty_manifold_is_config_error")),
+    # "every F once", the one check that the energy map, the shift map and
+    # the manifold pass through
+    Mutant("f-repeats-accepted", _COUPLING,
+           "        if two_f in seen:\n", "        if False:\n",
+           (_TCP + "TestLevelSpec::test_repeated_f_energy_named_in_error",
+            _TE + "TestHyperfineAverage::test_repeated_f_rejected",
+            "tests/test_species.py::TestDuplicateEntries::test_duplicate_is_named"
+            "[hyperfine-F]",
+            _TCP + "TestReducedTable::test_repeated_f_rejected",
+            _TC + "TestMatrixElements::test_repeated_f_is_config_error")),
     # the satellites' checks
     Mutant("laser-detuning-unchecked", _INFERENCE,
            "if sys.detuning_laser != 0.0:", "if False:",
@@ -423,6 +435,38 @@ MUTANTS = (
     Mutant("any-denominator-accepted", _ANGULAR,
            'r"(-?[0-9]+)(/2)?"', 'r"(-?[0-9]+)(/[0-9])?"',
            ("tests/test_species.py::TestParsing::test_half_int_strings",)),
+    Mutant("over-long-text-uncaught", _ANGULAR,
+           "        except ValueError:  # int() reads",
+           "        except OverflowError:  # int() reads",
+           (_TA + "TestHalfInt::test_over_long_text_is_invalid_input",
+            "tests/test_species.py::TestParsing::test_over_long_number_is_invalid_input[j]",
+            _TC + "TestMatrixElements::test_over_long_manifold_number_is_config_error")),
+    # checks that no other test reached
+    Mutant("text-equals-half-int", _ANGULAR,
+           "        return NotImplemented\n", "        return self.twice == doubled(other)\n",
+           (_TA + "TestHalfInt::test_equals_numbers_only",)),
+    Mutant("non-finite-angles-accepted", _ANGULAR,
+           "if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):", "if False:",
+           (_TA + "TestRank2Rotation::test_euler_angles_must_be_finite[nan-alpha]",
+            _TA + "TestRank2Rotation::test_euler_angles_must_be_finite[inf-beta]",
+            _TA + "TestRank2Rotation::test_rejects_non_finite_beta[nan]")),
+    Mutant("negative-momentum-accepted", _COUPLING,
+           "if two_i < 0 or two_j < 0:", "if False:",
+           (_TCP + "TestLevelSpec::test_negative_momentum_rejected[negative-I]",
+            _TCP + "TestLevelSpec::test_negative_momentum_rejected[negative-J]")),
+    Mutant("non-finite-theta-accepted", _COUPLING,
+           "if not math.isfinite(theta_e_a02):", "if False:",
+           (_TCP + "TestLevelSpec::test_non_finite_theta_rejected[nan]",
+            _TCP + "TestLevelSpec::test_non_finite_theta_rejected[inf]")),
+    Mutant("one-of-overlap-accepted", _ERRORS,
+           'if len(errors) < len(schema["oneOf"]) - 1:', "if False:",
+           ("tests/test_errors.py::test_one_of_rejects_a_value_matching_two_forms",)),
+    Mutant("flat-omega-q-accepted", _INFERENCE,
+           "if jtj[0, 0] <= 0:", "if False:",
+           (_TI + "TestLeastSquares::test_zero_omega_q_column_is_a_degenerate_covariance"
+            "[False]",
+            _TI + "TestLeastSquares::test_zero_omega_q_column_is_a_degenerate_covariance"
+            "[True]")),
 )
 
 

@@ -56,6 +56,17 @@ class TestHalfInt:
         assert len({HalfInt(1), HalfInt(1.0), HalfInt.from_twice(2)}) == 1
         assert {2.5: "F"}[HalfInt("5/2")] == "F"
 
+    def test_equals_numbers_only(self):
+        # text and other types are not the number: "5/2" hashes apart from 2.5
+        for other in ("5/2", None, [5]):
+            assert not HalfInt(2.5) == other
+            assert HalfInt(2.5) != other
+
+    def test_over_long_text_is_invalid_input(self):
+        # int() refused it with a bare ValueError quoting the limit
+        with pytest.raises(InvalidInputError, match="^text of 5000 digits is too long"):
+            doubled("9" * 5000)
+
 
 class TestWigner3j:
     def test_trivial_zero_coupling(self):
@@ -258,8 +269,15 @@ class TestRank2Rotation:
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_beta(self, beta):
         # nan came back as nan, and inf raised a bare "math domain error"
-        with pytest.raises(InvalidInputError, match="beta must be finite"):
+        with pytest.raises(InvalidInputError, match="Euler angles must be finite"):
             wigner_d2(0, 0, beta)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.0, math.inf),
+                                        (-math.inf, 0.0)],
+                             ids=["nan-alpha", "inf-beta", "-inf-alpha"])
+    def test_euler_angles_must_be_finite(self, angles):
+        with pytest.raises(InvalidInputError, match="Euler angles must be finite"):
+            EulerAngles(*angles)
 
     def test_unitarity_random_angles(self):
         rng = random.Random(5)

@@ -157,6 +157,16 @@ class TestMatrixElements:
         assert code == 2
         assert repr(manifold) in capsys.readouterr().err
 
+    def test_over_long_manifold_number_is_config_error(self, ba_config, capsys):
+        # exited 1 with int()'s ValueError
+        code = main([
+            "matrix-elements", "--species", "ba138", "--level", "D5/2",
+            "--manifold", "9" * 5000, "--config", ba_config,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5000 digits" in err and len(err) < 200
+
     def test_unknown_level_is_config_error(self, tmp_path, ba_config):
         code = main([
             "matrix-elements", "--species", "ba138", "--level", "D3/2",

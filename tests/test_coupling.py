@@ -453,6 +453,8 @@ class TestReducedTable:
             hq_matrix(ba_d52, trap, [2.5, 2.5])
         with pytest.raises(InvalidInputError, match="more than once"):
             hq_matrix(lu_3d2_bare, trap, [5, 6, 5.0])
+        with pytest.raises(InvalidInputError, match="manifold lists F=5/2 more than once"):
+            hq_matrix(ba_d52, trap, ["5/2", 2.5])
 
 
 class TestLevelSpec:
@@ -487,6 +489,22 @@ class TestLevelSpec:
     def test_extra_energy_named_in_error(self):
         with pytest.raises(InvalidInputError, match=r"missing F=\[\], extra F=\[9\]"):
             LevelSpec(7, 1, 1.0, hyperfine_energies_hz={6: 0.0, 7: 1e9, 8: 2e9, 9: 3e9})
+
+    def test_repeated_f_energy_named_in_error(self):
+        # the last of the two was kept without a word
+        with pytest.raises(InvalidInputError, match="^level D5/2 has a hyperfine energy "
+                           "for F=5/2 more than once$"):
+            LevelSpec(0, 2.5, 1.0, {2.5: 1.0, "5/2": 2.0}, label="D5/2")
+
+    @pytest.mark.parametrize("i, j", [(-1, 2), (7, -2)], ids=["negative-I", "negative-J"])
+    def test_negative_momentum_rejected(self, i, j):
+        with pytest.raises(InvalidInputError, match="must be non-negative"):
+            LevelSpec(i, j, 1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(InvalidInputError, match="Theta"):
+            LevelSpec(7, 2, theta)
 
     def test_missing_energy_named_in_error(self):
         # was accepted, and failed only when a clock-shift sum read F = 8

@@ -422,6 +422,12 @@ class TestHyperfineAverage:
         with pytest.raises(InvalidInputError, match="I >= J"):
             hyperfine_average({1.5: 1.0, 2.5: 2.0}, level)
 
+    def test_repeated_f_rejected(self):
+        # returned 11.0: the "8" entry replaced the 8 entry without a word
+        level = LevelSpec(7, 1, 1.0, {6: 1.0, 7: 2.0, 8: 3.0})
+        with pytest.raises(InvalidInputError, match="a shift for F=8 more than once"):
+            hyperfine_average({6: 1.0, 7: 2.0, 8: 3.0, "8": 30.0}, level)
+
     @pytest.mark.parametrize("extra, named", [(42, "42"), (6.5, "13/2")])
     def test_f_outside_the_level_rejected(self, lu, extra, named):
         # was dropped without a word, leaving the average unchanged

@@ -121,6 +121,14 @@ def test_reads_every_keyword_the_bundled_schemas_use():
     assert used and not {kw for kw in used if f'"{kw}"' not in source}
 
 
+def test_one_of_rejects_a_value_matching_two_forms():
+    # no bundled schema has overlapping forms, so a small one stands in
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    errors._check(2.5, schema, schema, "x", "doc")
+    with pytest.raises(InvalidInputError, match="^x in doc matches more than one form: 3$"):
+        errors._check(3, schema, schema, "x", "doc")
+
+
 def test_messages_name_the_path():
     doc = copy.deepcopy(BA_CONFIG)
     doc["trap"]["secular_hz"]["omega_x"] = "fast"

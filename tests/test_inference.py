@@ -1046,6 +1046,13 @@ class TestLeastSquares:
         with pytest.raises(FitError, match="does not rise"):
             inference._upper_limit(lambda s: 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bound_active", [False, True])
+    def test_zero_omega_q_column_is_a_degenerate_covariance(self, bound_active):
+        # chi^2 flat in omega_q: no omega_q error exists, bound or not
+        jac = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(FitError, match="degenerate covariance"):
+            inference._fit_errors(jac, 10.0, bound_active, 1.0)
+
 
 class TestExtractTheta:
     BA_TRAP = TrapConfig.ideal_linear(

@@ -53,6 +53,16 @@ class TestParsing:
         with pytest.raises(InvalidInputError, match="'x'"):
             parse_species(raw)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["levels"][1].update(j="9" * 5000),
+        lambda d: d.update(nuclear_spin="9" * 5000),
+        lambda d: d["levels"][1]["hyperfine_f_energies_hz"].update({"9" * 5000: 1.0}),
+    ], ids=["j", "nuclear-spin", "hyperfine-F"])
+    def test_over_long_number_is_invalid_input(self, edit):
+        # the schema's pattern passes it, and int() raised a bare ValueError
+        with pytest.raises(InvalidInputError, match="^text of 5000 digits is too long"):
+            parse_species(_lu_with(edit))
+
     def test_unknown_species(self):
         with pytest.raises(InvalidInputError):
             load_species("unobtainium")
@@ -155,7 +165,7 @@ class TestDuplicateEntries:
         (lambda d: d["transitions"].append(dict(d["transitions"][1])),
          "transitions[3].label in species file repeats label '1S0-3D2'"),
         (lambda d: d["levels"][1]["hyperfine_f_energies_hz"].update({"12/2": 1.0}),
-         "levels[1].hyperfine_f_energies_hz.12/2 in species file repeats F 6"),
+         "level 176Lu+ 3D1 has a hyperfine energy for F=6 more than once"),
     ], ids=["term", "label", "hyperfine-F"])
     def test_duplicate_is_named(self, tmp_path, edit, message):
         path = tmp_path / "dup.json"
