@@ -48,7 +48,9 @@ def doubled(value: Momentum) -> int:
     else:
         twice = 2 * value
     if not abs(twice) <= sys.float_info.max:  # also NaN
-        raise InvalidInputError(f"{value!r} is NaN, infinite or too large")
+        # repr refuses an int of more than sys.get_int_max_str_digits() digits
+        what = f"a {value.bit_length()}-bit int" if isinstance(value, int) else repr(value)
+        raise InvalidInputError(f"{what} is NaN, infinite or too large")
     rounded = round(twice)
     if abs(twice - rounded) > 1e-9:
         raise InvalidInputError(f"{value!r} is not an integer or half-integer")

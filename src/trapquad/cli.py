@@ -11,8 +11,9 @@ Every JSON input is checked against its bundled schema; angles are degrees
 at this boundary and radians internally.  CSV and JSON render one table of
 rows.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 All outputs are deterministic for a fixed config and seed.  Each subcommand
-imports the modules it uses when it runs, after its config is checked:
-extract-theta, and any run whose config is rejected, never load numpy.
+imports the modules it uses when it runs, after its config is checked.
+spectrum and fit load numpy; matrix-elements, clock-shift, extract-theta
+and any run whose config is rejected never do.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ import sys
 from pathlib import Path
 
 from .angular import EulerAngles
-from .errors import (
-    FitError,
-    IntegrationError,
-    InvalidInputError,
-    QuadratureConvergenceError,
-    ResonanceError,
-    check_document,
-    read_json,
-)
+from .errors import (FitError, IntegrationError, InvalidInputError,
+                     QuadratureConvergenceError, ResonanceError, check_document, read_json)
 from .trap import (CODATA2018, TWO_PI, NoiseModel, TrapConfig, combine_runs,
                    extract_theta, secular_consistency)
 
@@ -126,37 +120,39 @@ def _csv_row(row) -> str:
 
 
 def cmd_matrix_elements(args) -> int:
-    config = load_run_config(args.config)   # a bad config exits before numpy loads
-    from .coupling import hq_matrix
+    config = load_run_config(args.config)   # a bad config exits before the physics loads
+    from .coupling import amplitudes, manifold_rows, reduced_table
     from .species import load_species
     species = load_species(args.species)
     level = species.level(args.level)
     trap = trap_from_config(config, species.mass_kg)
-    manifold = [f for f in args.manifold.split(",") if f.strip()]
-    mat = hq_matrix(level, trap, manifold)
-
-    rows = []
-    for i, bra in enumerate(mat.basis):
-        for k, ket in enumerate(mat.basis):
-            val = mat.amplitude[i, k]
-            if val != 0 or args.include_zeros:
-                rows.append((str(bra.F), str(bra.m), str(ket.F), str(ket.m),
-                             val.real, val.imag, abs(val)))
+    idx = manifold_rows(level, [f for f in args.manifold.split(",") if f.strip()])
+    states = reduced_table(level).states
+    columns = [dict(amplitudes(level, trap, k)) for k in idx]
+    rows = [(str(states[i].F), str(states[i].m), str(states[k].F), str(states[k].m),
+             val.real, val.imag, abs(val))
+            for i in idx for k, column in zip(idx, columns)
+            if (val := column.get(i, 0j)) != 0 or args.include_zeros]
     keys = ("bra_f", "bra_m", "ket_f", "ket_m", "real_rad_s", "imag_rad_s",
             "modulus_rad_s")
     payload = {
         "kind": "matrix_elements", "schema_version": 1,
         "species": species.name, "level": args.level,
-        "basis": [f"{s.F},{s.m}" for s in mat.basis],
+        "basis": [f"{states[i].F},{states[i].m}" for i in idx],
         "entries": [dict(zip(keys, row)) for row in rows],
     }
     _emit(args, payload, ("bra_F", "bra_m", "ket_F", "ket_m", *keys[4:]), rows)
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy.linspace(start, stop, n) bit for bit: i * step + start, then stop."""
+    step = (stop - start) / max(n - 1, 1)
+    return [i * step + start for i in range(n - 1)] + [stop] if n > 1 else [start] * n
+
+
 def cmd_clock_shift(args) -> int:
-    config = load_run_config(args.config)   # a bad config exits before numpy loads
-    import numpy as np
+    config = load_run_config(args.config)   # a bad config exits before the physics loads
     from .effects import shift_decomposition
     from .species import load_species
     species = load_species(args.species)
@@ -167,12 +163,10 @@ def cmd_clock_shift(args) -> int:
     dec = shift_decomposition(transition, trap)
 
     rows = []
-    if args.grid:
-        n = args.grid
-        for alpha in np.linspace(0.0, 360.0, n):
-            for beta in np.linspace(0.0, 180.0, n):
-                ang = EulerAngles(math.radians(alpha), math.radians(beta))
-                rows.append((alpha, beta, dec.fractional_shift(ang)))
+    for alpha in _linspace(0.0, 360.0, args.grid):
+        for beta in _linspace(0.0, 180.0, args.grid):
+            ang = EulerAngles(math.radians(alpha), math.radians(beta))
+            rows.append((alpha, beta, dec.fractional_shift(ang)))
 
     keys = ("alpha_deg", "beta_deg", "fractional_shift")
     payload = {

@@ -12,31 +12,32 @@ Theta(J):
       * Theta(J) * D2_{dmu,q}(alpha, beta)
 
 with dmu = mu' - mu.  All but Theta(J) and D2 depends on (I, J) alone and
-is computed once per (I, J) into a cached ReducedTable, which also maps
-each state to its row.  A trap adds five channel factors
-c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, computed once per (A, eps,
-orientation) for every level, and H_Q/hbar = Theta * reduced * c[dmu]
-elementwise.  That product is cached whole, read-only, for the last few
-(I, J, Theta, trap) combinations, and
-`amplitudes` indexes it; every H_Q amplitude in the package, one element, a
-state's column or a whole matrix, is read through it.  Amplitudes are in
-rad/s, the coefficient of cos(Omega_rf t); no rotating-wave factor is
-applied here.
+is computed once per (I, J) into a cached ReducedTable, which maps each
+state to its row and holds each column's nonzero entries.  A trap adds five
+channel factors c[dmu] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, computed once
+per trap for every level, and H_Q/hbar = Theta * reduced * c[dmu] at each
+nonzero entry: in Python numbers in `amplitudes` and `amplitude`, which every
+per-state read goes through, and in numpy, to the same bits, in hq_matrix,
+the one function here that imports numpy.  Amplitudes are in rad/s, the
+coefficient of cos(Omega_rf t); no rotating-wave factor is applied here.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .angular import (EulerAngles, HalfInt, Momentum, check_projection, doubled, shown,
                       triangle_ok, wigner_3j_twice, wigner_6j_twice, wigner_D2_twice)
 from .errors import InvalidInputError
 from .trap import CODATA2018, TrapConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
 
@@ -161,16 +162,16 @@ def gradient_components(A: float, epsilon: float) -> dict[int, float]:
 class ReducedTable:
     """The orientation-free part of H_Q over every |F,m> of a level, in units
     of Theta(J), states ordered by (F ascending, m ascending); rows maps each
-    state's (2F, 2m) to its position.  reduced[i, k] couples states[k] to
-    states[i] through dmu = m_i - m_k, held in channel[i, k] as dmu + 2 (as 0
-    where |dmu| > 2 and reduced is 0).  All arrays are read-only."""
+    state's (2F, 2m) to its position.  columns[k] = (rows, reduced, channel)
+    holds column k's nonzero entries in row order: reduced[n] couples
+    states[k] to states[rows[n]] through dmu = m_row - m_k, held in
+    channel[n] as dmu + 2; every other entry is 0.  flat packs them column by
+    column as bytes: row * len(states) + k ("q"), reduced ("d"), channel ("b")."""
 
     states: tuple[HyperfineState, ...]
     rows: Mapping[tuple[int, int], int]
-    f_twice: np.ndarray
-    m_twice: np.ndarray
-    reduced: np.ndarray
-    channel: np.ndarray
+    columns: tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]], ...]
+    flat: tuple[bytes, bytes, bytes]
 
 
 def reduced_table(level: LevelSpec) -> ReducedTable:
@@ -193,65 +194,63 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
     level = LevelSpec(HalfInt.from_twice(two_i), HalfInt.from_twice(two_j), 1.0)
     states = [s for f in level.f_values() for s in level.manifold(f)]
     fm = [(s.F.twice, s.m.twice) for s in states]
-    f2, m2 = np.array(fm).T
-    dmu2 = m2[:, None] - m2[None, :]
-    channel = np.where(np.abs(dmu2) <= 4, dmu2 // 2 + 2, 0)
-    reduced = np.zeros(channel.shape)
+    entries = [[] for _ in fm]   # (row, reduced, channel) of each nonzero entry
     if two_j >= 2:  # no rank-2 support below J = 1
-        norm = wigner_3j_twice(two_j, 4, two_j, -two_j, 0, two_j)
-        fs = level.f_twice()
+        norm, fs = wigner_3j_twice(two_j, 4, two_j, -two_j, 0, two_j), level.f_twice()
         six = {(fp, f): wigner_6j_twice(f, fp, 4, two_j, two_j, two_i) / norm
                for fp in fs for f in fs}
-        for row, k in zip(*np.nonzero(np.tril(np.abs(dmu2) <= 4))):
-            (bra_f, bra_m), (ket_f, ket_m) = fm[row], fm[k]
-            scale = six[bra_f, ket_f]
-            if scale == 0.0:
-                continue
-            three = wigner_3j_twice(ket_f, 4, bra_f, ket_m, bra_m - ket_m, -bra_m)
-            # F'+F+I+J+mu' is an integer for every state of the level
-            phase = (bra_f + ket_f + two_i + two_j + bra_m) // 2
-            reduced[row, k] = ((-1.0) ** phase * three * scale
-                               * math.sqrt((bra_f + 1.0) * (ket_f + 1.0)))
-        # the upper triangle follows from <k|T|i> = (-1)^dmu <i|T|k>
-        reduced += np.tril(reduced, -1).T * (-1.0) ** (dmu2 // 2)
-    for array in (f2, m2, reduced, channel):
-        array.flags.writeable = False
-    return ReducedTable(tuple(states), {key: row for row, key in enumerate(fm)},
-                        f2, m2, reduced, channel)
+        for k, (ket_f, ket_m) in enumerate(fm):
+            for row in range(k, len(fm)):   # the lower triangle
+                bra_f, bra_m = fm[row]
+                dmu, scale = (bra_m - ket_m) // 2, six[bra_f, ket_f]
+                if abs(dmu) > 2 or scale == 0.0:
+                    continue
+                three = wigner_3j_twice(ket_f, 4, bra_f, ket_m, bra_m - ket_m, -bra_m)
+                # F'+F+I+J+mu' is an integer for every state of the level
+                phase = (bra_f + ket_f + two_i + two_j + bra_m) // 2
+                value = ((-1.0) ** phase * three * scale
+                         * math.sqrt((bra_f + 1.0) * (ket_f + 1.0)))
+                if value != 0.0:
+                    entries[k].append((row, value, dmu + 2))
+                    if row > k:  # <k|T|row> = (-1)^dmu <row|T|k>
+                        entries[row].append((k, value * (-1.0) ** dmu, 2 - dmu))
+    flat = [(row * len(fm) + k, value, ch) for k, column in enumerate(entries)
+            for row, value, ch in column]
+    return ReducedTable(
+        tuple(states), {key: row for row, key in enumerate(fm)},
+        tuple(tuple(map(tuple, zip(*column))) or ((), (), ()) for column in entries),
+        tuple(array(code, part).tobytes()
+              for code, part in zip("qdb", list(zip(*flat)) or [()] * 3)))
 
 
 @lru_cache(maxsize=8)
-def _channel_factors(A: float, epsilon: float, orientation: EulerAngles) -> np.ndarray:
+def _channel_factors(trap: TrapConfig) -> tuple[complex, ...]:
     """c[dmu + 2] = sum_q grad_q D2_{dmu,q} e*a0^2/hbar, for every level."""
-    grads = gradient_components(A, epsilon)
-    c = np.array([sum(grads[q] * wigner_D2_twice(2 * dmu, 2 * q, orientation)
-                      for q in (-2, 0, 2) if grads[q] != 0.0)
-                  for dmu in range(-2, 3)], dtype=complex)
-    c *= CODATA2018.e_a0_squared / CODATA2018.hbar
-    c.flags.writeable = False
-    return c
+    grads = gradient_components(trap.A, trap.epsilon)
+    scale = CODATA2018.e_a0_squared / CODATA2018.hbar
+    return tuple(complex(sum(grads[q] * wigner_D2_twice(2 * dmu, 2 * q, trap.orientation)
+                             for q in (-2, 0, 2) if grads[q] != 0.0)) * scale
+                 for dmu in range(-2, 3))
 
 
-@lru_cache(maxsize=8)   # for Lu+, 75 x 75 complex (90 kB) each
-def _level_matrix(two_i: int, two_j: int, theta: float, A: float, epsilon: float,
-                  orientation: EulerAngles) -> np.ndarray:
-    """H_Q/hbar (rad/s) = Theta * reduced * c[channel] over the whole (I, J)
-    table, read-only, with the trap's channel factors c."""
-    table = _build_table(two_i, two_j)
-    matrix = theta * table.reduced * _channel_factors(A, epsilon, orientation)[table.channel]
-    matrix.flags.writeable = False
-    return matrix
+def amplitudes(level: LevelSpec, trap: TrapConfig, k: int, first: float = 0,
+               last: float = math.inf) -> list[tuple[int, complex]]:
+    """(row, H_Q/hbar in rad/s) of each nonzero entry of column k of the
+    level's table with first <= row <= last, in row order (every other entry
+    is 0): Theta * reduced * c[channel], with the trap's channel factors c."""
+    rows, reduced, channel = reduced_table(level).columns[k]
+    theta, c = level.theta_e_a02, _channel_factors(trap)
+    return [(rows[at], theta * reduced[at] * c[channel[at]])
+            for at in range(bisect_left(rows, first), bisect_right(rows, last))]
 
 
-def amplitudes(level: LevelSpec, trap: TrapConfig, key) -> np.ndarray:
-    """H_Q/hbar (rad/s) at the `key` entries of the level's table.
-
-    `key` indexes the level's cached, read-only matrix: integers give a
-    number, slices a read-only view, and index arrays a new array.
-    """
-    return _level_matrix(level.nuclear_spin.twice, level.electronic_j.twice,
-                         level.theta_e_a02, trap.A, trap.epsilon,
-                         trap.orientation)[key]
+def amplitude(level: LevelSpec, trap: TrapConfig, i: int, k: int) -> complex:
+    """H_Q/hbar (rad/s) at row i, column k of the level's table, as amplitudes reads it."""
+    rows, reduced, channel = reduced_table(level).columns[k]
+    at = bisect_left(rows, i)
+    if at == len(rows) or rows[at] != i:
+        return 0j
+    return level.theta_e_a02 * reduced[at] * _channel_factors(trap)[channel[at]]
 
 
 def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
@@ -261,7 +260,7 @@ def theta_matrix_element(level: LevelSpec, bra: HyperfineState,
     two_q = doubled(q)
     check_projection(4, two_q, "rank")
     i, k = table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m)
-    pref = reduced_table(level).reduced[i, k]
+    pref = dict(zip(*reduced_table(level).columns[k][:2])).get(i, 0.0)
     if pref == 0.0:  # also every |dmu| > 2, where D2 is undefined
         return 0.0j
     dmu2 = bra.m.twice - ket.m.twice
@@ -273,7 +272,7 @@ class QuadCouplingMatrix:
     """Hermitian cos(Omega_rf t) amplitude matrix of H_Q/hbar over |F,m> states."""
 
     basis: tuple[HyperfineState, ...]
-    amplitude: np.ndarray  # rad/s, complex
+    amplitude: np.ndarray  # rad/s, complex, built by hq_matrix
 
     def index(self, state: HyperfineState) -> int:
         try:
@@ -285,22 +284,27 @@ class QuadCouplingMatrix:
         return complex(self.amplitude[self.index(bra), self.index(ket)])
 
 
-def hq_matrix(level: LevelSpec, trap: TrapConfig,
-              manifold: Iterable[Momentum] | Sequence[Momentum]) -> QuadCouplingMatrix:
-    """Assemble H_Q/hbar (rad/s) over the given hyperfine levels F.
-
-    Basis states are ordered by (F ascending, m ascending); each F may be
-    listed once, and an empty manifold raises InvalidInputError.
-    """
+def manifold_rows(level: LevelSpec,
+                  manifold: Iterable[Momentum] | Sequence[Momentum]) -> list[int]:
+    """Table rows of the |F, m> of each F listed (once, and not none), in (F, m) order."""
     fs = _each_f_once([level.validate_f(F) for F in manifold], "manifold lists")
     if not fs:
         raise InvalidInputError("manifold must contain at least one F level")
-    wanted = set(fs)
-    table = reduced_table(level)
-    idx = np.array([row for row, s in enumerate(table.states) if s.F.twice in wanted])
-    # rows, then columns: a new C-ordered array, in a third of one np.ix_ read's time
-    return QuadCouplingMatrix(basis=tuple(table.states[i] for i in idx),
-                              amplitude=amplitudes(level, trap, idx).take(idx, axis=1))
+    return [row for row, s in enumerate(reduced_table(level).states) if s.F.twice in fs]
+
+
+def hq_matrix(level: LevelSpec, trap: TrapConfig,
+              manifold: Iterable[Momentum] | Sequence[Momentum]) -> QuadCouplingMatrix:
+    """H_Q/hbar (rad/s) over the states of manifold_rows(level, manifold), a new
+    ndarray: numpy takes amplitudes' product over the level's table, bit for bit."""
+    import numpy as np
+    idx, table = manifold_rows(level, manifold), reduced_table(level)
+    n = len(table.states)
+    position, reduced, channel = map(np.frombuffer, table.flat, "qdb")
+    dense, c = np.zeros((n, n), complex), np.array(_channel_factors(trap))
+    dense.ravel()[position] = level.theta_e_a02 * reduced * c[channel]
+    return QuadCouplingMatrix(tuple(table.states[i] for i in idx),
+                              dense if len(idx) == n else dense[np.ix_(idx, idx)])
 
 
 def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
@@ -310,4 +314,4 @@ def c2_coefficient(level: LevelSpec, F: Momentum, m: Momentum) -> float:
                / (J 2 J; -J 0 J).
     """
     k = table_index(level, F, m)
-    return float(reduced_table(level).reduced[k, k])
+    return dict(zip(*reduced_table(level).columns[k][:2])).get(k, 0.0)

@@ -5,13 +5,11 @@ Zeeman couplings at Omega_rf (|dm|=1) and Omega_rf/2 (|dm|=2), off-resonant
 Zeeman-ladder shifts, static-limit m=0 clock shifts, and the fractional-shift
 decomposition  dnu/nu = a*(f2(alpha,beta) + eta*f1(alpha,beta))  after
 hyperfine averaging, where f1 and f2 are the squared moduli of the |dm|=1 and
-|dm|=2 orientation factors of a linear (A=0) trap.  Every coupling is read
-with coupling.amplitudes at the level's table indices from table_index: one
-element; the whole column of a state for the clock shift's sum over the other
-F; and for the off-resonant shift only table rows k-2..k+2 around the state's
-row k, which hold every partner it has within its F, because the table
-orders states by (F, m).  The decomposition takes its orientation-free
-weights from that table directly.
+|dm|=2 orientation factors of a linear (A=0) trap.  Couplings are read at
+table_index's rows with coupling.amplitude (one element) and
+coupling.amplitudes (a state's column); the decomposition takes its
+orientation-free weights from the table directly.  All of it is Python
+arithmetic, and each sum is math.fsum's, correctly rounded in any order.
 """
 
 from __future__ import annotations
@@ -21,11 +19,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .angular import EulerAngles, Momentum, check_projection, shown
-from .coupling import (HyperfineState, LevelSpec, amplitudes, gradient_components,
-                       reduced_table, table_index)
+from .coupling import (HyperfineState, LevelSpec, amplitude, amplitudes,
+                       gradient_components, reduced_table, table_index)
 from .errors import InvalidInputError, ResonanceError
 from .trap import CODATA2018, TWO_PI, TrapConfig
 
@@ -77,7 +73,7 @@ def sideband_index(level: LevelSpec, F: Momentum, m: Momentum,
     sets the strength of rf sidebands on transitions involving the state.
     """
     k = table_index(level, F, m)
-    return float(amplitudes(level, trap, (k, k)).real) / trap.omega_rf
+    return amplitude(level, trap, k, k).real / trap.omega_rf
 
 
 def resonant_coupling(level: LevelSpec, bra: HyperfineState,
@@ -89,12 +85,9 @@ def resonant_coupling(level: LevelSpec, bra: HyperfineState,
     """
     dm = bra.m.twice - ket.m.twice
     if abs(dm) not in (2, 4):
-        raise InvalidInputError(
-            "resonant coupling requires |dm| of 1 or 2, got "
-            f"{shown(dm)}"
-        )
-    key = (table_index(level, bra.F, bra.m), table_index(level, ket.F, ket.m))
-    return complex(amplitudes(level, trap, key))
+        raise InvalidInputError(f"resonant coupling needs |dm| of 1 or 2, got {shown(dm)}")
+    return amplitude(level, trap, table_index(level, bra.F, bra.m),
+                     table_index(level, ket.F, ket.m))
 
 
 def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
@@ -107,20 +100,16 @@ def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
     The partners are the states of the same F with dm != 0 and a nonzero
     coupling.  H_Q has |dm| <= 2 and the table orders states by (F, m), so
     they lie in rows k-2..k+2 of the state's column k, the only rows read.
-    numpy takes |amplitude|^2 of those rows and sums the terms in row order;
-    each term is plain float arithmetic.  Raises ResonanceError when a
-    partner's Zeeman interval is within 1e-3*Omega_rf of the drive; the
-    perturbative formula diverges there.
+    Raises ResonanceError when a partner's Zeeman interval is within
+    1e-3*Omega_rf of the drive; the perturbative formula diverges there.
     """
     states = reduced_table(level).states
     k = table_index(level, F, m)
-    rows = range(max(k - 2, 0), min(k + 3, len(states)))
-    mod2 = (np.abs(amplitudes(level, trap, (slice(rows.start, rows.stop), k))) ** 2).tolist()
-    ket, w_z, w_rf = states[k], zeeman.omega_z, trap.omega_rf
-    terms = []
-    for row, a2 in zip(rows, mod2):
-        dm = (states[row].m.twice - ket.m.twice) // 2
-        if states[row].F.twice != ket.F.twice or dm == 0 or a2 == 0.0:
+    ket, w_z, w_rf, terms = states[k], zeeman.omega_z, trap.omega_rf, []
+    for row, amp in amplitudes(level, trap, k, k - 2, k + 2):
+        partner, mod = states[row], abs(amp)
+        dm, a2 = (partner.m.twice - ket.m.twice) // 2, mod * mod
+        if partner.F.twice != ket.F.twice or dm == 0 or a2 == 0.0:
             continue
         split = w_z * dm
         if abs(abs(split) - w_rf) < _GUARD * w_rf:
@@ -128,7 +117,7 @@ def offresonant_zeeman_shift(level: LevelSpec, F: Momentum, m: Momentum,
                 f"Zeeman interval |dm|={abs(dm)} within {_GUARD:g}*Omega_rf "
                 "of the drive; off-resonant formula invalid")
         terms.append(-0.5 * a2 * split / (split * split - w_rf**2))
-    return float(np.sum(terms))
+    return math.fsum(terms)
 
 
 def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
@@ -141,25 +130,24 @@ def clock_shift(level: LevelSpec, f_clock: Momentum, trap: TrapConfig) -> float:
     """
     k, weight = _clock_weights(level, level.validate_f(f_clock))
     # max |weight| = 1/(2 * smallest splitting in Hz)
-    if trap.omega_rf * np.max(np.abs(weight)) > 0.1 * math.pi:
+    if trap.omega_rf * max(map(abs, weight.values())) > 0.1 * math.pi:
         warnings.warn("Omega_rf exceeds 10% of the smallest hyperfine splitting; "
                       "the static-limit clock-shift formula degrades", stacklevel=2)
-    amp_hz = amplitudes(level, trap, (slice(None), k)) / TWO_PI
-    return -float(np.sum(np.abs(amp_hz) ** 2 * weight))
+    states = reduced_table(level).states
+    return -math.fsum((mod_hz := abs(amp / TWO_PI)) * mod_hz * weight[states[row].F.twice]
+                      for row, amp in amplitudes(level, trap, k))
 
 
-def _clock_weights(level: LevelSpec, two_f: int) -> tuple[int, np.ndarray]:
-    """The table index k of |F,0>, and 1/(2*(E_F' - E_F)) in 1/Hz for every
-    state of the level's coupling table (0 within F itself), for twice F."""
-    table, energies = reduced_table(level), level.hyperfine_energies_hz
+def _clock_weights(level: LevelSpec, two_f: int) -> tuple[int, dict[int, float]]:
+    """The table index k of |F,0>, and {2F': 1/(2*(E_F' - E_F)) in 1/Hz} for
+    every F' of the level (0 for F' = F), for twice F."""
+    energies = level.hyperfine_energies_hz
     if energies is None:
         raise InvalidInputError(f"level {level.label or '?'} has no hyperfine energies")
-    energy = np.array(list(energies.values()))   # in F order (LevelSpec.per_f)
-    e_hz = energy[(table.f_twice - table.f_twice[0]) // 2]
     check_projection(two_f, 0, "F")   # a half-integer F has no m = 0
-    k = table.rows[two_f, 0]
-    split = np.where(table.f_twice == table.f_twice[k], np.inf, e_hz - e_hz[k])
-    return k, 0.5 / split
+    e_hz = dict(zip(level.f_twice(), energies.values()))   # in F order (per_f)
+    return reduced_table(level).rows[two_f, 0], {
+        fp: 0.0 if fp == two_f else 0.5 / (e - e_hz[two_f]) for fp, e in e_hz.items()}
 
 
 def hyperfine_average(per_f_shifts: Mapping[Momentum, float],
@@ -232,10 +220,14 @@ def shift_decomposition(transition: ClockTransition,
     bare = (level.theta_e_a02 * gradient_components(0.0, trap.epsilon)[2]
             * CODATA2018.e_a0_squared / CODATA2018.hbar / TWO_PI)
     table = reduced_table(level)
-    terms = np.zeros(len(table.states))
+    terms = {2: [], 4: []}   # by |dm| twice, from each |F,0> to its partners
     for f in fs:
         k, weight = _clock_weights(level, f)
-        terms -= (bare * table.reduced[:, k]) ** 2 * weight / len(fs)
-    w1, w2 = (float(np.sum(terms[np.abs(table.m_twice) == tdm])) for tdm in (2, 4))
+        for row, red in zip(*table.columns[k][:2]):
+            state, coupled = table.states[row], bare * red
+            if abs(state.m.twice) in terms:
+                terms[abs(state.m.twice)].append(
+                    -(coupled * coupled) * weight[state.F.twice] / len(fs))
+    w1, w2 = math.fsum(terms[2]), math.fsum(terms[4])
     return ShiftDecomposition(a=w2 / transition.frequency_hz, eta=w1 / w2,
                               frequency_hz=transition.frequency_hz)

@@ -37,9 +37,17 @@ class FitError(RuntimeError):
 
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at `path` (a Path or package resource);
-    `what` names the file in errors."""
+    `what` names the file in errors; an object that repeats a key is one."""
+    def unique(pairs: list) -> dict:
+        if len(doc := dict(pairs)) < len(pairs):
+            key = next(key for key in doc if [k for k, _ in pairs].count(key) > 1)
+            raise InvalidInputError(f"{what} repeats the key {key!r} in one object")
+        return doc
+
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except InvalidInputError:   # a ValueError, but not a syntax error
+        raise
     except OSError as exc:
         raise InvalidInputError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:

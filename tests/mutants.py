@@ -7,11 +7,13 @@ detuning per pair of every model pass, the solver's stopping tests and its
 step back from the bound, the peak search, the explicit-drive oracle, the
 schema checker, the detuning grid's, the fit's input-shape, the CLI's and
 the trap config's own checks, the code that each rule written once
-shares, the keys of the cached H_Q matrix and channel factors, the
+shares, the key of the cached channel factors, H_Q's Theta and channel
+factors, hq_matrix's numpy product and the element reads' row lookup, the
 off-resonant partner window and its skip of uncoupled partners, the entry
 rule of every angular momentum (angular.doubled: its float range, NaN, its
-1e-9 tolerance, its "n/2" text and text too long for int()), the one "every
-F once" check, the angular-momentum rules that angular and coupling share,
+1e-9 tolerance, its "n/2" text, text too long for int() and an int too long
+for repr), a JSON object that repeats a key, the clock-shift grid, the one
+"every F once" check, the angular-momentum rules that angular and coupling share,
 and the input checks of HalfInt's equality, EulerAngles, LevelSpec, the
 schema checker's oneOf and the fit's error step: each mutant is one small
 fault, and the tests named with it must fail when it is applied.
@@ -341,35 +343,54 @@ MUTANTS = (
     Mutant("kernel-phase-halved", _DYNAMICS,
            "np.exp(-0.5j * tau * evals)", "np.exp(-0.25j * tau * evals)",
            (_TD + "TestTransferProbabilities::test_agrees_with_propagate_on_random_draws",)),
-    # the cached H_Q matrix and the trap's cached channel factors: a key
-    # without Theta or without the orientation (written as the first value
-    # seen standing in for every later one, as a cache keyed without it would
-    # hand back the first entry built), the off-resonant partner window and
-    # its skip of uncoupled partners, and the checks the per-state reads rest on
+    # the trap's cached channel factors, and H_Q, which is not cached: a key
+    # without the orientation, and an H_Q matrix that keeps the Theta of the
+    # first level of an (I, J) or the channel factors of the first trap
+    # (written as the first value seen standing in for every later one, as a
+    # cache keyed without it would hand back the first entry built); numpy's
+    # product for hq_matrix regrouped, and the element reads' row lookup; the
+    # off-resonant partner window and its skip of uncoupled partners, and the
+    # checks the per-state reads rest on
     Mutant("theta-not-in-matrix-key", _COUPLING,
-           "level.theta_e_a02, trap.A, trap.epsilon,",
-           "amplitudes.__dict__.setdefault((level.nuclear_spin.twice, "
-           "level.electronic_j.twice), level.theta_e_a02), trap.A, trap.epsilon,",
+           "= level.theta_e_a02 * reduced * c[channel]",
+           "= hq_matrix.__dict__.setdefault((level.nuclear_spin.twice, "
+           "level.electronic_j.twice), level.theta_e_a02) * reduced * c[channel]",
            (_TCP + "TestReducedTable::test_levels_of_one_i_and_j_keep_their_own_theta",)),
     Mutant("orientation-not-in-matrix-key", _COUPLING,
-           "trap.orientation)[key]",
-           "amplitudes.__dict__.setdefault('orientation', trap.orientation))[key]",
+           "np.array(_channel_factors(trap))",
+           "np.array(hq_matrix.__dict__.setdefault('c', _channel_factors(trap)))",
            (_TCP + "TestReducedTable::test_orientations_keep_their_own_matrix",)),
     Mutant("orientation-not-in-channel-key", _COUPLING,
-           "_channel_factors(A, epsilon, orientation)[table.channel]",
-           "_channel_factors(A, epsilon, _channel_factors.__dict__.setdefault("
-           "'orientation', orientation))[table.channel]",
+           "wigner_D2_twice(2 * dmu, 2 * q, trap.orientation)",
+           "wigner_D2_twice(2 * dmu, 2 * q, _channel_factors.__dict__.setdefault("
+           "'orientation', trap.orientation))",
            (_TCP + "TestReducedTable::test_orientations_keep_their_own_matrix",)),
     Mutant("channel-factors-per-level", _COUPLING,
            "@lru_cache(maxsize=8)\ndef _channel_factors", "def _channel_factors",
            (_TCP + "TestReducedTable::test_channel_factors_once_per_trap",)),
+    Mutant("hq-matrix-product-regrouped", _COUPLING,
+           "level.theta_e_a02 * reduced * c[channel]",
+           "level.theta_e_a02 * (reduced * c[channel])",
+           (_TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit[lu176]",
+            _TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit"
+            "[ba138]")),
+    Mutant("element-read-ignores-its-row", _COUPLING,
+           "if at == len(rows) or rows[at] != i:", "if at == len(rows):",
+           (_TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit[lu176]",
+            _TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit"
+            "[ba138]")),
     Mutant("partner-window-one-row", _EFFECTS,
-           "rows = range(max(k - 2, 0), min(k + 3, len(states)))",
-           "rows = range(max(k - 1, 0), min(k + 2, len(states)))",
+           "amplitudes(level, trap, k, k - 2, k + 2)",
+           "amplitudes(level, trap, k, k - 1, k + 1)",
            (_TE + "TestPerStateReadsMatchHqMatrix::test_offresonant_shift_is_the_column_sum"
             "[3D2]",
             _TE + "TestOffResonantShift::test_matches_explicit_second_order_sum"
             "[Ba+ D5/2-angles0]")),
+    Mutant("window-without-its-last-row", _COUPLING,
+           "bisect_right(rows, last)", "bisect_left(rows, last)",
+           (_TE + "TestPerStateReadsMatchHqMatrix::test_offresonant_shift_is_the_column_sum"
+            "[3D2]",
+            _TCP + "TestReducedTable::test_writes_never_reach_a_later_read")),
     Mutant("zero-coupling-partner-kept", _EFFECTS,
            " or dm == 0 or a2 == 0.0:", " or dm == 0:",
            (_TE + "TestOffResonantShift::test_resonance_guard",)),
@@ -458,6 +479,23 @@ MUTANTS = (
            "if not math.isfinite(theta_e_a02):", "if False:",
            (_TCP + "TestLevelSpec::test_non_finite_theta_rejected[nan]",
             _TCP + "TestLevelSpec::test_non_finite_theta_rejected[inf]")),
+    # JSON input: an object that repeats a key; and an int too long for the
+    # message's repr
+    Mutant("repeated-json-key-kept", _ERRORS,
+           "if len(doc := dict(pairs)) < len(pairs):", "if (doc := dict(pairs)) is None:",
+           (_TC + "TestConfigHandling::test_repeated_key_in_species_file_is_config_error",
+            _TC + "TestConfigHandling::test_repeated_key_in_run_config_is_config_error")),
+    Mutant("over-long-int-in-repr", _ANGULAR,
+           "if isinstance(value, int) else repr(value)", "if False else repr(value)",
+           (_TA + "TestHalfInt::test_over_long_int_is_invalid_input",)),
+    # the clock-shift grid in Python floats, numpy's linspace point for point
+    Mutant("grid-as-fractions-of-the-span", _CLI,
+           "[i * step + start for i in range(n - 1)]",
+           "[start + (stop - start) * (i / (n - 1)) for i in range(n - 1)]",
+           (_TC + "TestClockShift::test_grid_is_numpys_linspace_bit_for_bit",)),
+    Mutant("grid-of-one-point-divides-by-zero", _CLI,
+           "if n > 1 else [start] * n", "if n > 0 else []",
+           (_TC + "TestClockShift::test_grid_is_numpys_linspace_bit_for_bit",)),
     Mutant("one-of-overlap-accepted", _ERRORS,
            'if len(errors) < len(schema["oneOf"]) - 1:', "if False:",
            ("tests/test_errors.py::test_one_of_rejects_a_value_matching_two_forms",)),

@@ -62,6 +62,13 @@ class TestHalfInt:
             assert not HalfInt(2.5) == other
             assert HalfInt(2.5) != other
 
+    def test_over_long_int_is_invalid_input(self):
+        # the message's repr of the int raised a bare ValueError quoting the
+        # 4300-digit limit
+        with pytest.raises(InvalidInputError,
+                           match="^a 16610-bit int is NaN, infinite or too large$"):
+            doubled(10**5000)
+
     def test_over_long_text_is_invalid_input(self):
         # int() refused it with a bare ValueError quoting the limit
         with pytest.raises(InvalidInputError, match="^text of 5000 digits is too long"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from trapquad.cli import load_run_config, main, trap_from_config
+from trapquad.coupling import hq_matrix
 from trapquad.dynamics import RwaSystem
 from trapquad.errors import InvalidInputError
 from trapquad.inference import NoiseModel, simulate_counts
@@ -140,6 +141,29 @@ class TestMatrixElements:
             want = base * c2_coefficient(level, 5, m) / c2_ref
             assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    def test_entries_are_hq_matrix_bit_for_bit(self, tmp_path):
+        # the subcommand writes its rows from coupling.amplitudes, in Python;
+        # they are hq_matrix's entries, zeros included, in row-major order
+        config = {"schema_version": 1, "trap": {**LU_CONFIG["trap"], "alpha_deg": 23.0,
+                                                "beta_deg": 61.0}}
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps(config))
+        code, out = run_to_file(tmp_path, [
+            "matrix-elements", "--species", "lu176", "--level", "3D2",
+            "--manifold", "7,5", "--config", str(path), "--include-zeros",
+            "--format", "json"])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        level = load_species("lu176").level("3D2")
+        mat = hq_matrix(level, trap_from_config(config, load_species("lu176").mass_kg),
+                        [5, 7])
+        assert payload["basis"] == [f"{s.F},{s.m}" for s in mat.basis]
+        want = [(z.real, z.imag, abs(z)) for z in mat.amplitude.ravel().tolist()]
+        got = [(e["real_rad_s"], e["imag_rad_s"], e["modulus_rad_s"])
+               for e in payload["entries"]]
+        assert [tuple(map(float.hex, row)) for row in got] == [
+            tuple(map(float.hex, row)) for row in want]
+
     def test_empty_manifold_is_config_error(self, tmp_path, ba_config):
         code = main([
             "matrix-elements", "--species", "ba138", "--level", "D5/2",
@@ -213,6 +237,22 @@ class TestClockShift:
                   for row in payload["grid"]]
         assert max(values) == pytest.approx(1.0, abs=1e-9)
         assert min(values) == pytest.approx(payload["eta"], abs=1e-3)
+
+    def test_grid_is_numpys_linspace_bit_for_bit(self, tmp_path, lu_config):
+        # the grid is built in Python floats, by numpy's rule: i * step +
+        # start, the last point stop
+        for n in range(1, 10):
+            code, out = run_to_file(tmp_path, [
+                "clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+                "--config", lu_config, "--grid", str(n), "--format", "json",
+            ], name=f"grid{n}.json")
+            assert code == 0
+            grid = json.loads(out.read_text())["grid"]
+            want = [(alpha, beta) for alpha in np.linspace(0.0, 360.0, n).tolist()
+                    for beta in np.linspace(0.0, 180.0, n).tolist()]
+            got = [(row["alpha_deg"], row["beta_deg"]) for row in grid]
+            assert [tuple(map(float.hex, pair)) for pair in got] == [
+                tuple(map(float.hex, pair)) for pair in want]
 
     def test_negative_grid_is_config_error(self, tmp_path, lu_config):
         # ended in a numpy ValueError traceback, exit 1
@@ -478,8 +518,8 @@ class TestFitAndExtract:
 class TestConfigHandling:
     @pytest.mark.parametrize("module,name,argv", [
         ("inference", "fit_spectrum", ["fit", "--tau", "1.2e-3"]),
-        ("coupling", "hq_matrix", ["matrix-elements", "--species", "ba138",
-                                   "--level", "D5/2", "--manifold", "5/2"]),
+        ("coupling", "amplitudes", ["matrix-elements", "--species", "ba138",
+                                    "--level", "D5/2", "--manifold", "5/2"]),
     ])
     def test_linalg_error_is_numerical_failure(self, monkeypatch, capsys, tmp_path,
                                                ba_config, synthetic_csv,
@@ -596,6 +636,31 @@ class TestConfigHandling:
                      "1S0-3D2", "--config", lu_config])
         assert code == 2
         assert "repeats term '3D2'" in capsys.readouterr().err
+
+    def test_repeated_key_in_species_file_is_config_error(self, tmp_path, capsys,
+                                                          lu_config):
+        # a second "6" before the 3D1 level's own: the last value won, and
+        # the file loaded with F=6 at the original energy
+        text = (SRC / "trapquad" / "species" / "lu176.json").read_text()
+        first = '"6": 11724753626.374,'
+        assert text.count(first) == 1
+        path = tmp_path / "lu_dup.json"
+        path.write_text(text.replace(first, '"6": 123.0, ' + first))
+        code = main(["clock-shift", "--species", str(path), "--transition",
+                     "1S0-3D1", "--config", lu_config])
+        assert code == 2
+        assert "species file repeats the key '6'" in capsys.readouterr().err
+
+    def test_repeated_key_in_run_config_is_config_error(self, tmp_path, capsys):
+        # omega_rf_hz twice: the second value was used without a word
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1, "trap": {"omega_rf_hz": 33e6, '
+                        '"preset": "ideal-linear", "omega_s_hz": 1e6, '
+                        '"omega_rf_hz": 20e6}}')
+        code = main(["clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+                     "--config", str(path)])
+        assert code == 2
+        assert "config file repeats the key 'omega_rf_hz'" in capsys.readouterr().err
 
     def test_mass_u_disagreeing_with_species_is_config_error(self, tmp_path,
                                                               capsys):
@@ -743,7 +808,8 @@ class TestCsvMatchesJson:
 class TestImports:
     """The package and every CLI subcommand need numpy only, and none of
     them loads jsonschema.  Each subcommand loads what it uses: a bare
-    `import trapquad`, extract-theta and a rejected config load no numpy."""
+    `import trapquad` or `import trapquad.species`, matrix-elements,
+    clock-shift, extract-theta and a rejected config load no numpy."""
 
     TYPO_TRAP = {"schema_version": 1,
                  "trap": {"omega_rf_hz": 33e6, "preset": "ideal-linear",
@@ -800,8 +866,29 @@ class TestImports:
         code, loaded = self.fresh_process(
             ["-m", "trapquad.cli", "clock-shift", "--species", "lu176", "--transition",
              "1S0-3D2", "--config", lu_config, "-o", str(tmp_path / "shift.csv")])
-        assert code == 0 and "numpy" in loaded
+        assert code == 0 and "numpy" not in loaded
         assert not loaded & {"fractions", "decimal"}
+
+    @pytest.mark.parametrize("argv", [
+        ["clock-shift", "--species", "lu176", "--transition", "1S0-3D2", "--grid", "7"],
+        ["matrix-elements", "--species", "ba138", "--level", "D5/2", "--manifold", "5/2",
+         "--include-zeros"],
+    ], ids=["clock-shift", "matrix-elements"])
+    def test_light_subcommands_load_no_numpy(self, tmp_path, ba_config, lu_config, argv):
+        out = tmp_path / "out.json"
+        config = lu_config if argv[0] == "clock-shift" else ba_config
+        code, loaded = self.fresh_process(["-m", "trapquad.cli", *argv, "--config", config,
+                                           "--format", "json", "-o", str(out)])
+        payload = json.loads(out.read_text())
+        assert code == 0 and len(payload.get("grid", payload.get("entries"))) in (49, 36)
+        assert "numpy" not in loaded
+
+    def test_species_loads_no_numpy(self):
+        code, loaded = self.fresh_process(
+            ["-c", "from trapquad.species import load_species\n"
+                   "assert load_species('lu176').level('3D2').hyperfine_energies_hz"])
+        assert code == 0 and "trapquad" in loaded
+        assert "numpy" not in loaded
 
     def test_import_loads_no_scipy(self):
         code, loaded = self.fresh_process(["-c", "import trapquad.cli"])

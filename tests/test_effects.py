@@ -246,7 +246,9 @@ def seeded_traps(lu_trap) -> list[TrapConfig]:
 
 class TestPerStateReadsMatchHqMatrix:
     # every per-state result is its formula over the whole hq_matrix, to the
-    # last bit, whatever a cached matrix holds or a read leaves behind
+    # last bit, whatever a cache holds or a read leaves behind: in Python
+    # floats, and each sum math.fsum's over the whole column, whose entries
+    # outside the state's partners add exact zeros
     @pytest.fixture(params=["Ba+ D5/2", "3D1", "3D2", "1D2"])
     def level(self, request, lu, ba_d52):
         return ba_d52 if request.param == "Ba+ D5/2" else lu.level(request.param)
@@ -279,10 +281,12 @@ class TestPerStateReadsMatchHqMatrix:
             basis, h = self.whole(level, trap)
             for f in level.f_values():
                 k = basis.index(HyperfineState(f, 0))
-                weight = np.array([0.0 if s.F == f else 0.5 / (energy[s.F] - energy[f])
-                                   for s in basis])
-                want = -float(np.sum(np.abs(h[:, k] / TWO_PI) ** 2 * weight))
-                assert clock_shift(level, f, trap) == want
+                terms = []
+                for s, amp in zip(basis, h[:, k].tolist()):
+                    mod_hz = abs(amp / TWO_PI)
+                    weight = 0.0 if s.F == f else 0.5 / (energy[s.F] - energy[f])
+                    terms.append(mod_hz * mod_hz * weight)
+                assert clock_shift(level, f, trap) == -math.fsum(terms)
 
     def test_offresonant_shift_is_the_column_sum(self, level, lu_trap):
         # the whole column, masked to the partners: the rows outside k-2..k+2
@@ -295,15 +299,15 @@ class TestPerStateReadsMatchHqMatrix:
                 [up, ZeemanConfig(g_f=-1.2, b_field=up.b_field)]):
             basis, h = self.whole(level, trap)
             for k, ket in enumerate(basis):
-                mod2 = np.abs(h[:, k]) ** 2
-                dm = np.array([(s.m.twice - ket.m.twice) // 2 for s in basis])
-                same_f = np.array([s.F == ket.F for s in basis])
-                partner = same_f & (dm != 0) & (mod2 != 0.0)
-                split = zee.omega_z * dm[partner]
-                want = float(np.sum(-0.5 * mod2[partner] * split
-                                    / (split**2 - trap.omega_rf**2)))
+                terms = []
+                for s, amp in zip(basis, h[:, k].tolist()):
+                    dm, mod2 = (s.m.twice - ket.m.twice) // 2, abs(amp) * abs(amp)
+                    if s.F == ket.F and dm != 0 and mod2 != 0.0:
+                        split = zee.omega_z * dm
+                        terms.append(-0.5 * mod2 * split
+                                     / (split * split - trap.omega_rf**2))
                 got = offresonant_zeeman_shift(level, ket.F, ket.m, trap, zee)
-                assert got == want, (ket, trap.orientation)
+                assert got == math.fsum(terms), (ket, trap.orientation)
 
 
 @pytest.mark.parametrize("term", ["Lu+ 3D2", "Ba+ D5/2"])

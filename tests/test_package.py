@@ -95,7 +95,7 @@ def test_imports_match_declared_dependencies():
 
 def test_no_module_imports_a_siblings_private_name():
     # the seams between modules are their public names: effects reads
-    # couplings through coupling.amplitudes, never coupling._level_matrix
+    # couplings through coupling.amplitudes, never coupling._channel_factors
     private = [f"{name}: {alias.name}" for name, node in _import_statements()
                if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or (node.module or "").startswith("trapquad"))

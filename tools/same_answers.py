@@ -30,7 +30,8 @@ that tree's src/ on PYTHONPATH and BLAS on one thread:
   and every 3j symbol with all j <= 2 and every 6j symbol with all j <= 1
   (integers, so that each has an int form),
   each called with its quantum numbers as HalfInts, as ints and as floats;
-  and the reduced table of every level of both bundled species.
+  and the reduced table of every level of both bundled species, read with
+  theta_matrix_element at Theta = 1 and alpha = beta = 0.
 
 The manifest is this file's: the cli_session steps come from this tree's
 perfbench/workloads.py and the README lines from this tree's README.md; the
@@ -275,7 +276,7 @@ def entry_form_entries() -> dict:
     import numpy as np
     from trapquad.angular import (EulerAngles, HalfInt, wigner_3j, wigner_6j,
                                   wigner_D2, wigner_d2)
-    from trapquad.coupling import reduced_table
+    from trapquad.coupling import LevelSpec, reduced_table, theta_matrix_element
     from trapquad.species import BUNDLED, load_species
     forms = {"HalfInt": HalfInt, "int": int, "float": float}
     rng = np.random.default_rng(26)
@@ -295,7 +296,17 @@ def entry_form_entries() -> dict:
                    for ang in angles for mp, m in rotations],
             "3j": [wigner_3j(*map(form, q)) for q in three],
             "6j": [wigner_6j(*map(form, q)) for q in six]}
-    tables = {f"{name} {term}": reduced_table(level).reduced
+    def reduced(level):
+        # the table in units of Theta, read the same way in either tree:
+        # <bra|T_dmu|ket> at alpha = beta = 0, where D2_{dmu,dmu} is 1
+        unit, zero = LevelSpec(level.nuclear_spin, level.electronic_j, 1.0), EulerAngles(0, 0)
+        states = reduced_table(unit).states
+        return [[theta_matrix_element(unit, bra, ket, (bra.m.twice - ket.m.twice) // 2,
+                                      zero).real
+                 if abs(bra.m.twice - ket.m.twice) <= 4 else 0.0 for ket in states]
+                for bra in states]
+
+    tables = {f"{name} {term}": reduced(level)
               for name in BUNDLED
               for term, level in load_species(name).levels.items()}
     return {"angular/entry-forms": {"forms": by_form, "reduced": tables}}
