@@ -12,8 +12,7 @@ so `import trapquad` loads no submodule and no numpy.
 import importlib
 
 _EXPORTS = {
-    "angular": ("EulerAngles", "HalfInt", "wigner_3j", "wigner_6j", "wigner_D2",
-                "wigner_d2"),
+    "angular": ("EulerAngles", "HalfInt", "wigner_3j", "wigner_6j", "wigner_D2"),
     "coupling": ("HyperfineState", "LevelSpec", "QuadCouplingMatrix", "c2_coefficient",
                  "gradient_components", "hq_matrix", "theta_matrix_element"),
     "dynamics": ("RWA_BASIS", "RwaSystem", "SpectrumScan", "build_rwa_hamiltonian",
@@ -26,7 +25,7 @@ _EXPORTS = {
                "QuadratureConvergenceError", "ResonanceError"),
     "inference": ("FitConfig", "FitResult", "fit_spectrum", "noise_averaged_signal",
                   "simulate_counts"),
-    "trap": ("CODATA2018", "PhysicalConstants", "SecularEstimate", "TrapConfig",
+    "trap": ("CODATA2018", "SecularEstimate", "TrapConfig",
              "epsilon_from_secular", "secular_consistency", "NoiseModel",
              "ThetaEstimate", "combine_runs", "extract_theta"),
 }

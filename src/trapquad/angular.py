@@ -229,11 +229,6 @@ def wigner_6j_twice(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> flo
     return _racah_close(num, den, terms)
 
 
-def wigner_d2(mp: Momentum, m: Momentum, beta: float) -> float:
-    """Passive rank-2 little-d element d2_{mp,m}(beta): D2 at alpha = 0."""
-    return wigner_D2(mp, m, EulerAngles(0.0, beta)).real
-
-
 def wigner_D2(mp: Momentum, m: Momentum, angles: EulerAngles) -> complex:
     """Rank-2 rotation matrix element D2_{mp,m}(alpha, beta, gamma=0).
 

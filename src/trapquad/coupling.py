@@ -194,30 +194,34 @@ def _build_table(two_i: int, two_j: int) -> ReducedTable:
     level = LevelSpec(HalfInt.from_twice(two_i), HalfInt.from_twice(two_j), 1.0)
     states = [s for f in level.f_values() for s in level.manifold(f)]
     fm = [(s.F.twice, s.m.twice) for s in states]
+    rows = {key: row for row, key in enumerate(fm)}
     entries = [[] for _ in fm]   # (row, reduced, channel) of each nonzero entry
     if two_j >= 2:  # no rank-2 support below J = 1
         norm, fs = wigner_3j_twice(two_j, 4, two_j, -two_j, 0, two_j), level.f_twice()
         six = {(fp, f): wigner_6j_twice(f, fp, 4, two_j, two_j, two_i) / norm
                for fp in fs for f in fs}
         for k, (ket_f, ket_m) in enumerate(fm):
-            for row in range(k, len(fm)):   # the lower triangle
-                bra_f, bra_m = fm[row]
-                dmu, scale = (bra_m - ket_m) // 2, six[bra_f, ket_f]
-                if abs(dmu) > 2 or scale == 0.0:
+            # the lower triangle's partners, in row order: each F' >= F with
+            # a nonzero 6j, and in it each m' within 2 of m (m' >= m at F' = F)
+            for bra_f in range(ket_f, fs.stop, 2):
+                if (scale := six[bra_f, ket_f]) == 0.0:
                     continue
-                three = wigner_3j_twice(ket_f, 4, bra_f, ket_m, bra_m - ket_m, -bra_m)
-                # F'+F+I+J+mu' is an integer for every state of the level
-                phase = (bra_f + ket_f + two_i + two_j + bra_m) // 2
-                value = ((-1.0) ** phase * three * scale
-                         * math.sqrt((bra_f + 1.0) * (ket_f + 1.0)))
-                if value != 0.0:
-                    entries[k].append((row, value, dmu + 2))
-                    if row > k:  # <k|T|row> = (-1)^dmu <row|T|k>
-                        entries[row].append((k, value * (-1.0) ** dmu, 2 - dmu))
+                low = ket_m if bra_f == ket_f else max(ket_m - 4, -bra_f)
+                for bra_m in range(low, min(ket_m + 4, bra_f) + 1, 2):
+                    row, dmu = rows[bra_f, bra_m], (bra_m - ket_m) // 2
+                    three = wigner_3j_twice(ket_f, 4, bra_f, ket_m, bra_m - ket_m, -bra_m)
+                    # F'+F+I+J+mu' is an integer for every state of the level
+                    phase = (bra_f + ket_f + two_i + two_j + bra_m) // 2
+                    value = ((-1.0) ** phase * three * scale
+                             * math.sqrt((bra_f + 1.0) * (ket_f + 1.0)))
+                    if value != 0.0:
+                        entries[k].append((row, value, dmu + 2))
+                        if row > k:  # <k|T|row> = (-1)^dmu <row|T|k>
+                            entries[row].append((k, value * (-1.0) ** dmu, 2 - dmu))
     flat = [(row * len(fm) + k, value, ch) for k, column in enumerate(entries)
             for row, value, ch in column]
     return ReducedTable(
-        tuple(states), {key: row for row, key in enumerate(fm)},
+        tuple(states), rows,
         tuple(tuple(map(tuple, zip(*column))) or ((), (), ()) for column in entries),
         tuple(array(code, part).tobytes()
               for code, part in zip("qdb", list(zip(*flat)) or [()] * 3)))

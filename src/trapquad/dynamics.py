@@ -43,6 +43,9 @@ _B_COEFF = 3.0 / (5.0 * math.sqrt(2.0))  # |D,1/2> <-> |D,-3/2>, per unit wq
 _BATCH = 2 ** 9                          # (Delta, delta) pairs per eigh call
 _HARMONIC_TOL = 1e-10    # populations at K and 2K Floquet harmonics agree
 _MAX_HARMONICS = 64      # K past which the Floquet series counts as unconverged
+# a resolved line's least height and prominence: the height sits above the ~0.13
+# first sidelobe of a saturated pi-pulse line, below the weakest dressed-state line
+PEAK_HEIGHT, PEAK_PROMINENCE = 0.15, 0.05
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class SpectrumScan:
 
     detunings: np.ndarray   # rad/s, strictly increasing
     transfer: np.ndarray    # 1 - P_S after the probe
-    tau: float
     quadrature_nodes: int = 1        # n: the averages on n and 2n - 1 nodes agree
     quadrature_change: float = 0.0   # max |p(2n - 1) - p(n)|, at most 1e-6
 
@@ -198,15 +200,11 @@ def dressed_splitting(omega_q: float) -> float:
     return math.sqrt(7.0) / 5.0 * abs(omega_q)
 
 
-def find_spectrum_peaks(scan: SpectrumScan, height: float = 0.15,
-                        prominence: float = 0.05) -> np.ndarray:
+def find_spectrum_peaks(scan: SpectrumScan) -> np.ndarray:
     """Detunings of resolved lines: the local maxima of the transfer at least
-    `height` high and `prominence` above the higher of their two bases, as
-    scipy.signal.find_peaks defines them.  A flat top counts once, at its
+    PEAK_HEIGHT high and PEAK_PROMINENCE above the higher of their two bases,
+    as scipy.signal.find_peaks defines them.  A flat top counts once, at its
     middle sample (rounded down); the first and last samples are never peaks.
-
-    The height threshold sits above the ~0.13 first sidelobe of a saturated
-    pi-pulse line and below the weakest resolved dressed-state component.
     """
     y = np.asarray(scan.transfer, dtype=float)
     starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])   # runs of equal values
@@ -215,7 +213,7 @@ def find_spectrum_peaks(scan: SpectrumScan, height: float = 0.15,
     top = np.zeros(len(level), dtype=bool)
     top[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
     peaks = [i for i in (starts[top] + ends[top]) // 2
-             if y[i] >= height and _prominence(y, i) >= prominence]
+             if y[i] >= PEAK_HEIGHT and _prominence(y, i) >= PEAK_PROMINENCE]
     return scan.detunings[np.array(peaks, dtype=int)]
 
 

@@ -154,7 +154,7 @@ def noise_averaged_signal(sys: RwaSystem, noise: NoiseModel,
         lambda m, new: _averaged_transfer(sys.omega_q, sys.omega_0, sys.detuning_rf,
                                           noise.sigma_b, points, tau, m, new),
         _start_order(noise.sigma_b, tau))
-    return SpectrumScan(detunings=detunings, transfer=transfer[where], tau=tau,
+    return SpectrumScan(detunings=detunings, transfer=transfer[where],
                         quadrature_nodes=n, quadrature_change=change)
 
 

@@ -30,7 +30,6 @@ class Species:
 
     name: str
     mass_kg: float
-    nuclear_spin: HalfInt
     levels: dict[str, LevelSpec]
     transitions: dict[str, ClockTransition]
 
@@ -101,7 +100,6 @@ def parse_species(raw: dict) -> Species:
     return Species(
         name=raw["name"],
         mass_kg=raw["mass_u"] * CODATA2018.atomic_mass,
-        nuclear_spin=nuclear_spin,
         levels=levels,
         transitions=transitions,
     )

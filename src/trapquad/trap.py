@@ -19,23 +19,17 @@ from .angular import EulerAngles
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants (CODATA 2018), frozen for reproducibility."""
+class CODATA2018:
+    """SI constants (CODATA 2018): the one set every function reads."""
 
-    hbar: float = 1.054571817e-34          # J s
-    elementary_charge: float = 1.602176634e-19  # C
-    bohr_radius: float = 5.29177210903e-11  # m
-    atomic_mass: float = 1.66053906660e-27  # kg
-    bohr_magneton: float = 9.2740100783e-24  # J/T
-
-    @property
-    def e_a0_squared(self) -> float:
-        """One atomic unit of quadrupole moment, e*a0^2, in C m^2."""
-        return self.elementary_charge * self.bohr_radius**2
+    hbar = 1.054571817e-34            # J s
+    elementary_charge = 1.602176634e-19  # C
+    bohr_radius = 5.29177210903e-11   # m
+    atomic_mass = 1.66053906660e-27   # kg
+    bohr_magneton = 9.2740100783e-24  # J/T
+    e_a0_squared = elementary_charge * bohr_radius**2  # e*a0^2, C m^2
 
 
-CODATA2018 = PhysicalConstants()
 TWO_PI = 2.0 * math.pi   # rad/s per Hz
 
 
@@ -56,7 +50,6 @@ class SecularEstimate:
 
     omega_s: float
     uncertainty: float
-    asymmetry: float  # signed diagnostic omega_z - (omega_x - omega_y)
 
 
 def secular_consistency(omega_x: float, omega_y: float,
@@ -69,12 +62,8 @@ def secular_consistency(omega_x: float, omega_y: float,
     if not (0 < omega_x < math.inf and 0 < omega_y < math.inf
             and 0 <= omega_z < math.inf):
         raise InvalidInputError("trap frequencies must be positive and finite")
-    asymmetry = omega_z - (omega_x - omega_y)
-    return SecularEstimate(
-        omega_s=0.5 * (omega_x + omega_y),
-        uncertainty=abs(asymmetry),
-        asymmetry=asymmetry,
-    )
+    return SecularEstimate(omega_s=0.5 * (omega_x + omega_y),
+                           uncertainty=abs(omega_z - (omega_x - omega_y)))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ grouping of the points by |delta| in the fit and in noise_averaged_signal, the
 fit's memory of its passes, the weights and the chi^2 that the fit's
 objective shares, the seed's one-node omega_q grid and the one laser
 detuning per pair of every model pass, the solver's stopping tests and its
-step back from the bound, the peak search, the explicit-drive oracle, the
-schema checker, the detuning grid's, the fit's input-shape, the CLI's and
-the trap config's own checks, the code that each rule written once
-shares, the key of the cached channel factors, H_Q's Theta and channel
-factors, hq_matrix's numpy product and the element reads' row lookup, the
+step back from the bound, the peak search at its two thresholds, the reduced
+table's build (its mirror and its walk over each column's partners), the
+explicit-drive oracle, the schema checker, the detuning grid's, the
+fit's input-shape, the CLI's and the trap config's own checks, e*a0^2 from
+the CODATA 2018 constants, the code that each rule written once shares,
+the key of the cached channel factors, H_Q's Theta and channel factors,
+hq_matrix's numpy product and the element reads' row lookup, the
 off-resonant partner window and its skip of uncoupled partners, the entry
 rule of every angular momentum (angular.doubled: its float range, NaN, its
 1e-9 tolerance, its "n/2" text, text too long for int() and an int too long
@@ -166,7 +168,10 @@ MUTANTS = (
            "min(y[lo:i + 1].min(), y[i:hi].min())",
            (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
     Mutant("height-strict", _DYNAMICS,
-           "if y[i] >= height and", "if y[i] > height and",
+           "if y[i] >= PEAK_HEIGHT and", "if y[i] > PEAK_HEIGHT and",
+           (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
+    Mutant("prominence-strict", _DYNAMICS,
+           "_prominence(y, i) >= PEAK_PROMINENCE", "_prominence(y, i) > PEAK_PROMINENCE",
            (_TD + "TestFindSpectrumPeaks::test_agrees_with_scipy_on_plateaus_and_noise",)),
     Mutant("plateau-peak-at-its-start", _DYNAMICS,
            "(starts[top] + ends[top]) // 2", "starts[top]",
@@ -278,6 +283,12 @@ MUTANTS = (
            "replace(linear, A=linear.epsilon)",
            ("tests/test_trap.py::TestTrapConfig::test_ideal_quadrupole_preset",
             _TE + "TestHyperfineAverage::test_dm0_only_couplings_average_to_zero")),
+    # e*a0^2, computed once from the constants: the product regrouped moves
+    # its last bit
+    Mutant("e-a0-squared-regrouped", _TRAP,
+           "elementary_charge * bohr_radius**2",
+           "elementary_charge * bohr_radius * bohr_radius",
+           ("tests/test_trap.py::TestConstants::test_codata2018_bit_for_bit",)),
     Mutant("empty-manifold-accepted", _COUPLING,
            "if not fs:", "if False:",
            (_TCP + "TestHqMatrix::test_empty_manifold_rejected",
@@ -379,6 +390,25 @@ MUTANTS = (
            (_TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit[lu176]",
             _TCP + "TestReducedTable::test_hq_matrix_is_the_element_reads_bit_for_bit"
             "[ba138]")),
+    # the reduced table's build: the mirror of each lower-triangle entry
+    # without its sign or with its channel unflipped, and the walk over each
+    # column's partners narrowed at either edge of |dmu| <= 2
+    Mutant("mirror-sign-dropped", _COUPLING,
+           "(k, value * (-1.0) ** dmu, 2 - dmu)", "(k, value, 2 - dmu)",
+           (_TCP + "TestReducedTable::test_matches_exact_element_formula",
+            _TCP + "TestHqMatrix::test_hermitian_and_traceless_random")),
+    Mutant("mirror-channel-unflipped", _COUPLING,
+           "(k, value * (-1.0) ** dmu, 2 - dmu)", "(k, value * (-1.0) ** dmu, dmu + 2)",
+           (_TCP + "TestReducedTable::test_matches_exact_element_formula",
+            _TCP + "TestHqMatrix::test_hermitian_and_traceless_random")),
+    Mutant("partner-walk-narrowed-above", _COUPLING,
+           "min(ket_m + 4, bra_f)", "min(ket_m + 2, bra_f)",
+           (_TCP + "TestReducedTable::test_matches_exact_element_formula",
+            _TCP + "TestReducedTable::test_rotation_covariance[Lu+ 3D2]")),
+    Mutant("partner-walk-narrowed-below", _COUPLING,
+           "max(ket_m - 4, -bra_f)", "max(ket_m - 2, -bra_f)",
+           (_TCP + "TestReducedTable::test_matches_exact_element_formula",
+            _TCP + "TestReducedTable::test_rotation_covariance[Lu+ 3D2]")),
     Mutant("partner-window-one-row", _EFFECTS,
            "amplitudes(level, trap, k, k - 2, k + 2)",
            "amplitudes(level, trap, k, k - 1, k + 1)",

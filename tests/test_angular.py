@@ -12,7 +12,6 @@ from trapquad.angular import (
     wigner_3j,
     wigner_6j,
     wigner_D2,
-    wigner_d2,
 )
 from trapquad.coupling import HyperfineState, LevelSpec
 from trapquad.errors import InvalidInputError
@@ -224,7 +223,8 @@ class TestRank2Rotation:
     def test_d00_closed_form(self):
         for beta in np.linspace(0, math.pi, 17):
             want = (3 * math.cos(beta) ** 2 - 1) / 2
-            assert wigner_d2(0, 0, beta) == pytest.approx(want, abs=1e-15)
+            d00 = wigner_D2(0, 0, EulerAngles(0.0, beta)).real   # d2: D2 at alpha = 0
+            assert d00 == pytest.approx(want, abs=1e-15)
 
     def test_combination_closed_forms_on_grid(self):
         # the six closed-form combinations that fix the sign convention
@@ -270,14 +270,15 @@ class TestRank2Rotation:
         evals, evecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
         for beta in np.linspace(0.0, math.pi, 181):
             want = (evecs * np.exp(1j * beta * evals)) @ evecs.conj().T
-            got = [[wigner_d2(mp, m, beta) for m in ms] for mp in ms]
+            got = [[wigner_D2(mp, m, EulerAngles(0.0, beta)).real for m in ms]
+                   for mp in ms]
             assert np.abs(got - want).max() <= 1e-14
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_beta(self, beta):
         # nan came back as nan, and inf raised a bare "math domain error"
         with pytest.raises(InvalidInputError, match="Euler angles must be finite"):
-            wigner_d2(0, 0, beta)
+            wigner_D2(0, 0, EulerAngles(0.0, beta))
 
     @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.0, math.inf),
                                         (-math.inf, 0.0)],

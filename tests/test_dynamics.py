@@ -10,6 +10,8 @@ from trapquad.dynamics import (
     IDX_D52,
     IDX_DM32,
     IDX_S,
+    PEAK_HEIGHT,
+    PEAK_PROMINENCE,
     RwaSystem,
     SpectrumScan,
     build_rwa_hamiltonian,
@@ -291,22 +293,29 @@ class TestFindSpectrumPeaks:
         from scipy.signal import find_peaks
 
         for scan in self.scans():
-            idx, _ = find_peaks(scan.transfer, height=0.15, prominence=0.05)
+            idx, _ = find_peaks(scan.transfer, height=PEAK_HEIGHT,
+                                prominence=PEAK_PROMINENCE)
             assert np.array_equal(find_spectrum_peaks(scan), scan.detunings[idx])
 
     def test_agrees_with_scipy_on_plateaus_and_noise(self):
         from scipy.signal import find_peaks
 
+        # plateaus drawn from levels where a line can sit exactly on each
+        # threshold: 0.15 is PEAK_HEIGHT, and 0.16 - 0.11 == PEAK_PROMINENCE
+        levels = np.array([0.0, 0.11, 0.15, 0.16, 0.2, 0.5, 1.0])
+        assert levels[2] == PEAK_HEIGHT and levels[3] - levels[1] == PEAK_PROMINENCE
         rng = np.random.default_rng(3)
+        on_height = on_prominence = 0
         for trial in range(200):
             n = int(rng.integers(3, 40))
-            y = (rng.integers(0, 5, n) / 4.0 if trial % 2
+            y = (levels[rng.integers(0, len(levels), n)] if trial % 2
                  else rng.uniform(0.0, 1.0, n))
-            scan = SpectrumScan(np.arange(n, dtype=float), y, 1.0)
-            for height, prominence in ((0.15, 0.05), (0.0, 0.0), (0.5, 0.3)):
-                idx, _ = find_peaks(y, height=height, prominence=prominence)
-                assert np.array_equal(
-                    find_spectrum_peaks(scan, height, prominence), idx)
+            scan = SpectrumScan(np.arange(n, dtype=float), y)
+            idx, found = find_peaks(y, height=PEAK_HEIGHT, prominence=PEAK_PROMINENCE)
+            assert np.array_equal(find_spectrum_peaks(scan), idx)
+            on_height += np.count_nonzero(found["peak_heights"] == PEAK_HEIGHT)
+            on_prominence += np.count_nonzero(found["prominences"] == PEAK_PROMINENCE)
+        assert on_height and on_prominence   # both edges are lines here
 
 
 class TestFloquetOracle:

@@ -28,7 +28,7 @@ def test_name_is_its_submodules_own_object(name):
 
 
 def test_all_is_the_table_without_repeats():
-    assert len(set(trapquad.__all__)) == len(trapquad.__all__) == 50
+    assert len(set(trapquad.__all__)) == len(trapquad.__all__) == 48
     assert set(trapquad.__all__) <= set(dir(trapquad))
     assert "__version__" in dir(trapquad)
 

@@ -41,6 +41,21 @@ def test_a_moved_number_gives_its_relative_difference():
     assert verdicts["cli/fit"] == IDENTICAL
 
 
+def test_a_zero_that_changes_sign_differs():
+    # -0.0 == 0.0 as floats, yet they print as -0 and 0 and hold other bits
+    assert same_answers.relative(-0.0, 0.0) == same_answers.relative(0.0, -0.0) == 2.0
+    assert same_answers.relative(-0.0, -0.0) == same_answers.relative(0.0, 0.0) == 0.0
+    change = parent()
+    change["wigner/3j-6j"] = [0.5, -0.25 * (1 + 2e-16), -0.0]
+    change["cli/fit"]["stdout"] = "omega_q = -0 +- 35.1 Hz\n"
+    before = {**parent(), "cli/fit": {**parent()["cli/fit"],
+                                      "stdout": "omega_q = 0 +- 35.1 Hz\n"}}
+    verdicts = same_answers.compare(before, change)
+    assert verdicts["wigner/3j-6j"] == "largest relative difference 2"
+    assert verdicts["cli/fit"] == "largest relative difference 2"
+    assert same_answers.unexpected(verdicts, []) == ["cli/fit", "wigner/3j-6j"]
+
+
 def test_numbers_in_text_are_compared_as_numbers():
     change = parent()
     change["cli/fit"]["stdout"] = "omega_q = 1694.3 +- 35.1 Hz\n"

@@ -28,7 +28,7 @@ class TestBundledFiles:
 
     def test_ba_has_no_hyperfine_structure(self):
         ba = load_species("ba138")
-        assert ba.nuclear_spin == 0
+        assert ba.level("D5/2").nuclear_spin == 0
         assert ba.level("D5/2").hyperfine_energies_hz is None
 
 

@@ -14,6 +14,17 @@ from trapquad.trap import (
 TWO_PI = 2 * math.pi
 
 
+class TestConstants:
+    def test_codata2018_bit_for_bit(self):
+        # the one set of constants, e*a0^2 included, each equal to its literal
+        values = {name: value for name, value in vars(CODATA2018).items()
+                  if not name.startswith("_")}
+        assert values == {
+            "hbar": 1.054571817e-34, "elementary_charge": 1.602176634e-19,
+            "bohr_radius": 5.29177210903e-11, "atomic_mass": 1.66053906660e-27,
+            "bohr_magneton": 9.2740100783e-24, "e_a0_squared": 4.486551524613e-40}
+
+
 class TestEpsilonFromSecular:
     def test_ba_closes_the_measurement_loop(self):
         # eps for the Ba+ run times the measured Theta gives back the fitted

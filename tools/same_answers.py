@@ -26,7 +26,8 @@ that tree's src/ on PYTHONPATH and BLAS on one thread:
   state;
 - wigner/3j-6j: every 3j symbol with all 2j <= 12 and every 6j symbol with
   all 2j <= 6;
-- angular/entry-forms: every D2 and d2 element at three seeded orientations,
+- angular/entry-forms: every D2 element at three seeded orientations, and its
+  real part at alpha = 0 (d2),
   and every 3j symbol with all j <= 2 and every 6j symbol with all j <= 1
   (integers, so that each has an int form),
   each called with its quantum numbers as HalfInts, as ints and as floats;
@@ -71,7 +72,11 @@ def split(value) -> tuple[str, list[float]]:
 
 
 def relative(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
+    """|a - b| over the larger magnitude, which is 2 for x against -x and so
+    also for 0.0 against -0.0; 0 for the same number or two NaNs."""
+    if a == b:
+        return 0.0 if math.copysign(1.0, a) == math.copysign(1.0, b) else 2.0
+    if math.isnan(a) and math.isnan(b):
         return 0.0
     return abs(a - b) / max(abs(a), abs(b))
 
@@ -274,8 +279,7 @@ def entry_form_entries() -> dict:
     import itertools
 
     import numpy as np
-    from trapquad.angular import (EulerAngles, HalfInt, wigner_3j, wigner_6j,
-                                  wigner_D2, wigner_d2)
+    from trapquad.angular import EulerAngles, HalfInt, wigner_3j, wigner_6j, wigner_D2
     from trapquad.coupling import LevelSpec, reduced_table, theta_matrix_element
     from trapquad.species import BUNDLED, load_species
     forms = {"HalfInt": HalfInt, "int": int, "float": float}
@@ -292,7 +296,7 @@ def entry_form_entries() -> dict:
         d = [wigner_D2(form(mp), form(m), ang) for ang in angles for mp, m in rotations]
         by_form[name] = {
             "D2": [[z.real, z.imag] for z in d],
-            "d2": [wigner_d2(form(mp), form(m), ang.beta)
+            "d2": [wigner_D2(form(mp), form(m), EulerAngles(0.0, ang.beta)).real
                    for ang in angles for mp, m in rotations],
             "3j": [wigner_3j(*map(form, q)) for q in three],
             "6j": [wigner_6j(*map(form, q)) for q in six]}
