@@ -41,6 +41,9 @@ IDX_D52, IDX_D12, IDX_DM32, IDX_S = 0, 1, 2, 3
 _A_COEFF = 1.0 / math.sqrt(10.0)       # |D,1/2> <-> |D,5/2>, per unit wq
 _B_COEFF = 3.0 / (5.0 * math.sqrt(2.0))  # |D,1/2> <-> |D,-3/2>, per unit wq
 _BATCH = 2 ** 9                          # (Delta, delta) pairs per eigh call
+# the kernel's 10 entries (k, l), k <= l: the diagonal, then the 6 off pairs
+_K = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2])
+_L = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 _HARMONIC_TOL = 1e-10    # populations at K and 2K Floquet harmonics agree
 _MAX_HARMONICS = 64      # K past which the Floquet series counts as unconverged
 # a resolved line's least height and prominence: the height sits above the ~0.13
@@ -135,7 +138,7 @@ def transfer_probabilities(omega_q: float | np.ndarray, omega_0: float,
     tau > 0.  With derivatives, (p, dp) from the same eigh, where dp stacks
     dp/d omega_q, dp/d Delta and dp/d delta on a new first axis.  The pairs
     are diagonalised in batches of at most 512, which bounds the working
-    memory beyond the flat inputs and the outputs at about 0.3 MB (0.6 MB
+    memory beyond the flat inputs and the outputs at about 0.3 MB (0.4 MB
     with derivatives)."""
     check_probe_time(tau)
     shape = np.broadcast_shapes(np.shape(omega_q), np.shape(detuning_rf),
@@ -170,22 +173,27 @@ def _transfer_gradient(evals: np.ndarray, evecs: np.ndarray, y: np.ndarray,
     da = sum_kl v_Sk v_Sl G_kl (V^T dH V)_kl with the divided differences
     G_kl = -i tau e_k e_l sinc((lambda_k - lambda_l) tau/2), where
     e_k = exp(-i lambda_k tau/2): finite at degenerate pairs.  With
-    z_ik = v_ik y_k = v_ik v_Sk e_k, da is -i tau z S z^T (S the real sinc
-    matrix) contracted with dH: the coupling pattern for omega_q,
-    diag(-1, 0, 1, 0) for Delta and diag(0, 0, 0, 1) for delta.
+    y_k = v_Sk e_k this is dp = -2 tau sum_kl T_kl (V^T dH V)_kl, where the
+    kernel T_kl = Im(conj(a) y_k y_l) sinc((lambda_k - lambda_l) tau/2) is
+    real and symmetric, so it is taken on its 10 entries k <= l with each off
+    pair counted twice.  (V^T dH V)_kl is v_1k u_l + u_k v_1l for omega_q,
+    with u = A v_0 + B v_2 its coupling rows, v_2k v_2l - v_0k v_0l for Delta
+    and v_Sk v_Sl for delta.
     """
-    z = evecs * y[:, None, :]
-    sinc = np.sinc((evals[:, :, None] - evals[:, None, :]) * (0.5 * tau / math.pi))
-    # einsum, not matmul: matmul calls BLAS, whose first call adds about
-    # 1 MB of buffers to the resident memory of the process
-    zs = np.einsum("nik,nkl->nil", z, sinc)
+    c = np.conj(amps)[:, None] * y
+    t = c.real[:, _K] * y.imag[:, _L]
+    t += c.imag[:, _K] * y.real[:, _L]        # Im(c_k y_l) = Im(conj(a) y_k y_l)
+    x = (evals[:, _K[4:]] - evals[:, _L[4:]]) * (0.5 * tau)
+    t[:, 4:] *= 2.0 * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    v = evecs.transpose(1, 0, 2)              # v[i][:, k] = v_ik
+    u = _A_COEFF * v[0] + _B_COEFF * v[2]
 
-    def zsz(i: int, j: int) -> np.ndarray:
-        return np.sum(zs[:, i, :] * z[:, j, :], axis=1)
+    def vtv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("nm,nm,nm->n", t, a[:, _K], b[:, _L])
 
-    da = np.stack([2.0 * _A_COEFF * zsz(0, 1) + 2.0 * _B_COEFF * zsz(1, 2),
-                   zsz(2, 2) - zsz(0, 0), zsz(IDX_S, IDX_S)])
-    return -2.0 * tau * np.imag(np.conj(amps) * da)
+    return -2.0 * tau * np.stack([vtv(v[1], u) + vtv(u, v[1]),
+                                  vtv(v[2], v[2]) - vtv(v[0], v[0]),
+                                  vtv(v[IDX_S], v[IDX_S])])
 
 
 def default_detuning_grid(omega_q: float, n_points: int = 801,

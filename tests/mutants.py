@@ -152,16 +152,25 @@ MUTANTS = (
            "            return stop(1)\n", "",
            (_TI + "TestLeastSquares::test_zero_residual_at_the_start_stops_on_gtol",)),
     Mutant("ddelta-rf-sign-flipped", _DYNAMICS,
-           "zsz(2, 2) - zsz(0, 0)", "zsz(0, 0) - zsz(2, 2)",
+           "vtv(v[2], v[2]) - vtv(v[0], v[0])", "vtv(v[0], v[0]) - vtv(v[2], v[2])",
            (_TD + "TestTransferProbabilities::test_derivatives_match_central_differences",)),
     Mutant("sinc-argument-off-by-pi", _DYNAMICS,
-           "* (0.5 * tau / math.pi))", "* (0.5 * tau))",
+           "evals[:, _L[4:]]) * (0.5 * tau)", "evals[:, _L[4:]]) * (0.5 * math.pi * tau)",
            (_TD + "TestTransferProbabilities::test_derivatives_match_central_differences",
-            _TD + "TestTransferProbabilities::test_mirror_of_both_detunings")),
+            _TD + "TestTransferProbabilities::test_derivatives_agree_with_exact_arithmetic"
+                  "[random-1]")),
     Mutant("omega-q-term-contracts-1-1", _DYNAMICS,
-           "2.0 * _B_COEFF * zsz(1, 2)", "2.0 * _B_COEFF * zsz(1, 1)",
+           "u = _A_COEFF * v[0] + _B_COEFF * v[2]", "u = _A_COEFF * v[0] + _B_COEFF * v[1]",
            (_TD + "TestTransferProbabilities::test_mirror_of_both_detunings",
             _TD + "TestTransferProbabilities::test_even_in_omega_q")),
+    Mutant("off-pairs-not-doubled", _DYNAMICS,
+           "t[:, 4:] *= 2.0 * np.divide(", "t[:, 4:] *= np.divide(",
+           (_TD + "TestTransferProbabilities::test_derivatives_match_central_differences",
+            _TD + "TestTransferProbabilities::test_derivatives_agree_with_exact_arithmetic"
+                  "[random-1]")),
+    Mutant("degenerate-sinc-is-zero", _DYNAMICS,
+           "out=np.ones_like(x), where=x != 0.0", "out=np.zeros_like(x), where=x != 0.0",
+           (_TD + "TestTransferProbabilities::test_derivatives_in_any_basis_of_a_degenerate_pair",)),
     # the peak search
     Mutant("prominence-from-the-lower-base", _DYNAMICS,
            "max(y[lo:i + 1].min(), y[i:hi].min())",

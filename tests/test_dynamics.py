@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import direct_drive
 import numpy as np
@@ -277,6 +278,82 @@ class TestTransferProbabilities:
         scale = np.max(np.abs(dp[2]))
         assert scale > 0.0
         assert np.max(np.abs(dp - fd)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("omega_q, omega_0, d_rf, d_l, tau, expected", [
+        (WQ, 0.3 * WQ, 0.37 * WQ, -0.81 * WQ, 1.2e-3,
+         (0.00012007018407368527, 0.00011048514232337052, 0.00026976727706862485)),
+        (0.6 * WQ, 0.2 * WQ, -1.3 * WQ, 0.45 * WQ, 1.2e-3,
+         (1.8337801672645435e-06, 1.5575804542096554e-06, -2.3110238652349653e-05)),
+        (-1.1 * WQ, 0.5 * WQ, 0.2 * WQ, 1.7 * WQ, 2.5e-3,
+         (-4.7091243013093766e-05, 4.4807122791818766e-05, -0.00011663548591315007)),
+        (WQ, 0.3 * WQ, 0.0, 0.52 * WQ, 1.2e-3,
+         (2.7842008708173257e-06, -8.062573642032825e-06, 5.496741147560991e-06)),
+        (WQ, 0.3 * WQ, 0.0, 0.0, 1.2e-3, (5.466607496670898e-05, 0.0, 0.0)),
+        (WQ, 0.3 * WQ, 0.4 * WQ, 0.4 * WQ, 1.2e-3,
+         (-9.143337175158771e-05, -0.0001386796795126722, 0.0002114393538087877)),
+        (WQ, 0.3 * WQ, 0.4 * WQ, -0.4 * WQ, 1.2e-3,
+         (-6.245953296112339e-05, -0.00014435430001796153, -8.253738356219172e-05)),
+        (0.0, 0.3 * WQ, 0.0, 0.7 * WQ, math.pi / (0.3 * WQ),
+         (0.0, 0.0, 4.9748062380253434e-05)),
+        (0.0, 4.0 * WQ, 4.0 * WQ, 3.0 * WQ, 1.2e-3, (0.0, 0.0, 0.00021415521304851017)),
+    ], ids=["random-1", "random-2", "random-3", "Delta=0", "carrier", "delta=Delta",
+            "delta=-Delta", "omega_q=0,Delta=0", "level-crossing"])
+    def test_derivatives_agree_with_exact_arithmetic(self, omega_q, omega_0, d_rf,
+                                                     d_l, tau, expected):
+        # expected: the upper-right block of exp(-i tau [[H, dH], [0, H]]),
+        # which is d exp(-i tau H), in 40-digit arithmetic (mpmath.expm) on
+        # these very floats.  At the level crossing |D,-3/2> and the upper
+        # Rabi state share the eigenvalue 4 omega_q exactly; there dp/d delta
+        # is the Rabi formula's, 2.1415521304851034e-04 in closed form
+        _, dp = transfer_probabilities(omega_q, omega_0, d_rf, d_l, tau,
+                                       derivatives=True)
+        assert np.max(np.abs(dp - np.array(expected))) <= 1e-13 * tau
+
+    def test_derivatives_in_any_basis_of_a_degenerate_pair(self, monkeypatch):
+        # eigh returns the crossing's pair unmixed, so one of the two has no
+        # S weight; in a rotated basis both have, and their kernel entry is
+        # the divided difference's limit at lambda_k = lambda_l
+        tau = 1.2e-3
+        point = (0.0, 4.0 * WQ, 4.0 * WQ, 3.0 * WQ, tau)
+        p, dp = transfer_probabilities(*point, derivatives=True)
+        eigh = np.linalg.eigh
+        cos, sin = math.cos(0.6), math.sin(0.6)
+
+        def mixed(h):
+            evals, evecs = eigh(h)
+            assert np.all(evals[:, 2] == evals[:, 3])
+            out = evecs.copy()
+            out[:, :, 2] = cos * evecs[:, :, 2] + sin * evecs[:, :, 3]
+            out[:, :, 3] = cos * evecs[:, :, 3] - sin * evecs[:, :, 2]
+            assert np.all(out[:, IDX_S, 2:] != 0.0)
+            return evals, out
+
+        monkeypatch.setattr(np.linalg, "eigh", mixed)
+        q, dq = transfer_probabilities(*point, derivatives=True)
+        assert abs(q - p) <= 1e-15
+        assert dp[2] > 1e-4
+        assert np.max(np.abs(dq - dp)) <= 1e-13 * tau
+
+    @pytest.mark.parametrize("n", [512, 5120])
+    @pytest.mark.parametrize("derivatives, bound_mb", [(False, 0.3), (True, 0.4)])
+    def test_working_memory_is_bounded(self, n, derivatives, bound_mb):
+        # the traced peak beyond the outputs and omega_q's flat copy (the
+        # 1-D detunings are used as they are): the batches of 512 bound it
+        # whatever the number of pairs
+        d_rf, d_l = np.random.default_rng(3).uniform(-2.0, 2.0, (2, n)) * WQ
+
+        def call():
+            return transfer_probabilities(WQ, 0.3 * WQ, d_rf, d_l, 1.2e-3,
+                                          derivatives=derivatives)
+
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n * (2 + 3 * derivatives) <= bound_mb * 2 ** 20
 
 
 class TestFindSpectrumPeaks:
