@@ -25,8 +25,8 @@ import sys
 from pathlib import Path
 
 from .angular import EulerAngles
-from .errors import (FitError, IntegrationError, InvalidInputError,
-                     QuadratureConvergenceError, ResonanceError, check_document, read_json)
+from .errors import (FitError, IntegrationError, InvalidInputError, ResonanceError,
+                     QuadratureConvergenceError, check_document, read_json, read_text)
 from .trap import (CODATA2018, TWO_PI, NoiseModel, TrapConfig, combine_runs,
                    extract_theta, secular_consistency)
 
@@ -110,7 +110,10 @@ def _emit(args, payload: dict, header, rows, comments=()) -> None:
                  + [_csv_row(row) for row in rows])
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -213,10 +216,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _read_fit_csv(path: str) -> tuple[list[float], list[float], list[float]]:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise InvalidInputError(f"data file not found: {path}") from None
+    text = read_text(Path(path), "data file")
     deltas, counts, shots = [], [], []
     rows = [(ln, line) for ln, line in enumerate(map(str.strip, text.splitlines()), 1)
             if line and not line.startswith("#")]

@@ -66,25 +66,22 @@ class RwaSystem:
             raise InvalidInputError("couplings and detunings must be finite")
 
 
-def _rwa_hamiltonians(omega_q: np.ndarray, omega_0: float,
-                      detuning_rf: np.ndarray,
-                      detuning_laser: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) rotating-frame Hamiltonians (rad/s) of n parameter sets."""
-    h = np.zeros((len(detuning_rf), 4, 4))
-    h[:, 0, 0] = -detuning_rf
-    h[:, 2, 2] = detuning_rf
-    h[:, 3, 3] = detuning_laser
-    h[:, 0, 1] = h[:, 1, 0] = omega_q * _A_COEFF
-    h[:, 1, 2] = h[:, 2, 1] = omega_q * _B_COEFF
-    h[:, 1, 3] = h[:, 3, 1] = 0.5 * omega_0
+def _rwa_hamiltonians(omega_q, omega_0: float, detuning_rf, detuning_laser) -> np.ndarray:
+    """Rotating-frame Hamiltonian (rad/s) for numbers, or a stack of them
+    over the shape of detuning_rf, which the other inputs broadcast to."""
+    h = np.zeros(np.shape(detuning_rf) + (4, 4))
+    h[..., 0, 0] = -detuning_rf
+    h[..., 2, 2] = detuning_rf
+    h[..., 3, 3] = detuning_laser
+    h[..., 0, 1] = h[..., 1, 0] = omega_q * _A_COEFF
+    h[..., 1, 2] = h[..., 2, 1] = omega_q * _B_COEFF
+    h[..., 1, 3] = h[..., 3, 1] = 0.5 * omega_0
     return h
 
 
 def build_rwa_hamiltonian(sys: RwaSystem) -> np.ndarray:
     """4x4 rotating-frame Hamiltonian (rad/s) in the RWA_BASIS order."""
-    return _rwa_hamiltonians(np.array([sys.omega_q]), sys.omega_0,
-                             np.array([sys.detuning_rf]),
-                             np.array([sys.detuning_laser]))[0]
+    return _rwa_hamiltonians(sys.omega_q, sys.omega_0, sys.detuning_rf, sys.detuning_laser)
 
 
 def propagate(hamiltonian: np.ndarray, tau: float) -> np.ndarray:
@@ -138,21 +135,20 @@ def transfer_probabilities(omega_q: float | np.ndarray, omega_0: float,
     tau > 0.  With derivatives, (p, dp) from the same eigh, where dp stacks
     dp/d omega_q, dp/d Delta and dp/d delta on a new first axis.  The pairs
     are diagonalised in batches of at most 512, which bounds the working
-    memory beyond the flat inputs and the outputs at about 0.3 MB (0.4 MB
-    with derivatives)."""
+    memory beyond the outputs at about 0.28 MB (0.35 MB with derivatives);
+    an input is copied only where reshape(-1) cannot view it (a scalar can)."""
     check_probe_time(tau)
     shape = np.broadcast_shapes(np.shape(omega_q), np.shape(detuning_rf),
                                 np.shape(detuning_laser))
     flat_wq, flat_rf, flat_l = (
-        np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+        np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(-1)
         for a in (omega_q, detuning_rf, detuning_laser))
     out = np.empty(flat_rf.size)
     grad = np.empty((3, flat_rf.size)) if derivatives else None
     for lo in range(0, flat_rf.size, _BATCH):
         part = slice(lo, lo + _BATCH)
-        h = _rwa_hamiltonians(flat_wq[part], omega_0, flat_rf[part],
-                              flat_l[part])
-        evals, evecs = np.linalg.eigh(h)
+        evals, evecs = np.linalg.eigh(_rwa_hamiltonians(
+            flat_wq[part], omega_0, flat_rf[part], flat_l[part]))
         # y_k = v_Sk exp(-i lambda_k tau/2), so that a = sum_k y_k^2
         y = evecs[:, IDX_S, :] * np.exp(-0.5j * tau * evals)
         amps = np.sum(y * y, axis=1)

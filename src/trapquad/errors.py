@@ -1,10 +1,10 @@
-"""Exception types shared across the package, and the one reader and checker
-of JSON input.
+"""Exception types shared across the package, and the one reader of input
+files and checker of JSON input.
 
-`read_json` reads a file that must hold a JSON object. `check_document`
-checks a document against one of the bundled schemas/*.schema.json, using
-the draft-07 keywords those schemas use; unlike draft-07, a "number" must be
-a finite double. Both raise InvalidInputError with a message that names the key.
+`read_text` reads a UTF-8 text file and `read_json` one that must hold a JSON
+object. `check_document` checks a document against one of the bundled
+schemas/*.schema.json (draft-07 keywords, but a "number" must be a finite double).
+All raise InvalidInputError with a message that names the file or the key.
 """
 
 import json
@@ -35,6 +35,15 @@ class FitError(RuntimeError):
     """Raised when a spectrum fit does not converge or has a degenerate covariance."""
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at `path` (a Path or package resource)."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", "not UTF-8 text")  # a decode error has none
+        raise InvalidInputError(f"cannot read {what} {path}: {reason}") from None
+
+
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at `path` (a Path or package resource);
     `what` names the file in errors; an object that repeats a key is one."""
@@ -45,11 +54,9 @@ def read_json(path, what: str) -> dict:
         return doc
 
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+        doc = json.loads(read_text(path, what), object_pairs_hook=unique)
     except InvalidInputError:   # a ValueError, but not a syntax error
         raise
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidInputError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

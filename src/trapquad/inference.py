@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +47,9 @@ _MAX_NODES = 3073              # the finest, step 1/256
 _QUADRATURE_TOL = 1e-6          # largest change of the average when h halves
 
 
-@lru_cache(maxsize=None)
 def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes x and weights h*phi(x) of the n-node rule, computed
-    once; with new_only, just the nodes it adds to the (n + 1)/2-node rule.
+    """Nodes x and weights h*phi(x) of the n-node rule, computed per call;
+    with new_only, just the nodes it adds to the (n + 1)/2-node rule.
     The 1-node rule is x = 0 with weight 1."""
     if n == 1:
         x, w = np.zeros(1), np.ones(1)
@@ -60,8 +58,6 @@ def _uniform_rule(n: int, new_only: bool) -> tuple[np.ndarray, np.ndarray]:
         if new_only:
             x = x[1::2]
         w = 2.0 * _HALF_WIDTH / (n - 1) * np.exp(-0.5 * x * x) / math.sqrt(TWO_PI)
-    for array in (x, w):
-        array.flags.writeable = False
     return x, w
 
 

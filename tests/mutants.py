@@ -14,7 +14,8 @@ hq_matrix's numpy product and the element reads' row lookup, the
 off-resonant partner window and its skip of uncoupled partners, the entry
 rule of every angular momentum (angular.doubled: its float range, NaN, its
 1e-9 tolerance, its "n/2" text, text too long for int() and an int too long
-for repr), a JSON object that repeats a key, the clock-shift grid, the one
+for repr), a JSON object that repeats a key, an unreadable input file and an
+unwritable output path, the kernel's working memory, the clock-shift grid, the one
 "every F once" check, the angular-momentum rules that angular and coupling share,
 and the input checks of HalfInt's equality, EulerAngles, LevelSpec, the
 schema checker's oneOf and the fit's error step: each mutant is one small
@@ -79,7 +80,7 @@ MUTANTS = (
     Mutant("even-nodes-taken-as-new", _INFERENCE,
            "x = x[1::2]", "x = x[0::2]",
            (_TI + "TestNoiseAveragedSignal::test_refinement_passes_only_the_new_nodes",
-            _TI + "TestNoiseAveragedSignal::test_uniform_rule_is_computed_once_and_read_only")),
+            _TI + "TestNoiseAveragedSignal::test_uniform_rule_nodes_weights_and_new_nodes")),
     Mutant("start-rule-twice-too-coarse", _INFERENCE,
            "while 2.0 * _HALF_WIDTH / (n - 1) * spread > math.pi:",
            "while 2.0 * _HALF_WIDTH / (n - 1) * spread > 2.0 * math.pi:",
@@ -363,6 +364,20 @@ MUTANTS = (
     Mutant("kernel-phase-halved", _DYNAMICS,
            "np.exp(-0.5j * tau * evals)", "np.exp(-0.25j * tau * evals)",
            (_TD + "TestTransferProbabilities::test_agrees_with_propagate_on_random_draws",)),
+    # the kernel's working memory: a flat copy of a broadcast omega_q, and a
+    # batch's Hamiltonian held through eigh's outputs and the gradient
+    Mutant("broadcast-omega-q-copied", _DYNAMICS,
+           "np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(-1)",
+           "np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()",
+           (_TD + "TestTransferProbabilities::test_working_memory_is_bounded[False-0.28-5120]",
+            _TD + "TestTransferProbabilities::test_working_memory_is_bounded[True-0.35-5120]")),
+    Mutant("batch-hamiltonian-kept", _DYNAMICS,
+           "        evals, evecs = np.linalg.eigh(_rwa_hamiltonians(\n"
+           "            flat_wq[part], omega_0, flat_rf[part], flat_l[part]))\n",
+           "        h = _rwa_hamiltonians(flat_wq[part], omega_0, flat_rf[part], flat_l[part])\n"
+           "        evals, evecs = np.linalg.eigh(h)\n",
+           (_TD + "TestTransferProbabilities::test_working_memory_is_bounded[True-0.35-512]",
+            _TD + "TestTransferProbabilities::test_working_memory_is_bounded[True-0.35-5120]")),
     # the trap's cached channel factors, and H_Q, which is not cached: a key
     # without the orientation, and an H_Q matrix that keeps the Theta of the
     # first level of an (I, J) or the channel factors of the first trap
@@ -524,6 +539,18 @@ MUTANTS = (
            "if len(doc := dict(pairs)) < len(pairs):", "if (doc := dict(pairs)) is None:",
            (_TC + "TestConfigHandling::test_repeated_key_in_species_file_is_config_error",
             _TC + "TestConfigHandling::test_repeated_key_in_run_config_is_config_error")),
+    # an input file that cannot be read as UTF-8 text, and an output path
+    # that cannot be written
+    Mutant("unreadable-file-uncaught", _ERRORS,
+           "except (OSError, UnicodeDecodeError) as exc:",
+           "except (FileNotFoundError, UnicodeDecodeError) as exc:",
+           (_TC + "TestFitAndExtract::test_missing_data_file_is_config_error",)),
+    Mutant("non-utf-8-file-uncaught", _ERRORS,
+           "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:",
+           (_TC + "TestFitAndExtract::test_missing_data_file_is_config_error",)),
+    Mutant("unwritable-output-uncaught", _CLI,
+           "except OSError as exc:", "except FileNotFoundError as exc:",
+           (_TC + "TestFitAndExtract::test_output_to_a_directory_is_config_error",)),
     Mutant("over-long-int-in-repr", _ANGULAR,
            "if isinstance(value, int) else repr(value)", "if False else repr(value)",
            (_TA + "TestHalfInt::test_over_long_int_is_invalid_input",)),

@@ -473,10 +473,22 @@ class TestFitAndExtract:
                      "--omega-q-hz", "1694", "--omega-q-err-hz", "-35"])
         assert code == 2
 
-    def test_missing_data_file_is_config_error(self, tmp_path):
-        code = main(["fit", "--data", str(tmp_path / "nope.csv"),
-                     "--tau", "1.2e-3"])
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys):
+        # a directory and a file that is not UTF-8 exited 1 with a traceback
+        # (IsADirectoryError, UnicodeDecodeError)
+        missing, directory, binary = (tmp_path / name for name in ("nope.csv", "dir", "ff.csv"))
+        directory.mkdir()
+        binary.write_bytes(b"delta_hz,excited_counts,shots\n-800,\xff,300\n")
+        for path in (missing, directory, binary):
+            assert main(["fit", "--data", str(path), "--tau", "1.2e-3"]) == 2
+            assert f"cannot read data file {path}" in capsys.readouterr().err
+
+    def test_output_to_a_directory_is_config_error(self, tmp_path, capsys, ba_config):
+        # exited 1 with a traceback: IsADirectoryError from the write
+        code = main(["extract-theta", "--config", ba_config, "--omega-q-hz", "1694",
+                     "-o", str(tmp_path)])
         assert code == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
 
     def test_non_numeric_field_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "repr.csv"
