@@ -57,7 +57,7 @@ def read_json(path, what: str) -> dict:
         doc = json.loads(read_text(path, what), object_pairs_hook=unique)
     except InvalidInputError:   # a ValueError, but not a syntax error
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
         raise InvalidInputError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must hold a JSON object")

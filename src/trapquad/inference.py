@@ -211,7 +211,8 @@ class FitResult:
     correlation: float    # omega_q-sigma_B; 0 when sigma_B is held fixed
     quadrature_nodes: int
     quadrature_change: float   # max |p(2n - 1) - p(n)| where the results were taken
-    sigma_b_at_bound: bool
+    sigma_b_at_bound: bool     # J^T J singular, errors not finite, or
+                               # sigma_B <= its error (_fit_errors)
 
     def to_dict(self) -> dict:
         return {
@@ -339,13 +340,13 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
     are the square roots of the diagonal of (J^T J)^-1, multiplied by
     sqrt(chi2_nu) when chi2_nu exceeds 1.
 
-    When the sigma_B bound is active, or sigma_B is smaller than its own
-    error, sigma_b_at_bound is set, sigma_b_err is the one-sided upper limit
-    where chi^2 along sigma_B (omega_q fixed) has risen by 1 (by chi2_nu
-    when that exceeds 1), and the omega_q error is taken with sigma_B held
-    fixed.  Raises InvalidInputError for detunings and counts that are not
-    1-D of one shape, for fewer than 8 points or 3 distinct |delta| (the
-    model is even in delta: two parameters are not determined by fewer),
+    When J^T J is singular, the errors are not finite, or sigma_B is no larger
+    than its own error (_fit_errors' one rule), sigma_b_at_bound is set,
+    sigma_b_err is the one-sided upper limit where chi^2 along sigma_B
+    (omega_q fixed) has risen by 1 (by chi2_nu when that exceeds 1), and the
+    omega_q error is taken with sigma_B held fixed.  Raises InvalidInputError
+    for detunings and counts not 1-D of one shape, for fewer than 8 points or
+    3 distinct |delta| (the model is even in delta: two parameters need more),
     FitError when a refinement reaches _MAX_NFEV or the covariance is
     degenerate, and QuadratureConvergenceError past 3073 nodes.
     """
@@ -379,7 +380,7 @@ def fit_spectrum(detunings: np.ndarray, counts: np.ndarray, shots,
         chi2_min = 2.0 * fit.cost
         scale = math.sqrt(max(chi2_min / ndof, 1.0))
         omega_q_err, sigma_b_err, correlation, at_bound = _fit_errors(
-            fit.jac, x[1], fit.at_bound, scale)
+            fit.jac, x[1], scale)
         checked = [x]
         if at_bound:
             sigma_b_err = _upper_limit(
@@ -415,7 +416,6 @@ class _Solution:
     x: np.ndarray
     cost: float           # |r|^2 / 2
     jac: np.ndarray
-    at_bound: bool        # x[1] <= _TOL, as scipy's active_mask
     status: int           # 0 at max_nfev; 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
 
 
@@ -439,10 +439,6 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
     nfev, cost = 1, 0.5 * float(r @ r)
     scale, mu, nu = np.zeros(len(x)), 1e-3, 2.0
 
-    def stop(status: int) -> _Solution:
-        return _Solution(x=x, cost=cost, jac=jac, at_bound=bool(x[1] <= _TOL),
-                         status=status)
-
     while True:
         columns = np.linalg.norm(jac, axis=0)
         scale = np.maximum(scale, columns)
@@ -450,9 +446,9 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
         # gtol: the cosine between r and each column of J
         norms = columns * math.sqrt(2.0 * cost)
         if np.all(np.abs(g) <= _TOL * norms, where=norms > 0):
-            return stop(1)
+            return _Solution(x, cost, jac, 1)
         if nfev >= max_nfev:
-            return stop(0)
+            return _Solution(x, cost, jac, 0)
         d = np.where(scale > 0.0, scale, 1.0)
         h = a + mu * np.diag(d ** 2)
         step = np.linalg.solve(h, -g)
@@ -479,20 +475,23 @@ def _least_squares(fun, x, max_nfev: int) -> _Solution:
         else:
             mu, nu = mu * nu, 2.0 * nu
         if ftol or xtol:
-            return stop(4 if ftol and xtol else 2 if ftol else 3)
+            return _Solution(x, cost, jac, 4 if ftol and xtol else 2 if ftol else 3)
 
 
-def _fit_errors(jac: np.ndarray, sigma_b: float, bound_active: bool,
+def _fit_errors(jac: np.ndarray, sigma_b: float,
                 scale: float) -> tuple[float, float, float, bool]:
     """(omega_q error, sigma_B error, correlation, at bound) from J^T J.
 
-    At the bound the sigma_B error is left as NaN for the caller's upper
-    limit, and the omega_q error is taken with sigma_B held fixed.
-    """
+    The one rule for sigma_B at its bound: J^T J is singular (as on the
+    bound itself, where the sigma_B column of J vanishes: the average is
+    even in sigma_B), the errors are not finite, or sigma_B is no larger
+    than its own error.  There the sigma_B error is left as NaN for the
+    caller's upper limit, and the omega_q error is taken with sigma_B
+    held fixed."""
     jtj = jac.T @ jac
     if jtj[0, 0] <= 0:
         raise FitError("degenerate covariance at the optimum")
-    if not bound_active and np.linalg.det(jtj) > 0:
+    if np.linalg.det(jtj) > 0:
         cov = np.linalg.inv(jtj)
         errs = np.sqrt(np.diag(cov)) * scale
         if np.all(np.isfinite(errs)) and errs[1] < sigma_b:

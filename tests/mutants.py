@@ -1,25 +1,27 @@
 """Mutation check of the noise-average rule, the transfer kernel and its
 agreement with the single-matrix propagator, the fit's Jacobian, the
-grouping of the points by |delta| in the fit and in noise_averaged_signal, the
-fit's memory of its passes, the weights and the chi^2 that the fit's
+grouping of the points by |delta| in the fit and in noise_averaged_signal,
+the fit's memory of its passes, the weights and the chi^2 that the fit's
 objective shares, the seed's one-node omega_q grid and the one laser
 detuning per pair of every model pass, the solver's stopping tests and its
-step back from the bound, the peak search at its two thresholds, the reduced
-table's build (its mirror and its walk over each column's partners), the
-explicit-drive oracle, the schema checker, the detuning grid's, the
-fit's input-shape, the CLI's and the trap config's own checks, e*a0^2 from
-the CODATA 2018 constants, the code that each rule written once shares,
-the key of the cached channel factors, H_Q's Theta and channel factors,
-hq_matrix's numpy product and the element reads' row lookup, the
-off-resonant partner window and its skip of uncoupled partners, the entry
-rule of every angular momentum (angular.doubled: its float range, NaN, its
-1e-9 tolerance, its "n/2" text, text too long for int() and an int too long
-for repr), a JSON object that repeats a key, an unreadable input file and an
-unwritable output path, the kernel's working memory, the clock-shift grid, the one
-"every F once" check, the angular-momentum rules that angular and coupling share,
-and the input checks of HalfInt's equality, EulerAngles, LevelSpec, the
-schema checker's oneOf and the fit's error step: each mutant is one small
-fault, and the tests named with it must fail when it is applied.
+step back from the bound, the one rule for sigma_B at its bound, the peak
+search at its two thresholds, the reduced table's build (its mirror and its
+walk over each column's partners), the explicit-drive oracle, the schema
+checker, the detuning grid's, the fit's input-shape, the CLI's and the trap
+config's own checks, e*a0^2 from the CODATA 2018 constants, the code that
+each rule written once shares, the key of the cached channel factors, H_Q's
+Theta and channel factors, hq_matrix's numpy product and the element reads'
+row lookup, the off-resonant partner window and its skip of uncoupled
+partners, the entry rule of every angular momentum (angular.doubled: its
+float range, NaN, its 1e-9 tolerance, its "n/2" text, text too long for
+int() and an int too long for repr), a JSON object that repeats a key, a
+JSON input nested too deep for the parser, an unreadable input file and an
+unwritable output path, the kernel's working memory, the clock-shift grid,
+the one "every F once" check, the angular-momentum rules that angular and
+coupling share, and the input checks of HalfInt's equality, EulerAngles,
+LevelSpec, the schema checker's oneOf and the fit's error step: each mutant
+is one small fault, and the tests named with it must fail when it is
+applied.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
@@ -150,7 +152,7 @@ MUTANTS = (
     # the solver's stopping tests
     Mutant("gtol-test-dropped", _INFERENCE,
            "        if np.all(np.abs(g) <= _TOL * norms, where=norms > 0):\n"
-           "            return stop(1)\n", "",
+           "            return _Solution(x, cost, jac, 1)\n", "",
            (_TI + "TestLeastSquares::test_zero_residual_at_the_start_stops_on_gtol",)),
     Mutant("ddelta-rf-sign-flipped", _DYNAMICS,
            "vtv(v[2], v[2]) - vtv(v[0], v[0])", "vtv(v[0], v[0]) - vtv(v[2], v[2])",
@@ -539,8 +541,8 @@ MUTANTS = (
            "if len(doc := dict(pairs)) < len(pairs):", "if (doc := dict(pairs)) is None:",
            (_TC + "TestConfigHandling::test_repeated_key_in_species_file_is_config_error",
             _TC + "TestConfigHandling::test_repeated_key_in_run_config_is_config_error")),
-    # an input file that cannot be read as UTF-8 text, and an output path
-    # that cannot be written
+    # an input file that cannot be read as UTF-8 text or nests its JSON too
+    # deep for the parser, and an output path that cannot be written
     Mutant("unreadable-file-uncaught", _ERRORS,
            "except (OSError, UnicodeDecodeError) as exc:",
            "except (FileNotFoundError, UnicodeDecodeError) as exc:",
@@ -548,6 +550,9 @@ MUTANTS = (
     Mutant("non-utf-8-file-uncaught", _ERRORS,
            "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:",
            (_TC + "TestFitAndExtract::test_missing_data_file_is_config_error",)),
+    Mutant("deep-json-uncaught", _ERRORS,
+           "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
+           (_TC + "TestConfigHandling::test_deeply_nested_json_is_config_error",)),
     Mutant("unwritable-output-uncaught", _CLI,
            "except OSError as exc:", "except FileNotFoundError as exc:",
            (_TC + "TestFitAndExtract::test_output_to_a_directory_is_config_error",)),
@@ -567,10 +572,12 @@ MUTANTS = (
            ("tests/test_errors.py::test_one_of_rejects_a_value_matching_two_forms",)),
     Mutant("flat-omega-q-accepted", _INFERENCE,
            "if jtj[0, 0] <= 0:", "if False:",
-           (_TI + "TestLeastSquares::test_zero_omega_q_column_is_a_degenerate_covariance"
-            "[False]",
-            _TI + "TestLeastSquares::test_zero_omega_q_column_is_a_degenerate_covariance"
-            "[True]")),
+           (_TI + "TestLeastSquares::test_zero_omega_q_column_is_a_degenerate_covariance",)),
+    # the one rule for sigma_B at its bound: no larger than its own error
+    Mutant("bound-rule-dropped", _INFERENCE,
+           "np.all(np.isfinite(errs)) and errs[1] < sigma_b", "np.all(np.isfinite(errs))",
+           (_TI + "TestFitSpectrum::test_sigma_b_at_bound_reports_upper_limit",
+            _TI + "TestFitSpectrum::test_upper_limit_point_is_not_evaluated_again")),
 )
 
 

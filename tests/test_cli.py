@@ -674,6 +674,22 @@ class TestConfigHandling:
         assert code == 2
         assert "config file repeats the key 'omega_rf_hz'" in capsys.readouterr().err
 
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, ba_config,
+                                                lu_config):
+        # 1,000 nested arrays: json.loads raised RecursionError, exit 1 with
+        # a traceback, for each of the three JSON inputs
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        for argv, what in [
+                (["clock-shift", "--species", "lu176", "--transition", "1S0-3D2",
+                  "--config", str(path)], "config file"),
+                (["clock-shift", "--species", str(path), "--transition", "1S0-3D2",
+                  "--config", lu_config], "species file"),
+                (["extract-theta", "--config", ba_config, "--fit-json", str(path)],
+                 "fit result")]:
+            assert main(argv) == 2
+            assert f"{what} is not valid JSON" in capsys.readouterr().err
+
     def test_mass_u_disagreeing_with_species_is_config_error(self, tmp_path,
                                                               capsys):
         # exited 0 with the species mass; the config's mass_u was ignored

@@ -717,7 +717,6 @@ class TestFitSpectrum:
                             method="trf", bounds=([0.0, 0.0], [np.inf, np.inf]),
                             x_scale="jac", max_nfev=max_nfev)
         return inference._Solution(x=fit.x, cost=fit.cost, jac=fit.jac,
-                                   at_bound=fit.active_mask[1] != 0,
                                    status=fit.status)
 
     @pytest.mark.parametrize("sigma_b, seeds", [
@@ -956,7 +955,6 @@ class TestLeastSquares:
         exact = np.linalg.solve(self.A.T @ self.A, self.A.T @ b)
         assert sol.status == 4      # ftol and xtol on the same step
         assert np.allclose(sol.x, exact, rtol=1e-7)
-        assert not sol.at_bound
         assert np.array_equal(sol.jac, self.A)
 
     def test_bound_holds_the_second_parameter_at_zero(self):
@@ -965,7 +963,7 @@ class TestLeastSquares:
         b = np.array([4.0, 3.0, 2.1, 0.8])
         sol = inference._least_squares(self.linear(b), [1.0, 1.0], 50)
         assert sol.status in (1, 2, 3, 4)
-        assert sol.at_bound and 0.0 < sol.x[1] <= 1e-8
+        assert 0.0 < sol.x[1] <= 1e-8
         assert sol.x[0] == pytest.approx(np.mean(b), rel=1e-7)
         assert sol.cost == pytest.approx(0.5 * np.sum((b - np.mean(b)) ** 2))
 
@@ -981,7 +979,6 @@ class TestLeastSquares:
         sol = inference._least_squares(fun, [3.0, 5.0], 50)
         assert sol.status == 3      # xtol alone
         assert np.allclose(sol.x, [1.0, 1.0], rtol=1e-7)
-        assert not sol.at_bound
 
     def test_evaluation_limit_returns_status_zero(self):
         calls = []
@@ -1042,12 +1039,11 @@ class TestLeastSquares:
         with pytest.raises(FitError, match="does not rise"):
             inference._upper_limit(lambda s: 0.0, 0.0, 1.0)
 
-    @pytest.mark.parametrize("bound_active", [False, True])
-    def test_zero_omega_q_column_is_a_degenerate_covariance(self, bound_active):
+    def test_zero_omega_q_column_is_a_degenerate_covariance(self):
         # chi^2 flat in omega_q: no omega_q error exists, bound or not
         jac = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         with pytest.raises(FitError, match="degenerate covariance"):
-            inference._fit_errors(jac, 10.0, bound_active, 1.0)
+            inference._fit_errors(jac, 10.0, 1.0)
 
 
 class TestExtractTheta:
