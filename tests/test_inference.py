@@ -1039,11 +1039,13 @@ class TestLeastSquares:
         with pytest.raises(FitError, match="does not rise"):
             inference._upper_limit(lambda s: 0.0, 0.0, 1.0)
 
-    def test_zero_omega_q_column_is_a_degenerate_covariance(self):
-        # chi^2 flat in omega_q: no omega_q error exists, bound or not
+    @pytest.mark.parametrize("bound_active", [False, True])
+    def test_zero_omega_q_column_is_a_degenerate_covariance(self, bound_active):
+        # chi^2 flat in omega_q: no omega_q error exists, sigma_B free or on
+        # its bound (0 nT)
         jac = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         with pytest.raises(FitError, match="degenerate covariance"):
-            inference._fit_errors(jac, 10.0, 1.0)
+            inference._fit_errors(jac, 0.0 if bound_active else 10.0, 1.0)
 
 
 class TestExtractTheta:
