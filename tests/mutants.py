@@ -26,11 +26,11 @@ applied.
     python tests/mutants.py              # every mutant
     python tests/mutants.py one-node-start endpoint-dropped
 
-For each mutant, src/, tests/ and pyproject.toml are copied to a temporary
-directory, the mutant's old text (which must occur exactly once in its file)
-is replaced by its new text, and each named test id runs there in its own
-pytest process.  A mutant is killed when every named id fails; the exit
-status is 1 if any mutant survives.  The script uses the standard library
+For each mutant, src/, tests/, tools/ and pyproject.toml are copied to a
+temporary directory, the mutant's old text (which must occur exactly once in
+its file) is replaced by its new text, and each named test id runs there in
+its own pytest process.  A mutant is killed when every named id fails; the
+exit status is 1 if any mutant survives.  The script uses the standard library
 only, and pytest does not collect it; tests/test_mutants.py checks in the
 Tier-1 suite that each old text still occurs exactly once.
 """
@@ -612,7 +612,7 @@ def run(mutant: Mutant) -> list[str]:
     with tempfile.TemporaryDirectory(prefix="trapquad-mutant-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "tools"):
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", root)
         apply(mutant, root)

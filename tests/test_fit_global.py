@@ -6,13 +6,9 @@ model and sigma_B on the 25-node rule, and the fit ends at 3.4-3.5 times the
 true omega_q at exit 0, 2 uT included, whose truth lies past the 3073-node
 cap.  Item 3 turns the expected failures into passes."""
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from fit_study import run_case  # noqa: E402
+from fit_study import run_case
 
 ITEM_3 = "ROADMAP item 3: the fit ends at a wrong local optimum"
 # an error raised on the way, rather than the failed check, is no expected failure

@@ -36,6 +36,12 @@ from trapquad.inference import (
 from trapquad.trap import (CODATA2018, SENSITIVITY_LASER, SENSITIVITY_RF,
                            TrapConfig)
 
+# the 4001-node reference sum: the 1e-9 checks against it hold although its
+# tails beyond +-6 sigma_B can move it by 2.0e-9, because p is below 1/2 in
+# the tails on their inputs (the tails account for at most 9.3e-10, at
+# 100 nT and tau = 1.2 ms)
+from fit_study import chi2, dense_average
+
 TWO_PI = 2 * math.pi
 WQ = TWO_PI * 1.7e3
 TAU = 1.2e-3
@@ -64,26 +70,6 @@ class TestNoiseModel:
     def test_sigma_b_and_tau_are_the_only_settings(self):
         assert [f.name for f in dataclasses.fields(NoiseModel)] == ["sigma_b"]
         assert [f.name for f in dataclasses.fields(FitConfig)] == ["tau"]
-
-
-def dense_noise_average(sys: RwaSystem, noise: NoiseModel,
-                        detunings: np.ndarray, tau: float) -> np.ndarray:
-    """Trapezoid sum over b in +-8 sigma_B on 4001 points, normalised by the
-    weight sum: its step 0.004 sigma_B is no dyadic fraction of the rule's
-    0.5 sigma_B, so of the rule's nodes it shares only the multiples of
-    0.5 sigma_B.  It includes the tails beyond +-6 sigma_B that the rule
-    leaves out.  Those can move the average by up to 2*Phi(-6) = 2.0e-9,
-    above the 1e-9 checks against this sum: the checks hold because p is
-    below 1/2 in the tails on their inputs (the tails account for at most
-    9.3e-10, at 100 nT and tau = 1.2 ms), not because of that bound."""
-    b = np.linspace(-8.0, 8.0, 4001) * noise.sigma_b
-    w = np.exp(-0.5 * (b / noise.sigma_b) ** 2)
-    w /= w.sum()
-    d_rf = sys.detuning_rf - SENSITIVITY_RF * b
-    d_l = detunings[:, None] - SENSITIVITY_LASER * b[None, :]
-    probs = transfer_probabilities(sys.omega_q, sys.omega_0,
-                                   np.broadcast_to(d_rf, d_l.shape), d_l, tau)
-    return probs @ w
 
 
 class TestNoiseAveragedSignal:
@@ -178,7 +164,7 @@ class TestNoiseAveragedSignal:
         scan = noise_averaged_signal(reference_system(), noise, grid, TAU)
         assert scan.quadrature_nodes > 33
         assert scan.quadrature_change <= 1e-6
-        want = dense_noise_average(reference_system(), noise, grid, TAU)
+        want = dense_average(WQ, noise.sigma_b, TAU, grid)
         assert np.max(np.abs(scan.transfer - want)) < 1e-9
 
     @pytest.mark.parametrize("sigma_b, tau", [
@@ -192,7 +178,7 @@ class TestNoiseAveragedSignal:
         scan = noise_averaged_signal(sys, noise, grid, tau)
         assert scan.quadrature_nodes > 33
         assert scan.quadrature_change <= 1e-6
-        want = dense_noise_average(sys, noise, grid, tau)
+        want = dense_average(WQ, noise.sigma_b, tau, grid)
         assert np.max(np.abs(scan.transfer - want)) < 1e-9
 
     def test_refinement_passes_only_the_new_nodes(self, monkeypatch):
@@ -474,11 +460,9 @@ class TestFitSpectrum:
 
     @staticmethod
     def dense_chi2_reduced(res, counts) -> float:
-        p = dense_noise_average(reference_system(res.omega_q),
-                                NoiseModel(sigma_b=res.sigma_b),
-                                TestFitSpectrum.DELTAS, TAU)
-        var = np.maximum(p * (1 - p), 1 / 1200) / 300
-        return float(np.sum((counts / 300 - p) ** 2 / var)) / 38
+        # 300 shots, the study's SHOTS, and 40 - 2 degrees of freedom
+        return chi2(counts, dense_average(res.omega_q, res.sigma_b, TAU,
+                                          TestFitSpectrum.DELTAS)) / 38
 
     @staticmethod
     def least_squares_runs(monkeypatch) -> list:
@@ -686,9 +670,7 @@ class TestFitSpectrum:
         runs = self.least_squares_runs(monkeypatch)
         tau = math.pi / (0.0005 * WQ)
         rng = np.random.default_rng(2)
-        counts = rng.binomial(300, dense_noise_average(
-            reference_system(tau=tau), NoiseModel(sigma_b=40e-9), self.DELTAS,
-            tau))
+        counts = rng.binomial(300, dense_average(WQ, 40e-9, tau, self.DELTAS))
         with pytest.raises(QuadratureConvergenceError, match="3073 nodes"):
             fit_spectrum(self.DELTAS, counts, 300, FitConfig(tau=tau))
         assert runs == []
